@@ -207,8 +207,11 @@ class ParametricModel:
     and grad(X, theta) are batched over rows of X.  lam and beta bound the
     strong concavity and smoothness of the log-likelihood, L is the gradient
     clip norm, gamma the coefficient of the quadratic KL upper bound.
-    mean_grad_scale, when set, declares grad(x, theta) = (x - theta) * scale,
-    enabling the batched trial kernel.
+    mean_grad_scale, when set, declares grad(x, theta) = (x - theta) * scale
+    for a positive finite scale.  Such a linear-gradient model gets the
+    exact MLE (the sample mean projected onto the space) from mle_pga and
+    the batched trial kernel from dp_sgml_batch; any other model falls back
+    to projected gradient ascent and per-trial runs.
     """
 
     dim: int
@@ -229,6 +232,8 @@ class ParametricModel:
             raise DomainError("need 0 < lam <= beta")
         if self.L <= 0.0 or self.gamma <= 0.0:
             raise DomainError("L and gamma must be positive")
+        if self.mean_grad_scale is not None and not 0.0 < self.mean_grad_scale < math.inf:
+            raise DomainError("mean_grad_scale must be positive and finite")
 
 
 def gaussian_mean_model(
@@ -378,12 +383,15 @@ def dp_sgml_batch(
 
     scale0 = math.sqrt(2.0 * cfg.sigma2_noise / model.lam)
     center = np.asarray(model.space.center)
+    # Indices are drawn as int64 (the stream is unchanged) but stored as int32,
+    # which halves the largest buffer, whenever n allows.
+    idx_dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
     out = np.empty((trials, d))
     for start in range(0, trials, _BATCH_CHUNK):
         stop = min(start + _BATCH_CHUNK, trials)
         size = stop - start
         theta0 = np.empty((size, d))
-        batch_idx = np.empty((size, cfg.K, cfg.m), dtype=np.int64)
+        batch_idx = np.empty((size, cfg.K, cfg.m), dtype=idx_dtype)
         step_noise = np.empty((size, cfg.K, d))
         for t in range(start, stop):
             r = derived_rng(seed, *tags, t)
@@ -407,14 +415,23 @@ def dp_sgml_batch(
 
 
 def mle_pga(data, model: ParametricModel, tol: float = 1e-10, max_iter: int = 100_000) -> np.ndarray:
-    """Maximum-likelihood estimate by deterministic projected gradient ascent.
+    """Maximum-likelihood estimate over the model's parameter space.
 
-    Full-batch unclipped mean gradient with step 1/beta, stopped when the
-    update norm falls below tol.
+    A linear-gradient model (mean_grad_scale set) has an isotropic quadratic
+    log-likelihood, so its constrained maximizer is exactly the sample mean
+    projected onto the space; tol and max_iter are then unused.  Other
+    models fall back to deterministic projected gradient ascent: full-batch
+    unclipped mean gradient with step 1/beta, stopped when the update norm
+    falls below tol.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim == 1:
         data = data[:, None]
+    if model.mean_grad_scale is not None:
+        mean = data.mean(axis=0)
+        if not np.all(np.isfinite(mean)):
+            raise NonFinite("sample mean is non-finite")
+        return project(model.space, mean)
     if isinstance(model.space, Ball):
         theta = np.asarray(model.space.center, dtype=float)
     else:

@@ -176,6 +176,12 @@ def test_dpsgml_trials_clipping_and_projection():
     assert np.allclose(out[0], [1.5, 0.0], atol=1e-12)
 
 
+def test_dpsgml_trials_index_dtype_does_not_change_results():
+    args = _random_dpsgml_inputs(derived_rng(208), trials=5, n=40, K=8, m=6)
+    narrow = (*args[:2], args[2].astype(np.int32), *args[3:])
+    assert np.array_equal(dpsgml_trials(*args), dpsgml_trials(*narrow))
+
+
 @needs_numba
 def test_dpsgml_trials_backends_agree():
     rng = derived_rng(209)

@@ -1,10 +1,12 @@
 """Tests for private mechanisms, finite kernels, and DP-SGML."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from dpminimax import mechanisms
 from dpminimax import (
     Ball,
     Box,
@@ -214,6 +216,16 @@ def test_parametric_model_validation():
         )
 
 
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+def test_parametric_model_rejects_bad_mean_grad_scale(scale):
+    dummy = lambda *a: None
+    with pytest.raises(DomainError):
+        ParametricModel(
+            dim=1, space=Ball((0.0,), 1.0), sample=dummy, loglik=dummy, grad=dummy,
+            mean_grad_scale=scale,
+        )
+
+
 # ------------------------------------------------------------- DP-SGML
 
 
@@ -282,6 +294,25 @@ def test_dp_sgml_batch_fallback_path_agrees():
     assert np.allclose(fast, slow, atol=1e-9)
 
 
+def test_dp_sgml_batch_matches_per_trial_runs_across_chunks(monkeypatch):
+    model = gaussian_mean_model(2, sigma=1.0, radius=2.0)
+    n, trials = 1000, mechanisms._BATCH_CHUNK + 2
+    cfg = dp_sgml_config(n, 2, 1.0, model, 8)
+    data = np.stack([model.sample(np.array([0.4, -0.2]), n, derived_rng(25, t)) for t in range(trials)])
+    seen = []
+    kernel = mechanisms._kernels.dpsgml_trials
+
+    def spy(data, theta0, batch_idx, *args):
+        seen.append((batch_idx.shape[0], batch_idx.dtype))
+        return kernel(data, theta0, batch_idx, *args)
+
+    monkeypatch.setattr(mechanisms._kernels, "dpsgml_trials", spy)
+    fast = dp_sgml_batch(data, model, cfg, 77, 3)
+    assert seen == [(mechanisms._BATCH_CHUNK, np.int32), (2, np.int32)]
+    slow = np.stack([dp_sgml(data[t], model, cfg, derived_rng(77, 3, t)) for t in range(trials)])
+    assert np.max(np.abs(fast - slow)) <= 1e-12
+
+
 def test_dp_sgml_output_stays_in_space():
     model = gaussian_mean_model(2, sigma=1.0, radius=0.5)
     cfg = DPSGMLConfig(sigma2_noise=4.0, K=20, eta=0.5, m=None, rho=0.1, clip=1.0)
@@ -315,6 +346,37 @@ def test_non_finite_gradient_is_reported():
 
 
 # ----------------------------------------------------------- MLE and xi^2
+
+
+def test_mle_closed_form_rejects_non_finite_data():
+    model = gaussian_mean_model(2)
+    data = np.zeros((5, 2))
+    data[3, 1] = np.nan
+    with pytest.raises(NonFinite):
+        mle_pga(data, model)
+
+
+@pytest.mark.parametrize(
+    "model, theta",
+    [
+        (gaussian_mean_model(3, sigma=1.0, radius=5.0, smoothness=4.0), [0.5, -0.5, 0.2]),
+        (gaussian_mean_model(3, sigma=1.0, radius=0.3, smoothness=4.0), [1.0, 0.8, -0.6]),
+        (
+            dataclasses.replace(
+                gaussian_mean_model(3, sigma=1.0, smoothness=4.0),
+                space=Box(lo=(-1.0, 0.0, -0.5), hi=(1.0, 0.2, 0.5)),
+            ),
+            [0.3, 0.9, -2.0],
+        ),
+    ],
+    ids=["ball-interior", "ball-exterior", "box-active"],
+)
+def test_mle_closed_form_agrees_with_projected_gradient_ascent(model, theta):
+    data = model.sample(np.array(theta), 80, derived_rng(45))
+    exact = mle_pga(data, model)
+    assert np.array_equal(exact, project(model.space, data.mean(axis=0)))
+    iterative = mle_pga(data, dataclasses.replace(model, mean_grad_scale=None))
+    assert np.max(np.abs(exact - iterative)) <= 1e-8
 
 
 def test_mle_pga_is_projected_sample_mean():
