@@ -39,7 +39,6 @@ from .errors import (
     DegenerateMarginal,
     DomainError,
     DPMinimaxError,
-    FormMismatch,
     InsufficientBudget,
     KindConstraintMismatch,
     LengthMismatch,
@@ -75,7 +74,6 @@ _USAGE_ERRORS = (
     LengthMismatch,
     UnsupportedPair,
     DegenerateMarginal,
-    FormMismatch,
     KindConstraintMismatch,
     ArityMismatch,
     DegenerateInput,
@@ -585,7 +583,6 @@ def _cmd_experiment(args) -> int:
 def _add_out_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output file path")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--workers", type=int, default=1, help="worker count (cells run sequentially)")
 
 
 def build_parser() -> argparse.ArgumentParser:

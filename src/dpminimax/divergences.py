@@ -107,10 +107,7 @@ def kl(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     the divergence +inf.
     """
     _, pw, qw = _aligned(p, q)
-    mask = pw > 0.0
-    if np.any(qw[mask] == 0.0):
-        return math.inf
-    return float(np.sum(pw[mask] * np.log(pw[mask] / qw[mask])))
+    return _kl_weights(pw, qw)
 
 
 def renyi(alpha: float, p: DiscreteDistribution, q: DiscreteDistribution) -> float:
@@ -122,6 +119,19 @@ def renyi(alpha: float, p: DiscreteDistribution, q: DiscreteDistribution) -> flo
     if not alpha > 1.0:
         raise DomainError("renyi is defined here for alpha > 1")
     _, pw, qw = _aligned(p, q)
+    return _renyi_weights(pw, qw, alpha)
+
+
+def _kl_weights(pw: np.ndarray, qw: np.ndarray) -> float:
+    """KL between two aligned non-negative weight vectors (see kl)."""
+    mask = pw > 0.0
+    if np.any(qw[mask] == 0.0):
+        return math.inf
+    return float(np.sum(pw[mask] * np.log(pw[mask] / qw[mask])))
+
+
+def _renyi_weights(pw: np.ndarray, qw: np.ndarray, alpha: float) -> float:
+    """D_alpha between two aligned non-negative weight vectors (see renyi)."""
     mask = pw > 0.0
     if np.any(qw[mask] == 0.0):
         return math.inf

@@ -29,10 +29,6 @@ class TooLarge(DPMinimaxError):
     """An enumeration or LP instance exceeds the documented size caps."""
 
 
-class FormMismatch(DPMinimaxError):
-    """A bound form is incompatible with the privacy constraint."""
-
-
 class KindConstraintMismatch(DPMinimaxError):
     """A similarity kind does not apply to the given privacy constraint."""
 

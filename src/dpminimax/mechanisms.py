@@ -363,8 +363,8 @@ def dp_sgml_batch(
 ) -> np.ndarray:
     """Run dp_sgml on (trials, n, dim) data, trial t using derived stream t.
 
-    Models exposing mean_grad_scale on a Ball dispatch to the compiled trial
-    kernel in chunks; anything else falls back to per-trial runs.  Either
+    Models exposing mean_grad_scale on a Ball run through the vectorized
+    trial kernel in chunks; anything else falls back to per-trial runs.  Either
     path agrees with dp_sgml(data[t], ..., derived_rng(seed, *tags, t)).
     """
     data = np.asarray(data, dtype=float)

@@ -20,7 +20,7 @@ import numpy as np
 from ._rng import derived_rng
 from .bounds import PrivacyConstraint
 from .couplings import CouplingSampler, exponential_races
-from .divergences import DiscreteDistribution, tv
+from .divergences import DiscreteDistribution, _kl_weights, _renyi_weights, tv
 from .errors import (
     ArityMismatch,
     DomainError,
@@ -257,14 +257,6 @@ def _dp_pair_holds(p: np.ndarray, q: np.ndarray, eps: float, delta: float):
     return None
 
 
-def _renyi(p: np.ndarray, q: np.ndarray, alpha: float) -> float:
-    if np.any((q <= 0.0) & (p > 0.0)):
-        return math.inf
-    live = p > 0.0
-    total = float(np.sum(p[live] ** alpha * q[live] ** (1.0 - alpha)))
-    return math.log(total) / (alpha - 1.0)
-
-
 def _max_log_ratio(p: np.ndarray, q: np.ndarray) -> float:
     if np.any((q <= 0.0) & (p > 0.0)):
         return math.inf
@@ -281,7 +273,7 @@ def _zcdp_pair_holds(p: np.ndarray, q: np.ndarray, rho_bound: float):
     D_infinity <= 16 * rho_bound, since D_alpha is non-decreasing in alpha.
     """
     for alpha in _ALPHA_GRID:
-        if _renyi(p, q, alpha) > rho_bound * alpha + _DP_TOL:
+        if _renyi_weights(p, q, alpha) > rho_bound * alpha + _DP_TOL:
             return alpha
     if _max_log_ratio(p, q) > rho_bound * _ALPHA_MAX + _DP_TOL:
         return math.inf
@@ -348,7 +340,10 @@ def verify_group_privacy(m: FiniteMechanism, c: PrivacyConstraint) -> bool:
 
 
 def verify_kl_dp(m: FiniteMechanism, epsilon: float) -> bool:
-    """Check KL(M(X) || M(Y)) <= epsilon * hamming(X, Y) for all pairs."""
+    """Check KL(M(X) || M(Y)) <= epsilon * hamming(X, Y) for all pairs.
+
+    An infinite KL (an output reachable from X but not from Y) always fails.
+    """
     _check_caps(m)
     if epsilon <= 0.0:
         raise DomainError("epsilon must be positive")
@@ -358,12 +353,8 @@ def verify_kl_dp(m: FiniteMechanism, epsilon: float) -> bool:
             h = hamming(a, b)
             if h == 0:
                 continue
-            p, q = m.row(a), m.row(b)
-            if np.any((q <= 0.0) & (p > 0.0)):
-                return False
-            live = p > 0.0
-            kl = float(np.sum(p[live] * np.log(p[live] / q[live])))
-            if kl > epsilon * h + _KL_TOL:
+            kl = _kl_weights(m.row(a), m.row(b))
+            if math.isinf(kl) or kl > epsilon * h + _KL_TOL:
                 return False
     return True
 
