@@ -49,14 +49,14 @@ class PrivacyConstraint:
         if self.kind not in ("pure", "approx", "zcdp", "none"):
             raise DomainError(f"unknown constraint kind {self.kind!r}")
         if self.kind in ("pure", "approx"):
-            if self.epsilon is None or not self.epsilon > 0.0:
-                raise DomainError("epsilon must be positive")
+            if self.epsilon is None or not 0.0 < self.epsilon < math.inf:
+                raise DomainError("epsilon must be positive and finite")
         if self.kind == "approx":
             if self.delta is None or not 0.0 <= self.delta < 1.0:
                 raise DomainError("delta must lie in [0, 1)")
         if self.kind == "zcdp":
-            if self.rho is None or not self.rho > 0.0:
-                raise DomainError("rho must be positive")
+            if self.rho is None or not 0.0 < self.rho < math.inf:
+                raise DomainError("rho must be positive and finite")
 
     @classmethod
     def pure(cls, epsilon: float) -> "PrivacyConstraint":

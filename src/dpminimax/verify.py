@@ -1,8 +1,10 @@
-"""Exhaustive verification on tiny finite mechanisms.
+"""Exact verification on tiny finite mechanisms.
 
-Everything here enumerates: datasets are vectors over a small integer
-alphabet, mechanisms are explicit stochastic kernels, events are output
-subsets, and test functions are all maps from outputs to hypothesis labels.
+Datasets are vectors over a small integer alphabet and mechanisms are
+explicit stochastic kernels; every dataset pair or tuple is enumerated.
+Events and tests need no enumeration: the worst event for (eps, delta)-DP
+is {o : p_o > e^eps q_o}, whose excess is the hockey-stick divergence, and
+the test with least average error picks argmax_i P(M(X_i) = o) per output.
 The checks are exact up to stated numerical tolerances, except the
 exponential-races leg of the transport bound which is Monte-Carlo with a
 3-sigma slack.
@@ -244,16 +246,16 @@ def _check_caps(m: FiniteMechanism) -> None:
         raise TooLarge(f"{m.n_outputs} outputs exceeds cap {_MAX_OUTPUTS}")
 
 
-def _event_masks(n_outputs: int):
-    for bits in range(1, 2**n_outputs):
-        yield np.array([(bits >> o) & 1 for o in range(n_outputs)], dtype=bool)
-
-
 def _dp_pair_holds(p: np.ndarray, q: np.ndarray, eps: float, delta: float):
-    """Worst event for P(S) <= e^eps Q(S) + delta, or None when all pass."""
-    for mask in _event_masks(p.shape[0]):
-        if p[mask].sum() > math.exp(eps) * q[mask].sum() + delta + _DP_TOL:
-            return mask
+    """Worst event for P(S) <= e^eps Q(S) + delta, or None when all pass.
+
+    The event {o : p_o > e^eps q_o} maximises P(S) - e^eps Q(S), and that
+    maximum is the hockey-stick divergence sum_o (p_o - e^eps q_o)_+.
+    """
+    excess = p - math.exp(eps) * q
+    mask = excess > 0.0
+    if excess[mask].sum() > delta + _DP_TOL:
+        return mask
     return None
 
 
@@ -280,35 +282,43 @@ def _zcdp_pair_holds(p: np.ndarray, q: np.ndarray, rho_bound: float):
     return None
 
 
-def verify_privacy(m: FiniteMechanism, c: PrivacyConstraint) -> PrivacyCheck:
-    """Exhaustively check the privacy constraint over all neighboring datasets.
+def _pair_violation(m: FiniteMechanism, a: Dataset, b: Dataset, c: PrivacyConstraint, k: int):
+    """Worst event (DP) or alpha (zCDP) where c fails from a to b at distance k.
 
-    DP checks all 2^outputs events; zCDP checks Renyi divergences on a fixed
-    alpha grid plus the max-log-ratio tail.  Returns a violating witness
-    (dataset pair plus event or alpha) when the check fails.
+    Returns None when the k-fold group form of c holds for the pair; at k = 1
+    the group bounds are exactly eps, delta and rho.
+    """
+    p, q = m.row(a), m.row(b)
+    if c.is_dp:
+        eps, delta = c.eps_delta()
+        mask = _dp_pair_holds(p, q, k * eps, delta * k * math.exp(eps * (k - 1)))
+        if mask is None:
+            return None
+        return tuple(o for o, keep in zip(m.outputs, mask) if keep)
+    if c.kind == "zcdp":
+        return _zcdp_pair_holds(p, q, c.rho * k * k)
+    raise KindConstraintMismatch("group privacy needs DP or zCDP")
+
+
+def verify_privacy(m: FiniteMechanism, c: PrivacyConstraint) -> PrivacyCheck:
+    """Check the privacy constraint over all neighboring datasets.
+
+    DP checks the worst event of each pair in closed form; zCDP checks Renyi
+    divergences on a fixed alpha grid plus the max-log-ratio tail.  Returns a
+    violating witness (dataset pair plus worst event or alpha) when the check
+    fails.
     """
     _check_caps(m)
-    datasets = m.datasets()
-    pairs = [
-        (a, b)
-        for a in datasets
-        for b in datasets
-        if hamming(a, b) == 1
-    ]
     if c.kind == "none":
         return PrivacyCheck(holds=True)
-    for a, b in pairs:
-        p, q = m.row(a), m.row(b)
-        if c.is_dp:
-            eps, delta = c.eps_delta()
-            mask = _dp_pair_holds(p, q, eps, delta)
-            if mask is not None:
-                event = tuple(o for o, keep in zip(m.outputs, mask) if keep)
-                return PrivacyCheck(holds=False, witness=(a, b, event))
-        else:
-            alpha = _zcdp_pair_holds(p, q, c.rho)
-            if alpha is not None:
-                return PrivacyCheck(holds=False, witness=(a, b, alpha))
+    datasets = m.datasets()
+    for a in datasets:
+        for b in datasets:
+            if hamming(a, b) != 1:
+                continue
+            bad = _pair_violation(m, a, b, c, 1)
+            if bad is not None:
+                return PrivacyCheck(holds=False, witness=(a, b, bad))
     return PrivacyCheck(holds=True)
 
 
@@ -323,19 +333,8 @@ def verify_group_privacy(m: FiniteMechanism, c: PrivacyConstraint) -> bool:
     for a in datasets:
         for b in datasets:
             k = hamming(a, b)
-            if k == 0:
-                continue
-            p, q = m.row(a), m.row(b)
-            if c.is_dp:
-                eps, delta = c.eps_delta()
-                group_delta = delta * k * math.exp(eps * (k - 1))
-                if _dp_pair_holds(p, q, k * eps, group_delta) is not None:
-                    return False
-            elif c.kind == "zcdp":
-                if _zcdp_pair_holds(p, q, c.rho * k * k) is not None:
-                    return False
-            else:
-                raise KindConstraintMismatch("group privacy needs DP or zCDP")
+            if k != 0 and _pair_violation(m, a, b, c, k) is not None:
+                return False
     return True
 
 
@@ -345,8 +344,8 @@ def verify_kl_dp(m: FiniteMechanism, epsilon: float) -> bool:
     An infinite KL (an output reachable from X but not from Y) always fails.
     """
     _check_caps(m)
-    if epsilon <= 0.0:
-        raise DomainError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise DomainError("epsilon must be positive and finite")
     datasets = m.datasets()
     for a in datasets:
         for b in datasets:
@@ -357,10 +356,6 @@ def verify_kl_dp(m: FiniteMechanism, epsilon: float) -> bool:
             if math.isinf(kl) or kl > epsilon * h + _KL_TOL:
                 return False
     return True
-
-
-def _test_maps(n_outputs: int, N: int):
-    return itertools.product(range(N), repeat=n_outputs)
 
 
 def _resolve_anchor(kind, anchors, tup, j):
@@ -383,9 +378,10 @@ def verify_admissibility(
 ) -> AdmissibilityCheck:
     """Check avg_i P(psi(M(X_i)) != i) >= similarity on every instance.
 
-    Enumerates every N-tuple of datasets and every test map psi from outputs
-    to {1..N}.  worst_gap is the minimal slack seen; a witness (tuple, psi)
-    is reported when some instance violates the bound.
+    Enumerates every N-tuple of datasets.  The least average error over test
+    maps psi comes from the per-output rule psi(o) = argmax_i P(M(X_i) = o),
+    ties going to the lowest label.  worst_gap is the minimal slack seen; a
+    witness (tuple, psi) is reported when some instance violates the bound.
     """
     _check_caps(m)
     if N < 2:
@@ -394,23 +390,23 @@ def verify_admissibility(
     if work > _MAX_ADMISSIBILITY_WORK:
         raise TooLarge(f"enumeration size {work} exceeds cap {_MAX_ADMISSIBILITY_WORK}")
     datasets = m.datasets()
-    maps = list(_test_maps(m.n_outputs, N))
     worst_gap = math.inf
     witness = None
     for tup in itertools.product(datasets, repeat=N):
         anchor = _resolve_anchor(kind, anchors, tup, j)
         s = similarity(c, kind, tup, anchor=anchor, j=j if kind == "projection_anchor" else None)
         rows = np.stack([m.row(x) for x in tup])
-        for psi in maps:
-            correct = 0.0
-            for o, label in enumerate(psi):
-                correct += rows[label, o]
-            err = 1.0 - correct / N
-            gap = err - s
-            if gap < worst_gap:
-                worst_gap = gap
-                if gap < -_DP_TOL:
-                    witness = (tup, psi)
+        psi = tuple(int(i) for i in rows.argmax(axis=0))
+        # A plain loop, not np.sum: pairwise summation would change the last bit.
+        correct = 0.0
+        for o, label in enumerate(psi):
+            correct += rows[label, o]
+        err = 1.0 - correct / N
+        gap = err - s
+        if gap < worst_gap:
+            worst_gap = gap
+            if gap < -_DP_TOL:
+                witness = (tup, psi)
     return AdmissibilityCheck(holds=witness is None, worst_gap=worst_gap, witness=witness)
 
 
@@ -418,7 +414,7 @@ def _exact_min_max_error(m: FiniteMechanism, pushforwards: np.ndarray) -> float:
     """min over test maps of max_i P(psi != i), by full enumeration."""
     N = pushforwards.shape[0]
     best = math.inf
-    for psi in _test_maps(m.n_outputs, N):
+    for psi in itertools.product(range(N), repeat=m.n_outputs):
         worst = 0.0
         for i in range(N):
             correct = sum(pushforwards[i, o] for o, label in enumerate(psi) if label == i)

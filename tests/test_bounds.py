@@ -40,6 +40,9 @@ def test_constraint_constructors_and_labels():
         lambda: PrivacyConstraint.approx(1.0, 1.0),
         lambda: PrivacyConstraint.approx(1.0, -0.1),
         lambda: PrivacyConstraint.zcdp(0.0),
+        lambda: PrivacyConstraint.pure(math.inf),
+        lambda: PrivacyConstraint.approx(math.inf, 0.1),
+        lambda: PrivacyConstraint.zcdp(math.inf),
     ],
 )
 def test_constraint_rejects_bad_parameters(bad):

@@ -151,6 +151,8 @@ def test_verify_too_large_is_checked_failure(capsys):
         ["bounds", "fano", "--n", "1", "--N", "3", "--tv", "0.5,0.5"],
         ["couple", "lp"],
         ["verify", "kldp", "--mechanism", "rr", "--rho", "0.5"],
+        ["verify", "kldp", "--mechanism", "identity", "--n", "1", "--eps", "inf"],
+        ["bounds", "lecam", "--n", "2", "--tv", "0.5", "--dp", "--eps", "inf"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):

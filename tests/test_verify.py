@@ -1,5 +1,6 @@
-"""Tests for exhaustive verification of finite mechanisms."""
+"""Tests for exact verification of finite mechanisms."""
 
+import itertools
 import math
 
 import numpy as np
@@ -205,6 +206,15 @@ def test_verify_privacy_pure_dp():
     assert len(event) >= 1
 
 
+def test_verify_privacy_witness_is_the_worst_event():
+    mech = rr_kernel(LN3, 2)
+    res = verify_privacy(mech, PrivacyConstraint.pure(1.0))
+    a, b, event = res.witness
+    p, q = mech.row(a), mech.row(b)
+    assert event == tuple(o for o in mech.outputs if p[o] > math.e * q[o])
+    assert (a.entries, b.entries, event) == ((0, 0), (0, 1), (0, 2))
+
+
 def test_verify_privacy_approx_dp_uses_delta():
     mech = rr_kernel(LN3, 1)
     assert not verify_privacy(mech, PrivacyConstraint.approx(1.0, 0.0)).holds
@@ -226,10 +236,22 @@ def test_verify_privacy_none_and_identity():
 
 
 def test_verify_privacy_caps():
-    with pytest.raises(TooLarge):
-        verify_privacy(identity_kernel(3, 4), PrivacyConstraint.pure(1.0))
-    with pytest.raises(TooLarge):
-        verify_privacy(identity_kernel(9, 1), PrivacyConstraint.pure(1.0))
+    for over in (identity_kernel(3, 4), identity_kernel(9, 1)):
+        with pytest.raises(TooLarge):
+            verify_privacy(over, PrivacyConstraint.pure(1.0))
+        with pytest.raises(TooLarge):
+            verify_group_privacy(over, PrivacyConstraint.pure(1.0))
+
+
+def test_verifiers_at_the_caps():
+    # 64 datasets and 7 outputs: the largest rr-sum kernel within the caps.
+    mech = rr_sum_kernel(LN3, 6)
+    assert verify_privacy(mech, PrivacyConstraint.pure(LN3)).holds
+    assert verify_group_privacy(mech, PrivacyConstraint.pure(LN3))
+    assert not verify_privacy(mech, PrivacyConstraint.pure(0.9 * LN3)).holds
+    assert not verify_group_privacy(mech, PrivacyConstraint.pure(0.9 * LN3))
+    # 64^2 tuples times 2^7 maps is within the admissibility work cap.
+    assert verify_admissibility(mech, PrivacyConstraint.pure(LN3), "lecam_match", 2).holds
 
 
 def test_verify_group_privacy():
@@ -249,8 +271,9 @@ def test_verify_kl_dp():
     # KL between the two RR rows is 0.5 ln 3, which exceeds 0.5
     assert not verify_kl_dp(rr_kernel(LN3, 1), 0.5)
     assert not verify_kl_dp(identity_kernel(2, 1), 10.0)
-    with pytest.raises(DomainError):
-        verify_kl_dp(rr_kernel(LN3, 1), 0.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            verify_kl_dp(rr_kernel(LN3, 1), bad)
 
 
 # ----------------------------------------------------------- admissibility
@@ -370,3 +393,120 @@ def test_transport_bound_validation():
     bad = DiscreteDistribution(atoms=(5,), weights=(1.0,))
     with pytest.raises(DomainError):
         verify_transport_bound(mech, PrivacyConstraint.pure(1.0), "lecam_match", (_point_mass(0), bad))
+
+
+# ------------------------------------- closed forms against the enumerations
+
+
+def _dp_violation_reference(p, q, eps, delta):
+    """First violating output event in bitmask order, or None."""
+    k = p.shape[0]
+    for bits in range(1, 2**k):
+        mask = np.array([(bits >> o) & 1 for o in range(k)], dtype=bool)
+        if p[mask].sum() > math.exp(eps) * q[mask].sum() + delta + 1e-12:
+            return mask
+    return None
+
+
+def _max_event_excess(p, q, eps):
+    """max over output events S of P(S) - e^eps Q(S), the empty event included."""
+    best = 0.0
+    for keep in itertools.product((False, True), repeat=p.shape[0]):
+        mask = np.array(keep)
+        best = max(best, p[mask].sum() - math.exp(eps) * q[mask].sum())
+    return best
+
+
+def _privacy_reference(m, eps, delta, group):
+    datasets = m.datasets()
+    for a in datasets:
+        for b in datasets:
+            k = hamming(a, b)
+            if k == 0 or (k > 1 and not group):
+                continue
+            group_delta = delta * k * math.exp(eps * (k - 1))
+            if _dp_violation_reference(m.row(a), m.row(b), k * eps, group_delta) is not None:
+                return False
+    return True
+
+
+def _admissibility_reference(m, c, kind, N):
+    """(holds, worst_gap, witness) with every test map psi enumerated."""
+    worst_gap = math.inf
+    witness = None
+    for tup in itertools.product(m.datasets(), repeat=N):
+        s = similarity(c, kind, tup)
+        rows = np.stack([m.row(x) for x in tup])
+        for psi in itertools.product(range(N), repeat=m.n_outputs):
+            correct = 0.0
+            for o, label in enumerate(psi):
+                correct += rows[label, o]
+            gap = 1.0 - correct / N - s
+            if gap < worst_gap:
+                worst_gap = gap
+                if gap < -1e-12:
+                    witness = (tup, psi)
+    return witness is None, worst_gap, witness
+
+
+def _random_mechanism(rng):
+    """Rows mixed between a shared law and per-row laws, with some zero entries."""
+    n = int(rng.integers(1, 3))
+    k = int(rng.integers(2, 9))
+    rows = rng.dirichlet(np.ones(k), size=2**n + 1)
+    rows[rng.random(rows.shape) < 0.2] = 0.0
+    rows[:, int(rng.integers(0, k))] += 0.1
+    rows /= rows.sum(axis=1, keepdims=True)
+    t = rng.random()
+    kernel = (1.0 - t) * rows[0] + t * rows[1:]
+    kernel /= kernel.sum(axis=1, keepdims=True)
+    return FiniteMechanism(alphabet_size=2, n=n, outputs=tuple(range(k)), kernel=kernel)
+
+
+def _random_dp_constraint(rng):
+    eps = float(rng.uniform(0.05, 2.0))
+    delta = float(rng.choice([0.0, 0.01, 0.1]))
+    if delta == 0.0:
+        return PrivacyConstraint.pure(eps)
+    return PrivacyConstraint.approx(eps, delta)
+
+
+def test_privacy_closed_form_matches_event_enumeration():
+    rng = derived_rng(501)
+    refuted = 0
+    for _ in range(150):
+        mech = _random_mechanism(rng)
+        c = _random_dp_constraint(rng)
+        eps, delta = c.eps_delta()
+        res = verify_privacy(mech, c)
+        assert res.holds == _privacy_reference(mech, eps, delta, group=False)
+        assert verify_group_privacy(mech, c) == _privacy_reference(mech, eps, delta, group=True)
+        if not res.holds:
+            refuted += 1
+            a, b, event = res.witness
+            p, q = mech.row(a), mech.row(b)
+            mask = np.isin(mech.outputs, event)
+            excess = p[mask].sum() - math.exp(eps) * q[mask].sum()
+            assert excess == pytest.approx(_max_event_excess(p, q, eps), abs=1e-15)
+            assert excess > delta
+    assert 30 <= refuted <= 120
+
+
+def test_admissibility_closed_form_matches_test_map_enumeration():
+    rng = derived_rng(502)
+    refuted = 0
+    for _ in range(60):
+        mech = _random_mechanism(rng)
+        c = _random_dp_constraint(rng)
+        kinds = ["lecam_match", "pairwise_anchor"]
+        if c.kind == "pure":
+            kinds.append("fano_match")
+        kind = kinds[int(rng.integers(0, len(kinds)))]
+        N = 2 if kind == "lecam_match" or mech.n_outputs > 6 else int(rng.integers(2, 4))
+        res = verify_admissibility(mech, c, kind, N)
+        holds, worst_gap, witness = _admissibility_reference(mech, c, kind, N)
+        assert res.holds == holds
+        assert res.worst_gap == worst_gap
+        assert res.witness == witness
+        refuted += not holds
+    assert 5 <= refuted <= 55
