@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -585,7 +586,13 @@ def _add_out_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared by every main call.
+
+    argparse hands out defaults without copying them, so commands must not
+    mutate the values they find in args.
+    """
     parser = argparse.ArgumentParser(
         prog="dpminimax",
         description="Minimax lower bounds under differential privacy: "
@@ -697,8 +704,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "bounds":
             if args.subcommand == "lecam":

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._rng import derived_rng
+from ._rng import derived_rng, trial_rngs
 from .bounds import (
     BoundResult,
     PrivacyConstraint,
@@ -179,6 +179,9 @@ def monte_carlo_risk(
 
     Trial t draws its data and mechanism noise from the stream
     (seed, *tags, t), so the estimate is independent of trial scheduling.
+    The streams are derived in bulk by trial_rngs and equal
+    derived_rng(seed, *tags, t) bit for bit; the rng passed to the sampler
+    and the mechanism is valid only for its own trial.
     """
     if trials < _MIN_TRIALS:
         raise DomainError(f"trials must be >= {_MIN_TRIALS}")
@@ -189,8 +192,7 @@ def monte_carlo_risk(
         raise DomainError("theta_star lies outside the parameter space")
     constraint = constraint or PrivacyConstraint.none()
     losses = np.empty(trials)
-    for t in range(trials):
-        rng = derived_rng(seed, *tags, t)
+    for t, rng in enumerate(trial_rngs(seed, tags, trials)):
         data = model.sample(theta_star, n, rng)
         losses[t] = _squared_loss(mechanism(data, rng), theta_star)
     stderr = float(losses.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
@@ -491,8 +493,8 @@ def run_dpsgml(
             c = PrivacyConstraint.zcdp(rho)
             cfg = dp_sgml_config(n, d, rho, model, m)
             data = np.empty((trials, n, d))
-            for t in range(trials):
-                data[t] = model.sample(theta_star, n, derived_rng(seed, cell_id, 0, t))
+            for t, rng in enumerate(trial_rngs(seed, (cell_id, 0), trials)):
+                data[t] = model.sample(theta_star, n, rng)
             outputs = dp_sgml_batch(data, model, cfg, seed, cell_id, 1)
             losses = np.sum((outputs - theta_star[None, :]) ** 2, axis=1)
             risk = float(losses.mean())

@@ -15,7 +15,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _kernels
-from ._rng import derived_rng
+# derived_rng is unused here but stays a module attribute: the benchmark's
+# tracer (perfbench/tracing.py) wraps it in this module by name.
+from ._rng import derived_rng, trial_rngs  # noqa: F401
 from .errors import DomainError, InsufficientBudget, NonFinite
 from .verify import FiniteMechanism
 
@@ -152,8 +154,8 @@ def rr_kernel(epsilon: float, n: int = 1) -> FiniteMechanism:
 
     Outputs are bit vectors encoded as integers, first bit most significant.
     """
-    if epsilon <= 0.0:
-        raise DomainError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise DomainError("epsilon must be positive and finite")
     if n < 1:
         raise DomainError("n must be >= 1")
     keep = math.exp(epsilon) / (1.0 + math.exp(epsilon))
@@ -168,8 +170,8 @@ def rr_kernel(epsilon: float, n: int = 1) -> FiniteMechanism:
 
 def rr_sum_kernel(epsilon: float, n: int = 2) -> FiniteMechanism:
     """Sum of per-bit randomized responses; epsilon-DP with n + 1 outputs."""
-    if epsilon <= 0.0:
-        raise DomainError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise DomainError("epsilon must be positive and finite")
     if n < 1:
         raise DomainError("n must be >= 1")
     keep = math.exp(epsilon) / (1.0 + math.exp(epsilon))
@@ -365,7 +367,9 @@ def dp_sgml_batch(
 
     Models exposing mean_grad_scale on a Ball run through the vectorized
     trial kernel in chunks; anything else falls back to per-trial runs.  Either
-    path agrees with dp_sgml(data[t], ..., derived_rng(seed, *tags, t)).
+    path agrees with dp_sgml(data[t], ..., derived_rng(seed, *tags, t)): the
+    trial streams come from trial_rngs, which derives them in bulk with the
+    same bits.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 3 or data.shape[2] != model.dim:
@@ -378,7 +382,7 @@ def dp_sgml_batch(
     )
     if not fast:
         return np.stack(
-            [dp_sgml(data[t], model, cfg, derived_rng(seed, *tags, t)) for t in range(trials)]
+            [dp_sgml(data[t], model, cfg, r) for t, r in enumerate(trial_rngs(seed, tags, trials))]
         )
 
     scale0 = math.sqrt(2.0 * cfg.sigma2_noise / model.lam)
@@ -387,14 +391,15 @@ def dp_sgml_batch(
     # which halves the largest buffer, whenever n allows.
     idx_dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
     out = np.empty((trials, d))
+    # One iterator across all chunks: chunk c continues at trial c * _BATCH_CHUNK.
+    rngs = trial_rngs(seed, tags, trials)
     for start in range(0, trials, _BATCH_CHUNK):
         stop = min(start + _BATCH_CHUNK, trials)
         size = stop - start
         theta0 = np.empty((size, d))
         batch_idx = np.empty((size, cfg.K, cfg.m), dtype=idx_dtype)
         step_noise = np.empty((size, cfg.K, d))
-        for t in range(start, stop):
-            r = derived_rng(seed, *tags, t)
+        for t, r in zip(range(start, stop), rngs):
             raw = r.standard_normal(d)
             batch_idx[t - start] = r.integers(0, n, size=(cfg.K, cfg.m))
             step_noise[t - start] = r.standard_normal((cfg.K, d))

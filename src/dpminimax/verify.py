@@ -124,6 +124,8 @@ class FiniteMechanism:
         expected = (self.n_datasets, len(self.outputs))
         if kernel.shape != expected:
             raise DomainError(f"kernel must have shape {expected}")
+        if not np.all(np.isfinite(kernel)):
+            raise DomainError("kernel entries must be finite")
         if np.any(kernel < 0.0):
             raise DomainError("kernel entries must be non-negative")
         if np.any(np.abs(kernel.sum(axis=1) - 1.0) > 1e-12):

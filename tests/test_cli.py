@@ -209,6 +209,20 @@ def test_experiment_uniform_defaults_include_private_cells(capsys):
     assert "max_estimator" in out
 
 
+def test_repeated_main_calls_share_no_state(tmp_path, capsys):
+    """The parser is built once per process; a call must not leak into the next."""
+    paths = [tmp_path / f"uniform{i}.json" for i in range(3)]
+    base = ["experiment", "uniform", "--ns", "10", "--trials", "100", "--seed", "4"]
+    assert main([*base, "--out", str(paths[0])]) == 0
+    assert main([*base, "--eps", "0.9,1.1", "--rho", "0.3", "--out", str(paths[1])]) == 0
+    assert main([*base, "--out", str(paths[2])]) == 0
+    capsys.readouterr()
+    first, overridden, again = (json.loads(p.read_text())["config"] for p in paths)
+    assert (first["eps"], first["rho"]) == ([0.5], [0.1])
+    assert (overridden["eps"], overridden["rho"]) == ([0.9, 1.1], [0.3])
+    assert paths[2].read_bytes() == paths[0].read_bytes()
+
+
 def test_experiment_dpsgml_quick_run(capsys):
     rc = main([
         "experiment", "dpsgml", "--ns", "60", "--rho", "1.0", "--d", "3",

@@ -5,6 +5,9 @@ import pytest
 
 from dpminimax import derived_rng, spawn_keys
 from dpminimax._kernels import backend, dpsgml_trials, pair_assignments, races_winners
+from dpminimax._rng import trial_rngs
+from dpminimax.experiments import _bernoulli_sampler, _uniform_sampler, monte_carlo_risk
+from dpminimax.mechanisms import laplace_mean
 
 
 def test_backend_reports_known_name():
@@ -194,6 +197,12 @@ def test_derived_rng_tags_separate_streams():
 def test_derived_rng_rejects_negative_tags():
     with pytest.raises(ValueError):
         derived_rng(3, -1)
+    # trial_rngs raises the same errors when called, not at the first trial.
+    for seed, tags in ((-1, ()), (3, (-1,)), (3, (0, -2))):
+        with pytest.raises(ValueError) as expected:
+            derived_rng(seed, *tags, 0)
+        with pytest.raises(ValueError, match=str(expected.value)):
+            trial_rngs(seed, tags, 2)
 
 
 def test_spawn_keys_enumerate_trial_streams():
@@ -202,3 +211,45 @@ def test_spawn_keys_enumerate_trial_streams():
     direct = derived_rng(5, 9, 1).standard_normal(4)
     via_key = derived_rng(*keys[1]).standard_normal(4)
     assert np.array_equal(direct, via_key)
+
+
+# ---------------------------------------------------------- bulk trial streams
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**40 + 5])
+@pytest.mark.parametrize("tags", [(), (0,), (3, 0), (2**33 + 7,)])
+def test_trial_rngs_match_derived_rng(seed, tags):
+    for count in (0, 1, 129, 1000):
+        seen = 0
+        for t, rng in enumerate(trial_rngs(seed, tags, count)):
+            ref = np.random.Philox(np.random.SeedSequence((len(tags) + 1, seed, *tags, t)))
+            assert np.array_equal(rng.bit_generator.state["state"]["key"], ref.state["state"]["key"])
+            expected = derived_rng(seed, *tags, t)
+            assert rng.standard_normal(2).tolist() == expected.standard_normal(2).tolist()
+            # Three 32-bit draws leave half a word buffered, which the next
+            # trial must not see.
+            assert rng.integers(0, 7, size=3).tolist() == expected.integers(0, 7, size=3).tolist()
+            seen += 1
+        assert seen == count
+
+
+def _reference_risk(model, theta_star, mechanism, n, trials, seed, tags):
+    losses = np.empty(trials)
+    for t in range(trials):
+        rng = derived_rng(seed, *tags, t)
+        gap = mechanism(model.sample(theta_star, n, rng), rng) - theta_star
+        losses[t] = gap * gap
+    return float(losses.mean()), float(losses.std(ddof=1) / np.sqrt(trials))
+
+
+@pytest.mark.parametrize(
+    "model, theta_star, mechanism, n",
+    [
+        (_uniform_sampler(), 1.0, lambda data, rng: float(data.max()), 10),
+        (_bernoulli_sampler(), 0.3, lambda data, rng: laplace_mean(data, 0.8, rng), 50),
+    ],
+    ids=["uniform_max", "bernoulli_laplace"],
+)
+def test_monte_carlo_risk_matches_per_trial_streams(model, theta_star, mechanism, n):
+    est = monte_carlo_risk(model, theta_star, mechanism, n, 300, 11, tags=(4,))
+    assert (est.risk, est.stderr) == _reference_risk(model, theta_star, mechanism, n, 300, 11, (4,))

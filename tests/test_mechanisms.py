@@ -169,6 +169,12 @@ def test_kernel_constructor_validation():
         rr_kernel(1.0, 0)
     with pytest.raises(DomainError):
         rr_sum_kernel(-1.0, 2)
+    for bad in (math.nan, math.inf):
+        # Caught by the epsilon guard, before the kernel check sees nan entries.
+        with pytest.raises(DomainError, match="epsilon"):
+            rr_kernel(bad, 1)
+        with pytest.raises(DomainError, match="epsilon"):
+            rr_sum_kernel(bad, 2)
 
 
 # ---------------------------------------------------------- parametric model
@@ -311,6 +317,16 @@ def test_dp_sgml_batch_matches_per_trial_runs_across_chunks(monkeypatch):
     assert seen == [(mechanisms._BATCH_CHUNK, np.int32), (2, np.int32)]
     slow = np.stack([dp_sgml(data[t], model, cfg, derived_rng(77, 3, t)) for t in range(trials)])
     assert np.max(np.abs(fast - slow)) <= 1e-12
+
+
+def test_dp_sgml_batch_per_trial_path_matches_derived_streams():
+    # Full-batch gradients (m=None) take the per-trial path, not the kernel.
+    model = gaussian_mean_model(2, sigma=1.0, radius=2.0)
+    cfg = DPSGMLConfig(sigma2_noise=0.5, K=6, eta=0.3, m=None, rho=1.0, clip=2.0)
+    data = np.stack([model.sample(np.array([0.1, 0.3]), 40, derived_rng(26, t)) for t in range(5)])
+    batch = dp_sgml_batch(data, model, cfg, 78, 2)
+    per_trial = np.stack([dp_sgml(data[t], model, cfg, derived_rng(78, 2, t)) for t in range(5)])
+    assert np.array_equal(batch, per_trial)
 
 
 def test_dp_sgml_output_stays_in_space():

@@ -181,6 +181,18 @@ def test_mechanism_validation():
         FiniteMechanism(alphabet_size=2, n=1, outputs=(0,), kernel=np.array([[0.5, 0.5], [0.5, 0.5]]))
 
 
+def test_mechanism_rejects_non_finite_entries():
+    # nan fails the sign and row-sum comparisons silently, so it needs its own check.
+    for kernel in (
+        np.full((2, 2), np.nan),
+        np.array([[np.nan, 1.0], [0.5, 0.5]]),
+        np.array([[np.inf, -np.inf], [0.5, 0.5]]),
+        np.array([[np.inf, 0.0], [0.5, 0.5]]),
+    ):
+        with pytest.raises(DomainError, match="finite"):
+            FiniteMechanism(alphabet_size=2, n=1, outputs=(0, 1), kernel=kernel)
+
+
 def test_dataset_index_is_mixed_radix():
     mech = identity_kernel(3, 2)
     assert mech.dataset_index(Dataset((2, 1), alphabet_size=3)) == 7
