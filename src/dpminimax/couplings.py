@@ -212,6 +212,33 @@ def estimate_disagreement(sampler: CouplingSampler, trials: int, seed: int) -> D
     return DisagreementMatrix(estimates=est, stderr=stderr, trials=trials, seed=seed)
 
 
+def _coupling_polytope(marginals):
+    """Joint atoms and equality constraints of the coupling polytope.
+
+    The joint atoms are the product of the marginal supports in
+    ``itertools.product`` order, returned as an (n_vars, N) array; row
+    (i, a) of A, ordered by marginal and then by support order, requires
+    the coupling to put mass b = P_i(a) on joint atoms whose i-th component
+    is a.  Raises TooLarge above 10^4 joint atoms.
+    """
+    supports = []
+    for m in marginals:
+        atoms, w = m.support()
+        if len(atoms) == 0:
+            raise DegenerateMarginal("marginal with empty support")
+        supports.append((atoms, w))
+    n_vars = math.prod(len(atoms) for atoms, _ in supports)
+    if n_vars > _LP_CAP:
+        raise TooLarge(f"joint support {n_vars} exceeds cap {_LP_CAP}")
+
+    combos = np.array(list(itertools.product(*(atoms for atoms, _ in supports))), dtype=np.int64)
+    A = np.concatenate(
+        [combos[None, :, i] == np.array(atoms)[:, None] for i, (atoms, _) in enumerate(supports)]
+    ).astype(np.float64)
+    b = np.concatenate([w for _, w in supports])
+    return combos, A, b
+
+
 def min_disagreement_lp(marginals) -> float:
     """Exact minimum of sum_{i<j} P(X_i != X_j) over all couplings.
 
@@ -223,30 +250,10 @@ def min_disagreement_lp(marginals) -> float:
     N = len(marginals)
     if N < 2:
         raise DomainError("need at least two marginals")
-    supports = []
-    weights = []
-    for m in marginals:
-        atoms, w = m.support()
-        if len(atoms) == 0:
-            raise DegenerateMarginal("marginal with empty support")
-        supports.append(atoms)
-        weights.append(w)
-    n_vars = math.prod(len(s) for s in supports)
-    if n_vars > _LP_CAP:
-        raise TooLarge(f"joint support {n_vars} exceeds cap {_LP_CAP}")
-
-    combos = list(itertools.product(*supports))
-    cost = np.array(
-        [
-            sum(1.0 for i in range(N) for j in range(i + 1, N) if combo[i] != combo[j])
-            for combo in combos
-        ]
-    )
-    rows = []
-    rhs = []
-    for i, (atoms, w) in enumerate(zip(supports, weights)):
-        for a, wa in zip(atoms, w):
-            rows.append([1.0 if combo[i] == a else 0.0 for combo in combos])
-            rhs.append(float(wa))
-    value, _ = solve_min(cost, np.array(rows), np.array(rhs))
+    combos, A, b = _coupling_polytope(marginals)
+    cost = np.zeros(combos.shape[0])
+    for i in range(N):
+        for j in range(i + 1, N):
+            cost += combos[:, i] != combos[:, j]
+    value, _ = solve_min(cost, A, b)
     return value

@@ -139,13 +139,23 @@ def gaussian_mean(data, rho: float, rng: np.random.Generator, clamp: bool = Fals
     return min(1.0, max(0.0, out)) if clamp else out
 
 
+def _rr_keep(epsilon: float) -> float:
+    """e^eps / (1 + e^eps), the chance randomized response keeps a bit.
+
+    The exponent is clamped at 40, where the ratio is already exactly 1.0,
+    so large eps cannot overflow.
+    """
+    scale = math.exp(min(epsilon, 40.0))
+    return scale / (1.0 + scale)
+
+
 def randomized_response(bit: int, epsilon: float, rng: np.random.Generator) -> int:
     """Return the true bit with probability e^eps / (1 + e^eps)."""
     if bit not in (0, 1):
         raise DomainError("bit must be 0 or 1")
     if epsilon <= 0.0:
         raise DomainError("epsilon must be positive")
-    keep = math.exp(epsilon) / (1.0 + math.exp(epsilon))
+    keep = _rr_keep(epsilon)
     return bit if rng.random() < keep else 1 - bit
 
 
@@ -158,7 +168,7 @@ def rr_kernel(epsilon: float, n: int = 1) -> FiniteMechanism:
         raise DomainError("epsilon must be positive and finite")
     if n < 1:
         raise DomainError("n must be >= 1")
-    keep = math.exp(epsilon) / (1.0 + math.exp(epsilon))
+    keep = _rr_keep(epsilon)
     size = 2**n
     kernel = np.empty((size, size))
     for x in range(size):
@@ -174,7 +184,7 @@ def rr_sum_kernel(epsilon: float, n: int = 2) -> FiniteMechanism:
         raise DomainError("epsilon must be positive and finite")
     if n < 1:
         raise DomainError("n must be >= 1")
-    keep = math.exp(epsilon) / (1.0 + math.exp(epsilon))
+    keep = _rr_keep(epsilon)
     size = 2**n
     kernel = np.zeros((size, n + 1))
     for x in range(size):

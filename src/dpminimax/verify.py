@@ -5,9 +5,10 @@ explicit stochastic kernels; every dataset pair or tuple is enumerated.
 Events and tests need no enumeration: the worst event for (eps, delta)-DP
 is {o : p_o > e^eps q_o}, whose excess is the hockey-stick divergence, and
 the test with least average error picks argmax_i P(M(X_i) = o) per output.
-The checks are exact up to stated numerical tolerances, except the
-exponential-races leg of the transport bound which is Monte-Carlo with a
-3-sigma slack.
+The transport bound solves two small linear programs: the least worst-case
+error over randomized tests, and the optimal transport value of the
+similarity over all couplings of the marginals.  The checks are exact up to
+stated numerical tolerances.
 """
 
 from __future__ import annotations
@@ -19,9 +20,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._rng import derived_rng
+from ._rng import derived_rng  # noqa: F401  (wrapped by perfbench/tracing.py)
+from ._simplex import solve_min
 from .bounds import PrivacyConstraint
-from .couplings import CouplingSampler, exponential_races
+from .couplings import _coupling_polytope
+from .couplings import exponential_races  # noqa: F401  (wrapped by perfbench/tracing.py)
 from .divergences import DiscreteDistribution, _kl_weights, _renyi_weights, tv
 from .errors import (
     ArityMismatch,
@@ -51,7 +54,7 @@ _MAX_OUTPUTS = 8
 _MAX_ADMISSIBILITY_WORK = 1_000_000
 _ALPHA_GRID = tuple(1.0 + 2.0 ** (-k) for k in range(21)) + (2.0, 4.0, 8.0, 16.0)
 _ALPHA_MAX = 16.0
-_RACES_TRIALS = 20_000
+_ALPHA_BISECTIONS = 4096
 _DP_TOL = 1e-12
 _KL_TOL = 1e-10
 
@@ -248,13 +251,23 @@ def _check_caps(m: FiniteMechanism) -> None:
         raise TooLarge(f"{m.n_outputs} outputs exceeds cap {_MAX_OUTPUTS}")
 
 
+def _exp(x: float) -> float:
+    """e^x, or inf where it overflows a float."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def _dp_pair_holds(p: np.ndarray, q: np.ndarray, eps: float, delta: float):
     """Worst event for P(S) <= e^eps Q(S) + delta, or None when all pass.
 
     The event {o : p_o > e^eps q_o} maximises P(S) - e^eps Q(S), and that
-    maximum is the hockey-stick divergence sum_o (p_o - e^eps q_o)_+.
+    maximum is the hockey-stick divergence sum_o (p_o - e^eps q_o)_+.  Where
+    e^eps overflows it is inf, and only outputs with q_o = 0 can exceed.
     """
-    excess = p - math.exp(eps) * q
+    scaled = np.multiply(_exp(eps), q, out=np.zeros_like(q), where=q > 0.0)
+    excess = p - scaled
     mask = excess > 0.0
     if excess[mask].sum() > delta + _DP_TOL:
         return mask
@@ -271,16 +284,42 @@ def _max_log_ratio(p: np.ndarray, q: np.ndarray) -> float:
 
 
 def _zcdp_pair_holds(p: np.ndarray, q: np.ndarray, rho_bound: float):
-    """Worst alpha for D_alpha <= rho_bound * alpha, or None when all pass.
+    """An alpha where D_alpha > rho_bound * alpha, or None when certified.
 
-    The grid covers alpha in (1, 16]; the tail alpha > 16 is certified by
-    D_infinity <= 16 * rho_bound, since D_alpha is non-decreasing in alpha.
+    The grid is scanned first, in its fixed order.  D_alpha is non-decreasing
+    in alpha, so D_b <= rho_bound * a certifies every alpha in [a, b]: each
+    interval between consecutive grid points, and (1, min grid] taken with
+    a = 1, is certified that way or bisected until it is.  The tail alpha > 16
+    is certified by D_infinity <= 16 * rho_bound.  The witness is a failing
+    alpha, math.inf for the tail, or an (a, b) interval still open after
+    _ALPHA_BISECTIONS bisections.
     """
+    divergence = {}
+
+    def fails(alpha):
+        divergence[alpha] = _renyi_weights(p, q, alpha)
+        return divergence[alpha] > rho_bound * alpha + _DP_TOL
+
     for alpha in _ALPHA_GRID:
-        if _renyi_weights(p, q, alpha) > rho_bound * alpha + _DP_TOL:
+        if fails(alpha):
             return alpha
     if _max_log_ratio(p, q) > rho_bound * _ALPHA_MAX + _DP_TOL:
         return math.inf
+
+    points = (1.0,) + tuple(sorted(_ALPHA_GRID))
+    open_intervals = list(zip(points, points[1:]))
+    bisections = 0
+    while open_intervals:
+        a, b = open_intervals.pop()
+        if divergence[b] <= rho_bound * a + _DP_TOL:
+            continue
+        if bisections == _ALPHA_BISECTIONS:
+            return (a, b)
+        bisections += 1
+        mid = 0.5 * (a + b)
+        if fails(mid):
+            return mid
+        open_intervals += [(a, mid), (mid, b)]
     return None
 
 
@@ -293,7 +332,8 @@ def _pair_violation(m: FiniteMechanism, a: Dataset, b: Dataset, c: PrivacyConstr
     p, q = m.row(a), m.row(b)
     if c.is_dp:
         eps, delta = c.eps_delta()
-        mask = _dp_pair_holds(p, q, k * eps, delta * k * math.exp(eps * (k - 1)))
+        group_delta = delta * k * _exp(eps * (k - 1)) if delta > 0.0 else 0.0
+        mask = _dp_pair_holds(p, q, k * eps, group_delta)
         if mask is None:
             return None
         return tuple(o for o, keep in zip(m.outputs, mask) if keep)
@@ -305,10 +345,11 @@ def _pair_violation(m: FiniteMechanism, a: Dataset, b: Dataset, c: PrivacyConstr
 def verify_privacy(m: FiniteMechanism, c: PrivacyConstraint) -> PrivacyCheck:
     """Check the privacy constraint over all neighboring datasets.
 
-    DP checks the worst event of each pair in closed form; zCDP checks Renyi
-    divergences on a fixed alpha grid plus the max-log-ratio tail.  Returns a
-    violating witness (dataset pair plus worst event or alpha) when the check
-    fails.
+    DP checks the worst event of each pair in closed form; zCDP certifies
+    D_alpha <= rho * alpha for every alpha > 1 from an alpha grid, bisection
+    between grid points and the max-log-ratio tail.  Returns a violating
+    witness (dataset pair plus worst event, or alpha or alpha interval) when
+    the check fails.
     """
     _check_caps(m)
     if c.kind == "none":
@@ -412,17 +453,42 @@ def verify_admissibility(
     return AdmissibilityCheck(holds=witness is None, worst_gap=worst_gap, witness=witness)
 
 
-def _exact_min_max_error(m: FiniteMechanism, pushforwards: np.ndarray) -> float:
-    """min over test maps of max_i P(psi != i), by full enumeration."""
-    N = pushforwards.shape[0]
-    best = math.inf
-    for psi in itertools.product(range(N), repeat=m.n_outputs):
-        worst = 0.0
-        for i in range(N):
-            correct = sum(pushforwards[i, o] for o, label in enumerate(psi) if label == i)
-            worst = max(worst, 1.0 - correct)
-        best = min(best, worst)
-    return best
+def _min_max_error(pushforwards: np.ndarray) -> float:
+    """min over randomized tests psi of max_i P(psi(M(X_i)) != i), as an LP.
+
+    Variables are psi(i|o) >= 0 (hypothesis-major), t and one slack per
+    hypothesis: minimise t subject to sum_i psi(i|o) = 1 for every output o
+    and sum_o psi(i|o) P_i(o) + t - slack_i = 1 for every hypothesis i.
+    """
+    N, k = pushforwards.shape
+    A = np.zeros((k + N, N * k + 1 + N))
+    A[:k, : N * k] = np.tile(np.eye(k), N)
+    A[k:, : N * k] = np.eye(N).repeat(k, axis=1) * pushforwards.ravel()
+    A[k:, N * k] = 1.0
+    A[k:, N * k + 1 :] = -np.eye(N)
+    cost = np.zeros(A.shape[1])
+    cost[N * k] = 1.0
+    value, _ = solve_min(cost, A, np.ones(k + N))
+    return value
+
+
+def _max_expected_similarity(m: FiniteMechanism, c: PrivacyConstraint, kind: str, marginals) -> float:
+    """max over couplings pi of the marginals of E_pi[similarity], as an LP.
+
+    The variables are the masses pi puts on the joint atoms of the marginal
+    supports (TooLarge above 10^4 of them).  For global_anchor with N = 2 the
+    anchor is the midpoint of the pair; projection_anchor projects on j = 0.
+    """
+    datasets = m.datasets()
+    N = len(marginals)
+    combos, A, b = _coupling_polytope(marginals)
+    values = np.empty(combos.shape[0])
+    for row, indices in enumerate(combos):
+        tup = tuple(datasets[i] for i in indices)
+        anchor = midpoint_anchor(tup[0], tup[1]) if kind == "global_anchor" and N == 2 else None
+        values[row] = similarity(c, kind, tup, anchor=anchor, j=0 if kind == "projection_anchor" else None)
+    neg_max, _ = solve_min(-values, A, b)
+    return -neg_max
 
 
 def verify_transport_bound(
@@ -431,20 +497,22 @@ def verify_transport_bound(
     kind: str,
     marginals,
 ) -> bool:
-    """Check min_psi max_i P(psi(M(X_i)) != i) >= E[similarity] under couplings.
+    """Check min_psi max_i P(psi(M(X_i)) != i) >= max_pi E_pi[similarity].
 
-    Marginals are distributions over dataset indices.  The left side is exact.
-    The right side is evaluated under the independent coupling (exact
-    expectation) and the exponential-races coupling (Monte-Carlo, compared
-    with a 3-sigma slack).  With constraint kind "none" and N=2 the classical
-    bound (1 - tv(P1, P2)) / 2 is checked instead.
+    Marginals are distributions over dataset indices and X_i is drawn from
+    the i-th.  The left side is the least worst-case error over randomized
+    tests psi; the right side is the optimal transport value of the
+    similarity over the coupling polytope of the marginals (at most 10^4
+    joint atoms, else TooLarge), which covers every coupling at once.  Both
+    are linear programs solved exactly by the dense simplex (pivot tolerance
+    1e-9).  With constraint kind "none" and N=2 the classical bound
+    (1 - tv(P1, P2)) / 2 is checked instead.
     """
     _check_caps(m)
     marginals = tuple(marginals)
     N = len(marginals)
     if N < 2:
         raise ArityMismatch("need at least two marginals")
-    datasets = m.datasets()
     for dist in marginals:
         atoms, _ = dist.support()
         if any(not 0 <= a < m.n_datasets for a in atoms):
@@ -455,37 +523,11 @@ def verify_transport_bound(
             for dist in marginals
         ]
     )
-    lhs = _exact_min_max_error(m, pushforwards)
+    lhs = _min_max_error(pushforwards)
 
     if c.kind == "none":
         if N != 2:
             raise ArityMismatch("classical transport check needs N = 2")
         return lhs >= (1.0 - tv(marginals[0], marginals[1])) / 2.0 - _DP_TOL
 
-    def s_of_indices(indices) -> float:
-        tup = tuple(datasets[i] for i in indices)
-        anchor = midpoint_anchor(tup[0], tup[1]) if kind == "global_anchor" and N == 2 else None
-        return similarity(c, kind, tup, anchor=anchor, j=0 if kind == "projection_anchor" else None)
-
-    supports = [dist.support() for dist in marginals]
-    independent = 0.0
-    for combo in itertools.product(*(range(len(a)) for a, _ in supports)):
-        weight = 1.0
-        indices = []
-        for mi, pos in enumerate(combo):
-            atoms, weights = supports[mi]
-            weight *= weights[pos]
-            indices.append(atoms[pos])
-        independent += weight * s_of_indices(indices)
-    if lhs < independent - _DP_TOL:
-        return False
-
-    sampler: CouplingSampler = exponential_races(marginals)
-    draws = sampler.sample(_RACES_TRIALS, seed=0)
-    uniq, counts = np.unique(draws, axis=0, return_counts=True)
-    values = np.array([s_of_indices(row) for row in uniq])
-    weights = counts / counts.sum()
-    mean = float(np.sum(weights * values))
-    var = float(np.sum(weights * (values - mean) ** 2))
-    stderr = math.sqrt(var / _RACES_TRIALS)
-    return lhs >= mean - 3.0 * stderr - _DP_TOL
+    return lhs >= _max_expected_similarity(m, c, kind, marginals) - _DP_TOL

@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+import itertools
+
 import numpy as np
 
 from dpminimax import DiscreteDistribution
@@ -24,3 +26,15 @@ def empirical_marginal_l1(draws_column, dist: DiscreteDistribution) -> float:
         total += abs(freq - weight)
         seen += freq
     return total + (1.0 - seen)
+
+
+def coupling_polytope_oracle(marginals):
+    """Joint atoms, A_eq and b_eq of the coupling polytope, built with plain loops."""
+    supports = [m.support() for m in marginals]
+    combos = list(itertools.product(*(atoms for atoms, _ in supports)))
+    rows, rhs = [], []
+    for i, (atoms, weights) in enumerate(supports):
+        for atom, w in zip(atoms, weights):
+            rows.append([1.0 if combo[i] == atom else 0.0 for combo in combos])
+            rhs.append(float(w))
+    return combos, np.array(rows), np.array(rhs)

@@ -1,6 +1,5 @@
 """Tests for coupling samplers and the minimum-disagreement LP."""
 
-import itertools
 import math
 
 import numpy as np
@@ -20,7 +19,7 @@ from dpminimax import (
     shared_uniform_bernoulli,
     tv,
 )
-from conftest import empirical_marginal_l1, random_distribution
+from conftest import coupling_polytope_oracle, empirical_marginal_l1, random_distribution
 
 TRIALS = 20_000
 
@@ -36,19 +35,13 @@ def example2_marginals():
 
 def linprog_min_disagreement(marginals):
     """Independent LP oracle on the coupling polytope via scipy."""
-    supports = [m.support() for m in marginals]
-    combos = list(itertools.product(*(atoms for atoms, _ in supports)))
+    combos, A_eq, b_eq = coupling_polytope_oracle(marginals)
     N = len(marginals)
     cost = [
         sum(1.0 for i in range(N) for j in range(i + 1, N) if combo[i] != combo[j])
         for combo in combos
     ]
-    rows, rhs = [], []
-    for i, (atoms, weights) in enumerate(supports):
-        for atom, w in zip(atoms, weights):
-            rows.append([1.0 if combo[i] == atom else 0.0 for combo in combos])
-            rhs.append(float(w))
-    res = linprog(cost, A_eq=np.array(rows), b_eq=np.array(rhs), bounds=(0, None), method="highs")
+    res = linprog(cost, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     assert res.status == 0
     return float(res.fun)
 

@@ -177,6 +177,26 @@ def test_kernel_constructor_validation():
             rr_sum_kernel(bad, 2)
 
 
+def _unclamped_keep(eps):
+    return math.exp(eps) / (1.0 + math.exp(eps))
+
+
+def test_rr_kernels_are_bit_identical_below_the_exponent_clamp():
+    rng = derived_rng(7)
+    for eps in [math.log(3.0), 36.0, 37.0, 39.9, 40.0, 40.1, 700.0] + list(rng.uniform(0.01, 709.0, 200)):
+        eps = float(eps)
+        assert mechanisms._rr_keep(eps) == _unclamped_keep(eps)
+    assert rr_kernel(45.0, 2).kernel.tobytes() == rr_kernel(40.0, 2).kernel.tobytes()
+
+
+def test_rr_kernels_at_large_eps_do_not_overflow():
+    for eps in (800.0, 1e300):
+        assert np.array_equal(rr_kernel(eps, 2).kernel, np.eye(4))
+        assert np.array_equal(rr_sum_kernel(eps, 2).kernel, rr_sum_kernel(40.0, 2).kernel)
+        rng = derived_rng(8)
+        assert all(randomized_response(bit, eps, rng) == bit for bit in (0, 1) * 10)
+
+
 # ---------------------------------------------------------- parametric model
 
 

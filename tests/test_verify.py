@@ -5,7 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+from dpminimax import cli
+from dpminimax import couplings as couplings_mod
+from dpminimax import divergences as divergences_mod
+from dpminimax import verify as verify_mod
 from dpminimax import (
     ArityMismatch,
     AdmissibilityCheck,
@@ -18,6 +23,7 @@ from dpminimax import (
     PrivacyConstraint,
     TooLarge,
     derived_rng,
+    exponential_races,
     hamming,
     identity_kernel,
     midpoint_anchor,
@@ -30,6 +36,8 @@ from dpminimax import (
     verify_privacy,
     verify_transport_bound,
 )
+
+from conftest import coupling_polytope_oracle
 
 LN3 = math.log(3.0)
 
@@ -522,3 +530,207 @@ def test_admissibility_closed_form_matches_test_map_enumeration():
         assert res.witness == witness
         refuted += not holds
     assert 5 <= refuted <= 55
+
+
+# ------------------------------------------- transport LPs against references
+
+
+def _deterministic_min_max_error(pushforwards):
+    """min over the N^k deterministic test maps of max_i P(psi != i)."""
+    N, k = pushforwards.shape
+    best = math.inf
+    for psi in itertools.product(range(N), repeat=k):
+        worst = 0.0
+        for i in range(N):
+            correct = sum(pushforwards[i, o] for o, label in enumerate(psi) if label == i)
+            worst = max(worst, 1.0 - correct)
+        best = min(best, worst)
+    return best
+
+
+def _linprog_min_max_error(pushforwards):
+    """The randomized min-max error LP in inequality form, solved by scipy."""
+    N, k = pushforwards.shape
+    cost = np.zeros(N * k + 1)
+    cost[-1] = 1.0
+    A_ub = np.zeros((N, N * k + 1))
+    for i in range(N):
+        A_ub[i, i * k : (i + 1) * k] = -pushforwards[i]
+        A_ub[i, -1] = -1.0
+    A_eq = np.zeros((k, N * k + 1))
+    for i in range(N):
+        A_eq[:, i * k : (i + 1) * k] = np.eye(k)
+    res = linprog(cost, A_ub=A_ub, b_ub=-np.ones(N), A_eq=A_eq, b_eq=np.ones(k),
+                  bounds=(0, None), method="highs")
+    assert res.status == 0
+    return float(res.fun)
+
+
+def _similarity_at(mech, c, kind, combo):
+    tup = tuple(mech.datasets()[i] for i in combo)
+    anchor = midpoint_anchor(*tup) if kind == "global_anchor" else None
+    return similarity(c, kind, tup, anchor=anchor, j=0 if kind == "projection_anchor" else None)
+
+
+def _linprog_transport_max(mech, c, kind, marginals):
+    combos, A_eq, b_eq = coupling_polytope_oracle(marginals)
+    values = np.array([_similarity_at(mech, c, kind, combo) for combo in combos])
+    res = linprog(-values, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    assert res.status == 0
+    return -float(res.fun)
+
+
+def _random_marginals(rng, n_datasets, N):
+    marginals = []
+    for _ in range(N):
+        size = int(rng.integers(1, min(n_datasets, 3) + 1))
+        atoms = tuple(int(a) for a in rng.choice(n_datasets, size=size, replace=False))
+        marginals.append(DiscreteDistribution(atoms, rng.dirichlet(np.ones(size))))
+    return tuple(marginals)
+
+
+def _pushforwards(mech, marginals):
+    return np.stack([
+        sum(dist.prob(i) * mech.kernel[i] for i in range(mech.n_datasets)) for dist in marginals
+    ])
+
+
+def test_min_max_error_lp_matches_scipy_and_the_test_map_enumeration():
+    rng = derived_rng(601)
+    strict = 0
+    for _ in range(60):
+        mech = _random_mechanism(rng)
+        N = int(rng.integers(2, 4)) if mech.n_outputs <= 6 else 2
+        pushforwards = _pushforwards(mech, _random_marginals(rng, mech.n_datasets, N))
+        value = verify_mod._min_max_error(pushforwards)
+        assert value == pytest.approx(_linprog_min_max_error(pushforwards), abs=1e-9)
+        deterministic = _deterministic_min_max_error(pushforwards)
+        assert deterministic >= value - 1e-12
+        strict += deterministic > value + 1e-9
+    assert strict >= 30
+
+
+def test_transport_max_matches_scipy():
+    rng = derived_rng(602)
+    for _ in range(40):
+        mech = (rr_kernel(LN3, 2), rr_sum_kernel(LN3, 3))[int(rng.integers(0, 2))]
+        c = (PrivacyConstraint.pure(LN3), PrivacyConstraint.approx(LN3, 0.05),
+             PrivacyConstraint.zcdp(0.6))[int(rng.integers(0, 3))]
+        kinds = ["lecam_match"] if c.kind == "zcdp" else ["lecam_match", "global_anchor", "pairwise_anchor"]
+        kind = kinds[int(rng.integers(0, len(kinds)))]
+        marginals = _random_marginals(rng, mech.n_datasets, 2)
+        value = verify_mod._max_expected_similarity(mech, c, kind, marginals)
+        assert value == pytest.approx(_linprog_transport_max(mech, c, kind, marginals), abs=1e-9)
+
+
+def test_independent_and_races_couplings_lie_below_the_transport_max():
+    rng = derived_rng(603)
+    mech = rr_kernel(LN3, 2)
+    for c, kind in ((PrivacyConstraint.pure(LN3), "lecam_match"),
+                    (PrivacyConstraint.approx(LN3, 0.05), "pairwise_anchor"),
+                    (PrivacyConstraint.zcdp(0.6), "lecam_match")):
+        marginals = _random_marginals(rng, mech.n_datasets, 2)
+        best = verify_mod._max_expected_similarity(mech, c, kind, marginals)
+        (a_atoms, a_w), (b_atoms, b_w) = (m.support() for m in marginals)
+        independent = sum(
+            wa * wb * _similarity_at(mech, c, kind, (a, b))
+            for a, wa in zip(a_atoms, a_w) for b, wb in zip(b_atoms, b_w)
+        )
+        assert independent <= best + 1e-12
+        draws = exponential_races(marginals).sample(2000, seed=0)
+        values = np.array([_similarity_at(mech, c, kind, tuple(row)) for row in draws])
+        stderr = float(values.std()) / math.sqrt(values.shape[0])
+        assert float(values.mean()) - 3.0 * stderr <= best + 1e-12
+
+
+def test_constant_output_mechanism_separates_randomized_from_deterministic_tests():
+    mech = FiniteMechanism(alphabet_size=2, n=1, outputs=(0, 1), kernel=np.array([[1.0, 0.0], [1.0, 0.0]]))
+    pushforwards = _pushforwards(mech, (_point_mass(0), _point_mass(1)))
+    assert _deterministic_min_max_error(pushforwards) == 1.0
+    assert verify_mod._min_max_error(pushforwards) == pytest.approx(0.5, abs=1e-15)
+    assert verify_transport_bound(mech, PrivacyConstraint.none(), "lecam_match",
+                                  (_point_mass(0), _point_mass(1)))
+
+
+def test_identity_with_mixed_marginals_is_refuted_by_the_exact_check():
+    argv = ["verify", "transport", "--mechanism", "identity", "--n", "2", "--kind", "lecam_match",
+            "--marginals", "0:0.7,1:0.3;1:0.4,2:0.6", "--eps", "1.5"]
+    assert cli.main(argv) == 1
+    argv[3] = "rr"
+    assert cli.main(argv) == 0
+
+
+def test_transport_coupling_cap():
+    # rr-sum on 5 bits: 32 datasets, 6 outputs, within the verifier caps.
+    mech = rr_sum_kernel(LN3, 5)
+    sizes = (15, 23, 29)  # 10005 joint atoms, just over the cap
+    assert math.prod(sizes) == couplings_mod._LP_CAP + 5
+    uniform = tuple(DiscreteDistribution(tuple(range(s)), np.full(s, 1.0 / s)) for s in sizes)
+    with pytest.raises(TooLarge):
+        verify_transport_bound(mech, PrivacyConstraint.pure(LN3), "pairwise_anchor", uniform)
+    at_cap = tuple(DiscreteDistribution(tuple(range(s)), np.full(s, 1.0 / s)) for s in (16, 25, 25))
+    combos, A, b = couplings_mod._coupling_polytope(at_cap)
+    assert combos.shape == (couplings_mod._LP_CAP, 3) and A.shape == (66, couplings_mod._LP_CAP)
+    assert np.allclose(A @ np.full(combos.shape[0], 1e-4), b, atol=1e-15)
+
+
+# ------------------------------------------------- zCDP between grid points
+
+
+# One-bit mechanism whose sup_alpha D_alpha / alpha = 1.30998 sits at
+# alpha ~ 2.626, between grid points 2 and 4; the grid alone passes rho = 1.3.
+_ZCDP_GAP = np.array([[0.006185, 0.03024, 0.963575], [0.012299, 0.000113, 0.987588]])
+
+
+def test_zcdp_is_certified_between_grid_points():
+    mech = FiniteMechanism(alphabet_size=2, n=1, outputs=(0, 1, 2), kernel=_ZCDP_GAP)
+    p, q = _ZCDP_GAP
+    for rho in (1.2, 1.3):
+        res = verify_privacy(mech, PrivacyConstraint.zcdp(rho))
+        assert not res.holds
+        alpha = res.witness[2]
+        assert 2.0 < alpha < 4.0
+        assert divergences_mod._renyi_weights(p, q, alpha) > rho * alpha
+    assert verify_privacy(mech, PrivacyConstraint.zcdp(1.31)).holds
+
+
+def test_zcdp_open_interval_after_the_bisection_cap_is_not_certified(monkeypatch):
+    p, q = _ZCDP_GAP
+    monkeypatch.setattr(verify_mod, "_ALPHA_BISECTIONS", 3)
+    witness = verify_mod._zcdp_pair_holds(p, q, 1.31)
+    a, b = witness
+    assert 2.0 <= a < b <= 4.0
+
+
+def test_zcdp_certificates_hold_on_a_dense_alpha_scan():
+    rng = derived_rng(604)
+    alphas = np.concatenate([1.0 + np.geomspace(1e-6, 1.0, 400), np.linspace(2.0, 16.0, 2000)])
+    certified = refuted = 0
+    for _ in range(60):
+        p, q = rng.dirichlet(np.ones(3), size=2)
+        sums = np.sum(p[:, None] ** alphas * q[:, None] ** (1.0 - alphas), axis=0)
+        sup = float(np.max(np.log(sums) / (alphas - 1.0) / alphas))
+        rho = sup * float(rng.uniform(0.9, 1.1))
+        witness = verify_mod._zcdp_pair_holds(p, q, rho)
+        if witness is None:
+            certified += 1
+            assert sup <= rho + 1e-12
+        elif isinstance(witness, float) and math.isfinite(witness):
+            refuted += 1
+            assert divergences_mod._renyi_weights(p, q, witness) > rho * witness
+    assert certified >= 10 and refuted >= 10
+
+
+# --------------------------------------------------------------- large eps
+
+
+def test_verifiers_at_large_eps_report_instead_of_overflowing(capsys):
+    p = np.array([0.5, 0.5, 0.0])
+    q = np.array([0.0, 0.5, 0.5])
+    assert verify_mod._dp_pair_holds(p, q, 800.0, 0.0).tolist() == [True, False, False]
+    assert verify_mod._dp_pair_holds(p, p, 800.0, 0.0) is None
+    for sub in ("privacy", "group", "suite"):
+        for extra in ([], ["--delta", "0.01"]):
+            rc = cli.main(["verify", sub, "--mechanism", "rr", "--n", "2", "--eps", "800"] + extra)
+            assert rc in (0, 1)
+            assert capsys.readouterr().out.rstrip().endswith(("all checks hold", "violations found"))
