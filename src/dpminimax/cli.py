@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import math
@@ -99,17 +100,31 @@ def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
+def _number(tok: str, kind=float):
+    try:
+        return kind(tok)
+    except ValueError:
+        raise DomainError(f"malformed number {tok!r}") from None
+
+
+def _weights(text: str) -> list[float]:
+    """A comma list of weights; unlike _float_list, a bad token is a DomainError."""
+    return [_number(tok) for tok in text.split(",") if tok.strip()]
+
+
 def _parse_dist(text: str) -> DiscreteDistribution:
     """Parse one marginal: either 'w0,w1,...' on atoms 0..k-1 or 'a:w,a:w'."""
     if ":" in text:
         atoms = []
         weights = []
         for tok in text.split(","):
-            a, w = tok.split(":")
-            atoms.append(int(a))
-            weights.append(float(w))
+            a, colon, w = tok.partition(":")
+            if not colon:
+                raise DomainError(f"malformed atom:weight token {tok!r}")
+            atoms.append(_number(a, int))
+            weights.append(_number(w))
         return DiscreteDistribution(tuple(atoms), np.array(weights))
-    return DiscreteDistribution.from_weights(_float_list(text))
+    return DiscreteDistribution.from_weights(_weights(text))
 
 
 def _parse_marginals(text: str) -> list[DiscreteDistribution]:
@@ -193,12 +208,10 @@ def _emit(args, config: dict, report: dict, csv_rows=None, csv_fields=None) -> N
     out = getattr(args, "out", None)
     if out is None:
         return
-    wrapper = _wrapper(config, config.get("seed"), report)
-    fmt = getattr(args, "format", "json")
-    if fmt == "csv" and csv_rows is not None:
+    if getattr(args, "format", "json") == "csv":
         _write_csv(out, csv_fields, csv_rows)
     else:
-        _write_json(out, wrapper)
+        _write_json(out, _wrapper(config, config.get("seed"), report))
 
 
 def _base_path(path: str) -> str:
@@ -237,7 +250,7 @@ def _cmd_bounds_lecam(args) -> int:
         "n": args.n,
         "tv": args.tv,
         "form": args.form,
-        "constraint": _constraint_config(c),
+        "constraint": dataclasses.asdict(c or PrivacyConstraint.none()),
         "seed": None,
     }
     _emit(args, config, {"rows": rows}, rows, list(rows[0].keys()))
@@ -287,17 +300,11 @@ def _cmd_bounds_fano(args) -> int:
         "tv": tvs.tolist(),
         "kl_q": args.kl_q,
         "form": args.form,
-        "constraint": _constraint_config(c),
+        "constraint": dataclasses.asdict(c or PrivacyConstraint.none()),
         "seed": None,
     }
     _emit(args, config, {"rows": [row], "branches": res.extras}, [row], list(row.keys()))
     return 0
-
-
-def _constraint_config(c: Optional[PrivacyConstraint]) -> dict:
-    if c is None:
-        return {"kind": "none", "epsilon": None, "delta": None, "rho": None}
-    return {"kind": c.kind, "epsilon": c.epsilon, "delta": c.delta, "rho": c.rho}
 
 
 # ----------------------------------------------------------------- couple
@@ -356,7 +363,7 @@ def _cmd_couple(args) -> int:
         marginals = [_parse_dist(args.p), _parse_dist(args.q)]
         sampler = maximal_pair(marginals[0], marginals[1])
     elif args.subcommand == "shared":
-        ps = _float_list(args.ps)
+        ps = _weights(args.ps)
         sampler = shared_uniform_bernoulli(ps)
         marginals = list(sampler.marginals)
     elif args.subcommand == "races":
@@ -486,6 +493,8 @@ def _cmd_verify(args) -> int:
         "kind": getattr(args, "kind", None),
         "seed": None,
     }
+    if which == "transport":
+        config["marginals"] = [_dist_config(m) for m in marginals]
     _emit(args, config, {"checks": checks, "all_hold": all_hold})
     print("all checks hold" if all_hold else "violations found")
     return 0 if all_hold else 1
@@ -494,10 +503,8 @@ def _cmd_verify(args) -> int:
 # ------------------------------------------------------------- experiment
 
 
-def _experiment_constraints(args, include_none: bool = True) -> list[PrivacyConstraint]:
-    cs: list[PrivacyConstraint] = []
-    if include_none:
-        cs.append(PrivacyConstraint.none())
+def _experiment_constraints(args) -> list[PrivacyConstraint]:
+    cs = [PrivacyConstraint.none()]
     for eps in args.eps or []:
         cs.append(PrivacyConstraint.pure(eps))
     for rho in args.rho or []:
@@ -507,29 +514,13 @@ def _experiment_constraints(args, include_none: bool = True) -> list[PrivacyCons
 
 def _cmd_experiment(args) -> int:
     sub = args.subcommand
-    if sub == "bernoulli":
-        report = run_bernoulli(args.ns, _experiment_constraints(args), args.trials, args.seed)
-        config = {
-            "command": "experiment", "subcommand": sub, "ns": args.ns,
-            "eps": args.eps or [], "rho": args.rho or [],
-            "trials": args.trials, "seed": args.seed,
-        }
+    if sub in ("bernoulli", "uniform"):
+        run = run_bernoulli if sub == "bernoulli" else run_uniform
+        report = run(args.ns, _experiment_constraints(args), args.trials, args.seed)
     elif sub == "gaussian":
         report = run_gaussian(
             args.d, args.sigma, args.ns, _experiment_constraints(args), args.trials, args.seed
         )
-        config = {
-            "command": "experiment", "subcommand": sub, "d": args.d, "sigma": args.sigma,
-            "ns": args.ns, "eps": args.eps or [], "rho": args.rho or [],
-            "trials": args.trials, "seed": args.seed,
-        }
-    elif sub == "uniform":
-        report = run_uniform(args.ns, _experiment_constraints(args), args.trials, args.seed)
-        config = {
-            "command": "experiment", "subcommand": sub, "ns": args.ns,
-            "eps": args.eps or [], "rho": args.rho or [],
-            "trials": args.trials, "seed": args.seed,
-        }
     else:
         model = gaussian_mean_model(
             args.d, sigma=args.sigma, radius=args.radius,
@@ -539,12 +530,12 @@ def _cmd_experiment(args) -> int:
         report = run_dpsgml(
             model, theta_star, args.ns, args.rho, args.m, args.trials, args.seed
         )
-        config = {
-            "command": "experiment", "subcommand": sub, "d": args.d, "sigma": args.sigma,
-            "radius": args.radius, "clip": args.clip, "smoothness": args.smoothness,
-            "theta": args.theta, "m": args.m, "ns": args.ns, "rho": args.rho,
-            "trials": args.trials, "seed": args.seed,
-        }
+    # The resolved options; the only ones an experiment parser leaves unset
+    # are the --eps and --rho lists, written as [].
+    config = {
+        key: [] if value is None else value
+        for key, value in vars(args).items() if key != "out"
+    }
 
     for cell in report.cells:
         flag = "  VIOLATION" if cell.violation else ""
@@ -581,8 +572,13 @@ def _cmd_experiment(args) -> int:
 # -------------------------------------------------------------- dispatch
 
 
-def _add_out_flags(p: argparse.ArgumentParser) -> None:
+def _add_out_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output file path")
+
+
+def _add_out_flags(p: argparse.ArgumentParser) -> None:
+    """--out plus --format, for commands whose report has a CSV projection."""
+    _add_out_flag(p)
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
@@ -639,7 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=int, default=100_000)
         p.add_argument("--seed", type=int, default=0)
         _add_out_flags(p)
-    _add_out_flags(lp)
+    _add_out_flag(lp)
 
     verify = sub.add_parser("verify", help="exhaustive finite-mechanism verifiers")
     vsub = verify.add_subparsers(dest="subcommand", required=True)
@@ -664,7 +660,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--kind", choices=_SIMILARITY_KINDS, default="lecam_match")
         if name == "transport":
             p.add_argument("--marginals", help="marginals over dataset indices")
-        _add_out_flags(p)
+        _add_out_flag(p)
 
     experiment = sub.add_parser("experiment", help="Monte-Carlo risk studies")
     esub = experiment.add_subparsers(dest="subcommand", required=True)
@@ -698,7 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
     sgml.add_argument("--trials", type=int, default=200)
     for p in (bern, gauss, unif, sgml):
         p.add_argument("--seed", type=int, default=0)
-        _add_out_flags(p)
+        p.add_argument("--out", help="output base path: writes <base>.json and <base>.csv")
 
     return parser
 

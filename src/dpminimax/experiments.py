@@ -6,19 +6,24 @@ holding one mechanism's empirical squared-loss risk, a headline lower bound
 evaluated testing bound with its winning branch, and rate slopes.  A cell is
 flagged as a violation when the risk undercuts its lower bound by more than
 three standard errors; reports with violations fail loudly downstream.
+
+The three worked examples (Bernoulli, Gaussian, uniform) differ only in
+their per-cell estimator and bounds, so they share one cell loop, _run_grid:
+it walks the cells constraint-major, and cell k draws trial t's data and
+noise from the stream (seed, k, t).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from ._rng import derived_rng, trial_rngs
 from .bounds import (
-    BoundResult,
     PrivacyConstraint,
     kl_quadratic_bounds,
     le_cam_private,
@@ -105,14 +110,7 @@ class ExperimentReport:
         return tuple(cell for cell in self.cells if cell.violation)
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "seed": self.seed,
-            "trials": self.trials,
-            "cells": [_cell_dict(cell) for cell in self.cells],
-            "slopes": dict(self.slopes),
-            "notes": list(self.notes),
-        }
+        return asdict(self)
 
     def csv_rows(self) -> list[dict]:
         rows = []
@@ -134,27 +132,6 @@ class ExperimentReport:
                 }
             )
         return rows
-
-
-def _constraint_dict(c: PrivacyConstraint) -> dict:
-    return {"kind": c.kind, "epsilon": c.epsilon, "delta": c.delta, "rho": c.rho}
-
-
-def _cell_dict(cell: CellResult) -> dict:
-    return {
-        "model": cell.model,
-        "n": cell.n,
-        "constraint": _constraint_dict(cell.constraint),
-        "mechanism": cell.mechanism,
-        "risk": cell.risk,
-        "stderr": cell.stderr,
-        "trials": cell.trials,
-        "lower_bound": cell.lower_bound,
-        "branch": cell.branch,
-        "analytic_risk": cell.analytic_risk,
-        "violation": cell.violation,
-        "extras": dict(cell.extras),
-    }
 
 
 def _squared_loss(estimate, theta_star) -> float:
@@ -230,13 +207,43 @@ def _uniform_sampler() -> _SamplerModel:
     return _SamplerModel("uniform", lambda theta, n, rng: theta * rng.random(n))
 
 
-def _slope_or_skip(slopes: dict, key: str, points) -> None:
-    if len(points) >= 3:
-        slopes[key] = rate_slope(points)
+def _slopes(points: dict) -> dict:
+    """The rate slope of every key that has at least three (n, risk) points."""
+    return {key: rate_slope(pts) for key, pts in points.items() if len(pts) >= 3}
 
 
 def _cell_violation(risk: float, stderr: float, *bounds: float) -> bool:
     return any(risk < b - 3.0 * stderr for b in bounds)
+
+
+def _run_grid(name, sampler, theta_star, ns, constraints, trials, seed, cell) -> tuple:
+    """The Monte-Carlo cells of one study, constraint-major.
+
+    cell(c, n) returns (mechanism name, estimator, lower bound, branch,
+    analytic risk, extras, further bounds); the cell is a violation when its
+    risk undercuts the lower bound or a further bound by three standard
+    errors.  Cell k draws trial t from the stream (seed, k, t).
+    """
+    cells = []
+    for k, (c, n) in enumerate(itertools.product(constraints, ns)):
+        mechanism, estimator, lower, branch, analytic, extras, further = cell(c, n)
+        est = monte_carlo_risk(
+            sampler, theta_star, estimator, n, trials, seed, constraint=c, tags=(k,),
+        )
+        cells.append(
+            CellResult(
+                model=name, n=n, constraint=c, mechanism=mechanism,
+                risk=est.risk, stderr=est.stderr, trials=trials,
+                lower_bound=lower, branch=branch, analytic_risk=analytic,
+                violation=_cell_violation(est.risk, est.stderr, lower, *further),
+                extras=extras,
+            )
+        )
+    return tuple(cells)
+
+
+def _nonprivate_points(cells) -> list:
+    return [(cell.n, cell.risk) for cell in cells if cell.constraint.kind == "none"]
 
 
 def run_bernoulli(ns, constraints, trials: int, seed: int) -> ExperimentReport:
@@ -250,40 +257,19 @@ def run_bernoulli(ns, constraints, trials: int, seed: int) -> ExperimentReport:
     regime boundary are kept).
     """
     theta_star = 0.5
-    model = _bernoulli_sampler()
-    cells = []
+    cells = _run_grid(
+        "bernoulli", _bernoulli_sampler(), theta_star, ns, constraints, trials, seed,
+        lambda c, n: _bernoulli_cell(c, n, theta_star),
+    )
     points: dict[str, list] = {}
-    dominated: dict[str, list] = {}
-    cell_id = 0
-    for c in constraints:
-        for n in ns:
-            mech_name, mechanism, lower, evaluated, analytic = _bernoulli_cell(c, n, theta_star)
-            est = monte_carlo_risk(
-                model, theta_star, mechanism, n, trials, seed,
-                constraint=c, tags=(cell_id,),
-            )
-            cell_id += 1
-            violation = _cell_violation(est.risk, est.stderr, lower, evaluated.value)
-            cells.append(
-                CellResult(
-                    model="bernoulli", n=n, constraint=c, mechanism=mech_name,
-                    risk=est.risk, stderr=est.stderr, trials=trials,
-                    lower_bound=lower, branch=evaluated.branch,
-                    analytic_risk=analytic, violation=violation,
-                    extras={"bound_eval": evaluated.value, "theta_star": theta_star},
-                )
-            )
-            points.setdefault(mech_name, []).append((n, est.risk))
-            nonprivate_const = 1.0 / (160.0 * n)
-            if c.kind != "none" and lower >= nonprivate_const * (1.0 - _DOMINANCE_TOL):
-                dominated.setdefault(mech_name, []).append((n, est.risk))
-    slopes: dict[str, float] = {}
-    for name, pts in points.items():
-        _slope_or_skip(slopes, name, pts)
-    for name, pts in dominated.items():
-        _slope_or_skip(slopes, f"{name}_privacy_dominated", pts)
+    for cell in cells:
+        points.setdefault(cell.mechanism, []).append((cell.n, cell.risk))
+        nonprivate_const = 1.0 / (160.0 * cell.n)
+        dominated = cell.lower_bound >= nonprivate_const * (1.0 - _DOMINANCE_TOL)
+        if cell.constraint.kind != "none" and dominated:
+            points.setdefault(f"{cell.mechanism}_privacy_dominated", []).append((cell.n, cell.risk))
     return ExperimentReport(
-        model="bernoulli", seed=seed, trials=trials, cells=tuple(cells), slopes=slopes,
+        model="bernoulli", seed=seed, trials=trials, cells=cells, slopes=_slopes(points),
     )
 
 
@@ -320,10 +306,8 @@ def _bernoulli_cell(c: PrivacyConstraint, n: int, theta_star: float):
     else:
         raise RegimeError("the closed-form constants cover none, pure and zcdp only")
     value = minimax_from_packing((gap / 2.0) ** 2, evaluated_test)
-    evaluated = BoundResult(
-        value=value, raw=value, branch=evaluated_test.branch, n=n, N=2, constraint=c,
-    )
-    return name, mechanism, lower, evaluated, analytic
+    extras = {"bound_eval": value, "theta_star": theta_star}
+    return name, mechanism, lower, evaluated_test.branch, analytic, extras, (value,)
 
 
 def run_gaussian(d: int, sigma: float, ns, constraints, trials: int, seed: int) -> ExperimentReport:
@@ -334,39 +318,22 @@ def run_gaussian(d: int, sigma: float, ns, constraints, trials: int, seed: int) 
     risk-only cells).
     """
     model = gaussian_mean_model(d, sigma=sigma, radius=1.0)
-    theta_star = np.zeros(d)
     mechanism = lambda data, rng: data.mean(axis=0)
-    cells = []
-    points = []
-    cell_id = 0
-    for c in constraints:
-        for n in ns:
-            est = monte_carlo_risk(
-                model, theta_star, mechanism, n, trials, seed,
-                constraint=c, tags=(cell_id,),
-            )
-            cell_id += 1
-            if d >= 66:
-                bound = kl_quadratic_bounds(d, n, model.gamma, 1.0, c)
-                lower, branch = bound.value, bound.branch
-            else:
-                lower, branch = 0.0, "unavailable"
-            analytic = sigma * sigma * d / n
-            cells.append(
-                CellResult(
-                    model="gaussian", n=n, constraint=c, mechanism="empirical_mean",
-                    risk=est.risk, stderr=est.stderr, trials=trials,
-                    lower_bound=lower, branch=branch, analytic_risk=analytic,
-                    violation=_cell_violation(est.risk, est.stderr, lower),
-                    extras={"d": d, "sigma": sigma, "gamma": model.gamma},
-                )
-            )
-            if c.kind == "none":
-                points.append((n, est.risk))
-    slopes: dict[str, float] = {}
-    _slope_or_skip(slopes, "empirical_mean", points)
+
+    def cell(c, n):
+        if d >= 66:
+            bound = kl_quadratic_bounds(d, n, model.gamma, 1.0, c)
+            lower, branch = bound.value, bound.branch
+        else:
+            lower, branch = 0.0, "unavailable"
+        analytic = sigma * sigma * d / n
+        extras = {"d": d, "sigma": sigma, "gamma": model.gamma}
+        return "empirical_mean", mechanism, lower, branch, analytic, extras, ()
+
+    cells = _run_grid("gaussian", model, np.zeros(d), ns, constraints, trials, seed, cell)
     return ExperimentReport(
-        model="gaussian", seed=seed, trials=trials, cells=tuple(cells), slopes=slopes,
+        model="gaussian", seed=seed, trials=trials, cells=cells,
+        slopes=_slopes({"empirical_mean": _nonprivate_points(cells)}),
     )
 
 
@@ -379,34 +346,14 @@ def run_uniform(ns, constraints, trials: int, seed: int) -> ExperimentReport:
     privacy (smaller eps or rho) degrades the bound systematically.
     """
     theta_star = 1.0
-    model = _uniform_sampler()
     mechanism = lambda data, rng: float(data.max())
-    cells = []
-    points = []
-    cell_id = 0
-    for c in constraints:
-        for n in ns:
-            lower, evaluated = _uniform_bounds(c, n, theta_star)
-            est = monte_carlo_risk(
-                model, theta_star, mechanism, n, trials, seed,
-                constraint=c, tags=(cell_id,),
-            )
-            cell_id += 1
-            analytic = 2.0 * theta_star**2 / ((n + 1) * (n + 2))
-            cells.append(
-                CellResult(
-                    model="uniform", n=n, constraint=c, mechanism="max_estimator",
-                    risk=est.risk, stderr=est.stderr, trials=trials,
-                    lower_bound=lower, branch=evaluated["branch"],
-                    analytic_risk=analytic,
-                    violation=_cell_violation(est.risk, est.stderr, lower),
-                    extras=evaluated,
-                )
-            )
-            if c.kind == "none":
-                points.append((n, est.risk))
-    slopes: dict[str, float] = {}
-    _slope_or_skip(slopes, "max_estimator", points)
+
+    def cell(c, n):
+        lower, evaluated = _uniform_bounds(c, n, theta_star)
+        analytic = 2.0 * theta_star**2 / ((n + 1) * (n + 2))
+        return "max_estimator", mechanism, lower, evaluated["branch"], analytic, evaluated, ()
+
+    cells = _run_grid("uniform", _uniform_sampler(), theta_star, ns, constraints, trials, seed, cell)
     notes = (
         "for fixed n the private lower bounds grow as eps or rho shrink: "
         "stricter privacy degrades the achievable n^-2 rate systematically",
@@ -414,8 +361,8 @@ def run_uniform(ns, constraints, trials: int, seed: int) -> ExperimentReport:
         "evaluated bound sits slightly below the printed constant",
     )
     return ExperimentReport(
-        model="uniform", seed=seed, trials=trials, cells=tuple(cells),
-        slopes=slopes, notes=notes,
+        model="uniform", seed=seed, trials=trials, cells=cells,
+        slopes=_slopes({"max_estimator": _nonprivate_points(cells)}), notes=notes,
     )
 
 
@@ -552,10 +499,10 @@ def run_dpsgml(
             sgml_points.setdefault(("n", rho), []).append((n, risk))
             sgml_points.setdefault(("rho", n), []).append((rho, risk))
             cell_id += 1
-    slopes: dict[str, float] = {}
-    for (axis, fixed), pts in sgml_points.items():
-        key = f"n_slope@rho={fixed:g}" if axis == "n" else f"rho_slope@n={fixed:g}"
-        _slope_or_skip(slopes, key, pts)
+    slopes = _slopes({
+        f"n_slope@rho={fixed:g}" if axis == "n" else f"rho_slope@n={fixed:g}": pts
+        for (axis, fixed), pts in sgml_points.items()
+    })
     return ExperimentReport(
         model="dpsgml", seed=seed, trials=trials, cells=tuple(cells), slopes=slopes,
     )

@@ -429,7 +429,8 @@ def verify_admissibility(
     _check_caps(m)
     if N < 2:
         raise ArityMismatch("admissibility needs N >= 2")
-    work = (m.n_datasets**N) * (N**m.n_outputs)
+    # Each of the datasets^N tuples costs an argmax over N rows of k outputs.
+    work = (m.n_datasets**N) * N * m.n_outputs
     if work > _MAX_ADMISSIBILITY_WORK:
         raise TooLarge(f"enumeration size {work} exceeds cap {_MAX_ADMISSIBILITY_WORK}")
     datasets = m.datasets()

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from dpminimax.cli import main
+from dpminimax.cli import build_parser, main
 
 CSV_HEADER = "model,n,constraint_kind,eps,delta,rho,mechanism,risk,stderr,lower_bound,branch"
 
@@ -136,6 +136,20 @@ def test_verify_identity_admissibility_fails(capsys, tmp_path):
     assert "witness" in checks[0]["detail"]
 
 
+def test_verify_transport_config_records_marginals(tmp_path, capsys):
+    configs = []
+    for marginals in (None, "0:1;2:1"):
+        path = tmp_path / f"transport{len(configs)}.json"
+        argv = ["verify", "transport", "--mechanism", "rr", "--n", "2", "--out", str(path)]
+        assert main(argv + (["--marginals", marginals] if marginals else [])) == 0
+        configs.append(json.loads(path.read_text())["config"])
+    capsys.readouterr()
+    default, given = configs
+    assert default["marginals"] == [{"atoms": [0], "weights": [1.0]}, {"atoms": [3], "weights": [1.0]}]
+    assert given["marginals"] == [{"atoms": [0], "weights": [1.0]}, {"atoms": [2], "weights": [1.0]}]
+    assert default != given
+
+
 def test_verify_too_large_is_checked_failure(capsys):
     rc = main(["verify", "privacy", "--mechanism", "identity", "--alphabet", "3", "--n", "4"])
     assert rc == 1
@@ -153,6 +167,10 @@ def test_verify_too_large_is_checked_failure(capsys):
         ["verify", "kldp", "--mechanism", "rr", "--rho", "0.5"],
         ["verify", "kldp", "--mechanism", "identity", "--n", "1", "--eps", "inf"],
         ["bounds", "lecam", "--n", "2", "--tv", "0.5", "--dp", "--eps", "inf"],
+        ["couple", "pair", "--p", "0.5,abc", "--q", "0.5,0.5"],
+        ["couple", "races", "--marginals", "0:0.5,1"],
+        ["couple", "shared", "--ps", "0.2,abc"],
+        ["verify", "transport", "--mechanism", "rr", "--n", "2", "--marginals", "0:x;1:1"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
@@ -164,6 +182,20 @@ def test_argparse_rejects_unknown_command():
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "privacy", "--mechanism", "rr", "--format", "csv"],
+        ["experiment", "uniform", "--ns", "10", "--trials", "100", "--format", "json"],
+    ],
+)
+def test_format_only_where_a_csv_projection_exists(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):
@@ -221,6 +253,35 @@ def test_repeated_main_calls_share_no_state(tmp_path, capsys):
     assert (first["eps"], first["rho"]) == ([0.5], [0.1])
     assert (overridden["eps"], overridden["rho"]) == ([0.9, 1.1], [0.3])
     assert paths[2].read_bytes() == paths[0].read_bytes()
+
+
+def _experiment_options(sub):
+    """The dests of an experiment subcommand's options, read off the parser."""
+    parser = build_parser()
+    experiment = parser._subparsers._group_actions[0].choices["experiment"]
+    sub_parser = experiment._subparsers._group_actions[0].choices[sub]
+    return {a.dest for a in sub_parser._actions if a.option_strings and a.dest != "help"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bernoulli", "--ns", "50", "--trials", "100"],
+        ["gaussian", "--d", "3", "--ns", "20", "--trials", "100"],
+        ["uniform", "--ns", "10", "--eps", "", "--rho", "", "--trials", "100"],
+        ["dpsgml", "--d", "3", "--ns", "60", "--rho", "1.0", "--radius", "5", "--m", "16",
+         "--trials", "100"],
+    ],
+)
+def test_experiment_config_records_every_option_but_out(argv, tmp_path, capsys):
+    out = tmp_path / "run.json"
+    assert main(["experiment", *argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    config = json.loads(out.read_text())["config"]
+    assert set(config) == {"command", "subcommand"} | _experiment_options(argv[0]) - {"out"}
+    assert (config["command"], config["subcommand"]) == ("experiment", argv[0])
+    if argv[0] != "dpsgml":
+        assert (config["eps"], config["rho"]) == ([], [])
 
 
 def test_experiment_dpsgml_quick_run(capsys):

@@ -11,7 +11,9 @@ from dpminimax import (
     InsufficientBudget,
     PrivacyConstraint,
     RegimeError,
+    gaussian_mean,
     gaussian_mean_model,
+    laplace_mean,
     monte_carlo_risk,
     rate_slope,
     run_bernoulli,
@@ -281,6 +283,54 @@ def test_dpsgml_validation():
         run_dpsgml(model, np.zeros(5), [200], [0.5], m=16, trials=50, seed=0)
     with pytest.raises(InsufficientBudget):
         run_dpsgml(model, np.zeros(5), [3], [0.1], m=2, trials=100, seed=0)
+
+
+# ---------------------------------------------------------------- cell streams
+
+
+class _Uniform:
+    def sample(self, theta, n, rng):
+        return theta * rng.random(n)
+
+
+def _bernoulli_estimator(c):
+    if c.kind == "pure":
+        return lambda data, rng: laplace_mean(data, c.epsilon, rng)
+    if c.kind == "zcdp":
+        return lambda data, rng: gaussian_mean(data, c.rho, rng)
+    return _mean_mech
+
+
+_GAUSSIAN_D3 = gaussian_mean_model(3, sigma=1.0, radius=1.0)
+_STUDIES = {
+    "bernoulli": (
+        lambda ns, cs: run_bernoulli(ns, cs, trials=150, seed=31),
+        _Coin(), 0.5, _bernoulli_estimator,
+        [PrivacyConstraint.pure(0.5), PrivacyConstraint.zcdp(0.1)],
+    ),
+    "gaussian": (
+        lambda ns, cs: run_gaussian(3, 1.0, ns, cs, trials=150, seed=31),
+        _GAUSSIAN_D3, np.zeros(3), lambda c: (lambda data, rng: data.mean(axis=0)),
+        [PrivacyConstraint.none(), PrivacyConstraint.zcdp(0.1)],
+    ),
+    "uniform": (
+        lambda ns, cs: run_uniform(ns, cs, trials=150, seed=31),
+        _Uniform(), 1.0, lambda c: (lambda data, rng: float(data.max())),
+        [PrivacyConstraint.none(), PrivacyConstraint.pure(0.5)],
+    ),
+}
+
+
+@pytest.mark.parametrize("study", sorted(_STUDIES))
+def test_cell_k_draws_from_stream_k_constraint_major(study):
+    run, model, theta_star, estimator, constraints = _STUDIES[study]
+    ns = [20, 40, 80]
+    report = run(ns, constraints)
+    grid = [(c, n) for c in constraints for n in ns]
+    assert [(cell.constraint, cell.n) for cell in report.cells] == grid
+    for k, (cell, (c, n)) in enumerate(zip(report.cells, grid)):
+        est = monte_carlo_risk(model, theta_star, estimator(c), n, 150, 31, constraint=c, tags=(k,))
+        assert (cell.risk, cell.stderr) == (est.risk, est.stderr)
 
 
 # ----------------------------------------------------------------- reporting

@@ -270,7 +270,7 @@ def test_verifiers_at_the_caps():
     assert verify_group_privacy(mech, PrivacyConstraint.pure(LN3))
     assert not verify_privacy(mech, PrivacyConstraint.pure(0.9 * LN3)).holds
     assert not verify_group_privacy(mech, PrivacyConstraint.pure(0.9 * LN3))
-    # 64^2 tuples times 2^7 maps is within the admissibility work cap.
+    # 64^2 tuples, each an argmax over 2 rows of 7 outputs, is within the work cap.
     assert verify_admissibility(mech, PrivacyConstraint.pure(LN3), "lecam_match", 2).holds
 
 
@@ -360,8 +360,12 @@ def test_admissibility_validation_and_caps():
     mech = rr_kernel(LN3, 1)
     with pytest.raises(ArityMismatch):
         verify_admissibility(mech, PrivacyConstraint.pure(1.0), "lecam_match", 1)
+    # The work counts datasets^N tuples times N rows of k outputs: 64^3 * 3 * 7 here.
     with pytest.raises(TooLarge):
-        verify_admissibility(rr_kernel(1.0, 3), PrivacyConstraint.pure(1.0), "lecam_match", 3)
+        verify_admissibility(rr_sum_kernel(LN3, 6), PrivacyConstraint.pure(LN3), "lecam_match", 3)
+    # 8^3 * 3 * 8 = 12,288 is within the cap.
+    res = verify_admissibility(rr_kernel(1.0, 3), PrivacyConstraint.pure(1.0), "fano_match", 3)
+    assert res.holds
 
 
 # --------------------------------------------------------- transport bound
