@@ -149,11 +149,18 @@ def fano_classical(N: int, kls_to_q) -> BoundResult:
     kls = np.asarray(kls_to_q, dtype=np.float64)
     if kls.shape != (N,):
         raise ShapeMismatch(f"expected {N} KL values")
+    if np.any(np.isnan(kls)):
+        raise DomainError("KL values must not be nan")
     if np.any(kls < 0.0):
         raise DomainError("KL values must be non-negative")
     mean = float(np.mean(kls))
     raw = -math.inf if math.isinf(mean) else 1.0 - (1.0 + mean) / math.log(N)
     return BoundResult(value=max(0.0, raw), raw=raw, branch="classical", N=N)
+
+
+def _dp_joint_factor(n: int, eps: float, delta: float) -> float:
+    """The joint (eps, delta)-DP contraction 1 - e^{-n eps} + 2 n e^{-eps} delta."""
+    return 1.0 - math.exp(-n * eps) + 2.0 * n * math.exp(-eps) * delta
 
 
 def le_cam_private(
@@ -178,33 +185,21 @@ def le_cam_private(
         raise DomainError("n must be >= 1")
     tv = _check_tv(tv)
 
-    if c is None or c.kind == "none":
-        res = le_cam_classical(tv)
-        return BoundResult(
-            value=res.value, raw=res.raw, branch="classical", n=n, N=2, constraint=c,
-            extras={"classical": res.raw},
-        )
-
+    private = c is not None and c.kind != "none"
     branches: dict[str, float] = {}
-    if c.is_dp:
+    if form == JOINT or not private:
+        branches["classical"] = 0.5 * (1.0 - tv)
+    if private and c.is_dp:
         eps, delta = c.eps_delta()
         if form == JOINT:
-            branches["classical"] = 0.5 * (1.0 - tv)
-            factor = 1.0 - math.exp(-n * eps) + 2.0 * n * math.exp(-eps) * delta
-            branches["dp_joint"] = 0.5 * (1.0 - factor * tv)
+            branches["dp_joint"] = 0.5 * (1.0 - _dp_joint_factor(n, eps, delta) * tv)
         else:
             branches["dp_product"] = 0.5 * (
                 (1.0 - (1.0 - math.exp(-eps)) * tv) ** n
                 - 2.0 * n * math.exp(-eps) * delta * tv
             )
-    else:
-        rho = float(c.rho)
-        shrink = n * math.sqrt(rho / 2.0) * tv
-        if form == JOINT:
-            branches["classical"] = 0.5 * (1.0 - tv)
-            branches["zcdp_joint"] = 0.5 * (1.0 - shrink)
-        else:
-            branches["zcdp_product"] = 0.5 * (1.0 - shrink)
+    elif private:
+        branches[f"zcdp_{form}"] = 0.5 * (1.0 - n * math.sqrt(float(c.rho) / 2.0) * tv)
     return _result(branches, n, 2, c)
 
 
@@ -212,7 +207,7 @@ def _check_tv_matrix(N: int, tvs) -> np.ndarray:
     m = np.asarray(tvs, dtype=np.float64)
     if m.shape != (N, N):
         raise ShapeMismatch(f"tv matrix must be {N}x{N}")
-    if np.any(m < 0.0) or np.any(m > 1.0 + 1e-12):
+    if not np.all((m >= 0.0) & (m <= 1.0 + 1e-12)):
         raise DomainError("tv entries must lie in [0, 1]")
     if np.any(np.abs(np.diag(m)) > 1e-12):
         raise DomainError("tv matrix must have zero diagonal")
@@ -264,31 +259,18 @@ def fano_private(
     elif c.is_dp:
         eps, delta = c.eps_delta()
         if form == JOINT:
-            factor = 1.0 - math.exp(-n * eps) + 2.0 * n * math.exp(-eps) * delta
+            factor = _dp_joint_factor(n, eps, delta)
             branches["dp_pairwise"] = 0.5 - factor * sum_t_off / (2.0 * pairs)
-            if delta == 0.0:
-                branches["dp_fano_matching"] = (
-                    1.0 - (1.0 + (n * eps / N**2) * sum_t_off) / log_n_hyp
-                )
         else:
             shrink = 1.0 - math.exp(-eps)
             terms = (1.0 - shrink * t[off]) ** n - 2.0 * n * math.exp(-eps) * delta * t[off]
             branches["dp_pairwise"] = float(terms.sum()) / (2.0 * pairs)
-            if delta == 0.0:
-                branches["dp_fano_matching"] = (
-                    1.0 - (1.0 + (n * eps / N**2) * sum_t_off) / log_n_hyp
-                )
+        if delta == 0.0:
+            branches["dp_fano_matching"] = 1.0 - (1.0 + (n * eps / N**2) * sum_t_off) / log_n_hyp
     else:
         rho = float(c.rho)
-        if form == JOINT:
-            branches["zcdp_fano_matching"] = (
-                1.0 - (1.0 + (n**2 * rho / N**2) * sum_t_off) / log_n_hyp
-            )
-        else:
-            mixed = float((t[off] ** 2 + t[off] / n).sum())
-            branches["zcdp_fano_matching"] = (
-                1.0 - (1.0 + (n**2 * rho / N**2) * mixed) / log_n_hyp
-            )
+        spread = sum_t_off if form == JOINT else float((t[off] ** 2 + t[off] / n).sum())
+        branches["zcdp_fano_matching"] = 1.0 - (1.0 + (n**2 * rho / N**2) * spread) / log_n_hyp
     return _result(branches, n, N, c)
 
 

@@ -100,6 +100,17 @@ def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
+def _seed(text: str) -> int:
+    """A --seed value: a non-negative integer, as numpy's seeding requires."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {seed}")
+    return seed
+
+
 def _number(tok: str, kind=float):
     try:
         return kind(tok)
@@ -224,6 +235,11 @@ def _base_path(path: str) -> str:
 # ----------------------------------------------------------------- bounds
 
 
+def _bound_row(res, **keys) -> dict:
+    """One bounds report row: the given keys, then the bound's value, raw and branch."""
+    return {**keys, "value": res.value, "raw": res.raw, "branch": res.branch}
+
+
 def _cmd_bounds_lecam(args) -> int:
     c = _constraint_from_args(args)
     if not args.n or not args.tv:
@@ -232,16 +248,7 @@ def _cmd_bounds_lecam(args) -> int:
     for n in args.n:
         for tv_value in args.tv:
             res = le_cam_private(c, n, tv_value, form=args.form)
-            rows.append(
-                {
-                    "n": n,
-                    "tv": tv_value,
-                    "form": args.form,
-                    "value": res.value,
-                    "raw": res.raw,
-                    "branch": res.branch,
-                }
-            )
+            rows.append(_bound_row(res, n=n, tv=tv_value, form=args.form))
             print(f"lecam n={n} tv={tv_value:g} value={res.value!r} "
                   f"raw={res.raw!r} branch={res.branch}")
     config = {
@@ -284,14 +291,7 @@ def _cmd_bounds_fano(args) -> int:
     res = fano_private(c, args.n, args.N, tvs, kls_to_q=args.kl_q, form=args.form)
     print(f"fano n={args.n} N={args.N} value={res.value!r} "
           f"raw={res.raw!r} branch={res.branch}")
-    row = {
-        "n": args.n,
-        "N": args.N,
-        "form": args.form,
-        "value": res.value,
-        "raw": res.raw,
-        "branch": res.branch,
-    }
+    row = _bound_row(res, n=args.n, N=args.N, form=args.form)
     config = {
         "command": "bounds",
         "subcommand": "fano",
@@ -489,7 +489,7 @@ def _cmd_verify(args) -> int:
         "eps": args.eps,
         "delta": args.delta,
         "rho": args.rho,
-        "N": args.N,
+        "N": getattr(args, "N", None),
         "kind": getattr(args, "kind", None),
         "seed": None,
     }
@@ -547,15 +547,11 @@ def _cmd_experiment(args) -> int:
     for key, slope in sorted(report.slopes.items()):
         print(f"slope {key}: {slope:.4f}")
 
-    csv_rows = report.csv_rows()
-    fields = [
-        "model", "n", "constraint_kind", "eps", "delta", "rho",
-        "mechanism", "risk", "stderr", "lower_bound", "branch",
-    ]
     if args.out is not None:
         base = _base_path(args.out)
         _write_json(base + ".json", _wrapper(config, args.seed, report.to_dict()))
-        _write_csv(base + ".csv", fields, csv_rows)
+        csv_rows = report.csv_rows()
+        _write_csv(base + ".csv", list(csv_rows[0]), csv_rows)
 
     bad = report.violations()
     if bad:
@@ -633,7 +629,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="three uniform pairs on {-1,0}, {0,1}, {1,-1}")
     for p in (pair, shared, races, lift):
         p.add_argument("--trials", type=int, default=100_000)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         _add_out_flags(p)
     _add_out_flag(lp)
 
@@ -655,7 +651,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rho", type=float, help="check a zCDP constraint instead")
         p.add_argument("--n", type=int, default=1, help="number of input bits")
         p.add_argument("--alphabet", type=int, default=2, help="alphabet size (identity only)")
-        p.add_argument("--N", type=int, default=2, help="hypotheses for admissibility/transport")
+        if name in ("admissibility", "suite"):
+            p.add_argument("--N", type=int, default=2, help="admissibility hypotheses")
         if name in ("admissibility", "transport"):
             p.add_argument("--kind", choices=_SIMILARITY_KINDS, default="lecam_match")
         if name == "transport":
@@ -693,7 +690,7 @@ def build_parser() -> argparse.ArgumentParser:
     sgml.add_argument("--rho", type=_float_list, required=True)
     sgml.add_argument("--trials", type=int, default=200)
     for p in (bern, gauss, unif, sgml):
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--out", help="output base path: writes <base>.json and <base>.csv")
 
     return parser

@@ -50,6 +50,8 @@ class DiscreteDistribution:
             raise DomainError("atom labels must be distinct")
         if len(atoms) == 0:
             raise DomainError("a distribution needs at least one atom")
+        if np.any(np.isnan(w)):
+            raise DomainError("weights must not be nan")
         if np.any(w < -1e-15):
             raise DomainError("weights must be non-negative")
         w = np.clip(w, 0.0, None)

@@ -3,14 +3,20 @@
 Each run produces an ExperimentReport: a grid of (n, constraint) cells, each
 holding one mechanism's empirical squared-loss risk, a headline lower bound
 (the family's closed-form constant where one exists), an independently
-evaluated testing bound with its winning branch, and rate slopes.  A cell is
-flagged as a violation when the risk undercuts its lower bound by more than
-three standard errors; reports with violations fail loudly downstream.
+evaluated testing bound with its winning branch, and rate slopes.  Every
+cell of all four studies is built by one _cell, which holds the violation
+rule: a cell is flagged when its risk undercuts its lower bound, or a
+further bound, by more than three standard errors; reports with violations
+fail loudly downstream.  An empty grid axis is a DomainError.
 
 The three worked examples (Bernoulli, Gaussian, uniform) differ only in
 their per-cell estimator and bounds, so they share one cell loop, _run_grid:
 it walks the cells constraint-major, and cell k draws trial t's data and
-noise from the stream (seed, k, t).
+noise from the stream (seed, k, t).  run_dpsgml walks its (rho, n) cells
+rho-major: cell k draws trial t's data from (seed, k, 0, t), its DP-SGML
+noise from (seed, k, 1, t) and its xi^2 batches from (seed, k, 2); the MLE
+row of each distinct n reuses the first min(trials, 100) datasets of that
+n's first cell.
 """
 
 from __future__ import annotations
@@ -172,11 +178,15 @@ def monte_carlo_risk(
     for t, rng in enumerate(trial_rngs(seed, tags, trials)):
         data = model.sample(theta_star, n, rng)
         losses[t] = _squared_loss(mechanism(data, rng), theta_star)
-    stderr = float(losses.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    risk, stderr = _mean_stderr(losses)
     return RiskEstimate(
-        risk=float(losses.mean()), stderr=stderr, trials=trials, seed=seed,
-        n=n, constraint=constraint,
+        risk=risk, stderr=stderr, trials=trials, seed=seed, n=n, constraint=constraint,
     )
+
+
+def _mean_stderr(losses: np.ndarray) -> tuple[float, float]:
+    """The mean of a cell's trial losses and its standard error."""
+    return float(losses.mean()), float(losses.std(ddof=1) / math.sqrt(len(losses)))
 
 
 def rate_slope(points) -> float:
@@ -212,33 +222,42 @@ def _slopes(points: dict) -> dict:
     return {key: rate_slope(pts) for key, pts in points.items() if len(pts) >= 3}
 
 
-def _cell_violation(risk: float, stderr: float, *bounds: float) -> bool:
-    return any(risk < b - 3.0 * stderr for b in bounds)
+def _grid(outer, ns, outer_name: str):
+    """The (k, (outer value, n)) cells of a study, outer-major; no axis may be empty."""
+    outer, ns = tuple(outer), tuple(ns)
+    for name, axis in ((outer_name, outer), ("ns", ns)):
+        if not axis:
+            raise DomainError(f"{name} must not be empty")
+    return enumerate(itertools.product(outer, ns))
+
+
+def _cell(model, n, c, mechanism, risk, stderr, trials, lower, branch, analytic, extras, *further):
+    """One CellResult, flagged when its risk undercuts the lower bound or a
+    further bound by more than three standard errors."""
+    return CellResult(
+        model=model, n=n, constraint=c, mechanism=mechanism, risk=risk, stderr=stderr,
+        trials=trials, lower_bound=lower, branch=branch, analytic_risk=analytic,
+        violation=any(risk < b - 3.0 * stderr for b in (lower, *further)), extras=extras,
+    )
 
 
 def _run_grid(name, sampler, theta_star, ns, constraints, trials, seed, cell) -> tuple:
     """The Monte-Carlo cells of one study, constraint-major.
 
     cell(c, n) returns (mechanism name, estimator, lower bound, branch,
-    analytic risk, extras, further bounds); the cell is a violation when its
-    risk undercuts the lower bound or a further bound by three standard
-    errors.  Cell k draws trial t from the stream (seed, k, t).
+    analytic risk, extras, further bounds), the arguments _cell needs beside
+    the risk.  Cell k draws trial t from the stream (seed, k, t).
     """
     cells = []
-    for k, (c, n) in enumerate(itertools.product(constraints, ns)):
+    for k, (c, n) in _grid(constraints, ns, "constraints"):
         mechanism, estimator, lower, branch, analytic, extras, further = cell(c, n)
         est = monte_carlo_risk(
             sampler, theta_star, estimator, n, trials, seed, constraint=c, tags=(k,),
         )
-        cells.append(
-            CellResult(
-                model=name, n=n, constraint=c, mechanism=mechanism,
-                risk=est.risk, stderr=est.stderr, trials=trials,
-                lower_bound=lower, branch=branch, analytic_risk=analytic,
-                violation=_cell_violation(est.risk, est.stderr, lower, *further),
-                extras=extras,
-            )
-        )
+        cells.append(_cell(
+            name, n, c, mechanism, est.risk, est.stderr, trials, lower, branch, analytic,
+            extras, *further,
+        ))
     return tuple(cells)
 
 
@@ -432,73 +451,50 @@ def run_dpsgml(
     beta_kl = 2.0 * model.gamma
     cells = []
     sgml_points: dict[tuple, list] = {}
-    cell_id = 0
     ml_trials = min(trials, 100)
     ml_done: set[int] = set()
-    for rho in rhos:
-        for n in ns:
-            c = PrivacyConstraint.zcdp(rho)
-            cfg = dp_sgml_config(n, d, rho, model, m)
-            data = np.empty((trials, n, d))
-            for t, rng in enumerate(trial_rngs(seed, (cell_id, 0), trials)):
-                data[t] = model.sample(theta_star, n, rng)
-            outputs = dp_sgml_batch(data, model, cfg, seed, cell_id, 1)
-            losses = np.sum((outputs - theta_star[None, :]) ** 2, axis=1)
-            risk = float(losses.mean())
-            stderr = float(losses.std(ddof=1) / math.sqrt(trials))
+    for k, (rho, n) in _grid(rhos, ns, "rhos"):
+        c = PrivacyConstraint.zcdp(rho)
+        cfg = dp_sgml_config(n, d, rho, model, m)
+        data = np.empty((trials, n, d))
+        for t, rng in enumerate(trial_rngs(seed, (k, 0), trials)):
+            data[t] = model.sample(theta_star, n, rng)
+        outputs = dp_sgml_batch(data, model, cfg, seed, k, 1)
+        risk, stderr = _mean_stderr(np.sum((outputs - theta_star[None, :]) ** 2, axis=1))
 
-            theta_ml0 = mle_pga(data[0], model)
-            xi2, xi2_err = estimate_xi2(
-                data[0], model, theta_ml0, m, 200, derived_rng(seed, cell_id, 2)
-            )
+        theta_ml0 = mle_pga(data[0], model)
+        xi2, xi2_err = estimate_xi2(data[0], model, theta_ml0, m, 200, derived_rng(seed, k, 2))
 
-            lower = max(d / (beta_kl * rho * n * n), d / (beta_kl * n))
-            nonprivate_lower = d / (beta_kl * n)
-            try:
-                packing = kl_quadratic_bounds(d, n, model.gamma, model.space.radius, c)
-                packing_value: Optional[float] = packing.value
-            except DomainError:
-                packing_value = None
-            cells.append(
-                CellResult(
-                    model="dpsgml", n=n, constraint=c, mechanism="dp_sgml",
-                    risk=risk, stderr=stderr, trials=trials,
-                    lower_bound=lower,
-                    branch="zcdp_parametric" if lower > nonprivate_lower else "nonprivate_parametric",
-                    analytic_risk=None,
-                    violation=_cell_violation(risk, stderr, lower),
-                    extras={
-                        "ratio": risk / lower,
-                        "xi2": xi2,
-                        "xi2_stderr": xi2_err,
-                        "K": cfg.K,
-                        "eta": cfg.eta,
-                        "sigma2_noise": cfg.sigma2_noise,
-                        "m": m,
-                        "packing_bound": packing_value,
-                    },
-                )
-            )
-            if n not in ml_done:
-                ml_done.add(n)
-                ml_losses = np.empty(ml_trials)
-                for t in range(ml_trials):
-                    ml_losses[t] = _squared_loss(mle_pga(data[t], model), theta_star)
-                ml_risk = float(ml_losses.mean())
-                ml_stderr = float(ml_losses.std(ddof=1) / math.sqrt(ml_trials))
-                cells.append(
-                    CellResult(
-                        model="dpsgml", n=n, constraint=PrivacyConstraint.none(),
-                        mechanism="mle", risk=ml_risk, stderr=ml_stderr, trials=ml_trials,
-                        lower_bound=nonprivate_lower, branch="nonprivate_parametric",
-                        analytic_risk=None,
-                        violation=_cell_violation(ml_risk, ml_stderr, nonprivate_lower),
-                        extras={},
-                    )
-                )
-            sgml_points.setdefault(("n", rho), []).append((n, risk))
-            sgml_points.setdefault(("rho", n), []).append((rho, risk))
-            cell_id += 1
+        nonprivate_lower = d / (beta_kl * n)
+        lower = max(d / (beta_kl * rho * n * n), nonprivate_lower)
+        try:
+            packing_value = kl_quadratic_bounds(d, n, model.gamma, model.space.radius, c).value
+        except DomainError:
+            packing_value = None
+        extras = {
+            "ratio": risk / lower,
+            "xi2": xi2,
+            "xi2_stderr": xi2_err,
+            "K": cfg.K,
+            "eta": cfg.eta,
+            "sigma2_noise": cfg.sigma2_noise,
+            "m": m,
+            "packing_bound": packing_value,
+        }
+        branch = "zcdp_parametric" if lower > nonprivate_lower else "nonprivate_parametric"
+        cells.append(
+            _cell("dpsgml", n, c, "dp_sgml", risk, stderr, trials, lower, branch, None, extras)
+        )
+        if n not in ml_done:
+            ml_done.add(n)
+            ml_losses = [_squared_loss(mle_pga(x, model), theta_star) for x in data[:ml_trials]]
+            ml_risk, ml_stderr = _mean_stderr(np.array(ml_losses))
+            cells.append(_cell(
+                "dpsgml", n, PrivacyConstraint.none(), "mle", ml_risk, ml_stderr, ml_trials,
+                nonprivate_lower, "nonprivate_parametric", None, {},
+            ))
+        sgml_points.setdefault(("n", rho), []).append((n, risk))
+        sgml_points.setdefault(("rho", n), []).append((rho, risk))
     slopes = _slopes({
         f"n_slope@rho={fixed:g}" if axis == "n" else f"rho_slope@n={fixed:g}": pts
         for (axis, fixed), pts in sgml_points.items()

@@ -244,6 +244,8 @@ class ParametricModel:
             raise DomainError("need 0 < lam <= beta")
         if self.L <= 0.0 or self.gamma <= 0.0:
             raise DomainError("L and gamma must be positive")
+        if not (math.isfinite(self.L) and math.isfinite(self.gamma)):
+            raise DomainError("L and gamma must be finite")
         if self.mean_grad_scale is not None and not 0.0 < self.mean_grad_scale < math.inf:
             raise DomainError("mean_grad_scale must be positive and finite")
 

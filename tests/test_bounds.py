@@ -84,6 +84,13 @@ def test_fano_classical_validation():
         fano_classical(3, np.array([0.1, -0.2, 0.3]))
 
 
+def test_fano_classical_rejects_nan_kl():
+    with pytest.raises(DomainError, match="KL"):
+        fano_classical(3, np.array([math.nan, 0.1, 0.2]))
+    with pytest.raises(DomainError, match="KL"):
+        fano_private(PrivacyConstraint.pure(1.0), 1, 3, _tv_all(3, 0.5), kls_to_q=[math.nan, 0.1, 0.2])
+
+
 def test_fano_classical_infinite_kl_clamps_to_zero():
     res = fano_classical(3, np.array([math.inf, 0.0, 0.0]))
     assert res.value == 0.0
@@ -246,6 +253,10 @@ def test_fano_tv_matrix_validation():
         fano_private(c, 1, 3, asym)
     with pytest.raises(DomainError):
         fano_private(c, 1, 1, np.zeros((1, 1)))
+    nan_entry = _tv_all(3, 0.5)
+    nan_entry[0, 1] = nan_entry[1, 0] = math.nan
+    with pytest.raises(DomainError, match="tv entries"):
+        fano_private(c, 1, 3, nan_entry)
 
 
 def test_fano_dp_matching_needs_delta_zero():

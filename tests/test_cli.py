@@ -148,6 +148,7 @@ def test_verify_transport_config_records_marginals(tmp_path, capsys):
     assert default["marginals"] == [{"atoms": [0], "weights": [1.0]}, {"atoms": [3], "weights": [1.0]}]
     assert given["marginals"] == [{"atoms": [0], "weights": [1.0]}, {"atoms": [2], "weights": [1.0]}]
     assert default != given
+    assert default["N"] is None
 
 
 def test_verify_too_large_is_checked_failure(capsys):
@@ -171,6 +172,13 @@ def test_verify_too_large_is_checked_failure(capsys):
         ["couple", "races", "--marginals", "0:0.5,1"],
         ["couple", "shared", "--ps", "0.2,abc"],
         ["verify", "transport", "--mechanism", "rr", "--n", "2", "--marginals", "0:x;1:1"],
+        ["couple", "pair", "--p", "nan,1", "--q", "0.5,0.5"],
+        ["experiment", "dpsgml", "--ns", "200", "--rho", "0.5", "--trials", "100", "--clip", "nan"],
+        ["experiment", "dpsgml", "--ns", "200", "--rho", "0.5", "--trials", "100", "--clip", "inf"],
+        ["bounds", "fano", "--n", "1", "--N", "3", "--tv-all", "0.5", "--kl-q", "nan,0.1,0.2", "--dp", "--eps", "1"],
+        ["bounds", "fano", "--n", "1", "--N", "3", "--tv", "nan,0.1,0.2", "--dp", "--eps", "1"],
+        ["experiment", "bernoulli", "--ns=", "--trials", "100"],
+        ["experiment", "dpsgml", "--ns", "200", "--rho=", "--trials", "100"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
@@ -196,6 +204,21 @@ def test_format_only_where_a_csv_projection_exists(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "--format" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["couple", "pair", "--p", "0.5,0.5", "--q", "0.2,0.8", "--trials", "100", "--seed", "-1"], "--seed"),
+        (["experiment", "uniform", "--ns", "10", "--trials", "100", "--seed", "-3"], "--seed"),
+        (["verify", "transport", "--mechanism", "rr", "--N", "5"], "--N"),
+    ],
+)
+def test_argparse_rejects_bad_seed_and_unread_N(argv, option, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert option in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

@@ -55,6 +55,11 @@ def test_distribution_rejects_negative_weights():
         DiscreteDistribution((0, 1), np.array([1.2, -0.2]))
 
 
+def test_distribution_rejects_nan_weights():
+    with pytest.raises(DomainError, match="weights"):
+        DiscreteDistribution((0, 1), np.array([math.nan, 1.0]))
+
+
 def test_distribution_rejects_duplicate_atoms():
     with pytest.raises(DomainError):
         DiscreteDistribution((1, 1), np.array([0.5, 0.5]))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dpminimax import (
+    CellResult,
     DegenerateInput,
     DomainError,
     InsufficientBudget,
@@ -13,7 +14,10 @@ from dpminimax import (
     RegimeError,
     gaussian_mean,
     gaussian_mean_model,
+    dp_sgml_batch,
+    dp_sgml_config,
     laplace_mean,
+    mle_pga,
     monte_carlo_risk,
     rate_slope,
     run_bernoulli,
@@ -21,6 +25,8 @@ from dpminimax import (
     run_gaussian,
     run_uniform,
 )
+from dpminimax._rng import trial_rngs
+from dpminimax.experiments import _cell
 
 CSV_COLUMNS = [
     "model", "n", "constraint_kind", "eps", "delta", "rho",
@@ -283,6 +289,56 @@ def test_dpsgml_validation():
         run_dpsgml(model, np.zeros(5), [200], [0.5], m=16, trials=50, seed=0)
     with pytest.raises(InsufficientBudget):
         run_dpsgml(model, np.zeros(5), [3], [0.1], m=2, trials=100, seed=0)
+
+
+def test_dpsgml_cell_k_draws_from_streams_k_rho_major():
+    model = gaussian_mean_model(3, sigma=1.0, radius=5.0)
+    theta_star = np.full(3, 0.5)
+    ns, rhos, trials, seed = [60, 90, 60], [1.0, 2.0], 100, 23
+    report = run_dpsgml(model, theta_star, ns, rhos, m=16, trials=trials, seed=seed)
+    sgml = [cell for cell in report.cells if cell.mechanism == "dp_sgml"]
+    assert [(cell.constraint.rho, cell.n) for cell in sgml] == [(r, n) for r in rhos for n in ns]
+    first_data = {}
+    for k, cell in enumerate(sgml):
+        data = np.stack([model.sample(theta_star, cell.n, rng)
+                         for rng in trial_rngs(seed, (k, 0), trials)])
+        first_data.setdefault(cell.n, data)
+        cfg = dp_sgml_config(cell.n, 3, cell.constraint.rho, model, 16)
+        losses = np.sum((dp_sgml_batch(data, model, cfg, seed, k, 1) - theta_star) ** 2, axis=1)
+        assert (cell.risk, cell.stderr) == (losses.mean(), losses.std(ddof=1) / math.sqrt(trials))
+    # one MLE row right after the first cell of each distinct n, on that cell's data
+    mechanisms = [cell.mechanism for cell in report.cells]
+    assert mechanisms == ["dp_sgml", "mle", "dp_sgml", "mle"] + ["dp_sgml"] * 4
+    for cell in (report.cells[1], report.cells[3]):
+        gaps = [mle_pga(x, model) - theta_star for x in first_data[cell.n]]
+        losses = np.array([gap @ gap for gap in gaps])
+        assert (cell.risk, cell.stderr) == (losses.mean(), losses.std(ddof=1) / math.sqrt(trials))
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: run_bernoulli([], [PrivacyConstraint.none()], trials=100, seed=0),
+        lambda: run_uniform([10], [], trials=100, seed=0),
+        lambda: run_dpsgml(gaussian_mean_model(5, radius=10.0), np.zeros(5), [200], [], m=16,
+                           trials=100, seed=0),
+    ],
+)
+def test_empty_grid_axis_is_a_domain_error(run):
+    with pytest.raises(DomainError, match="must not be empty"):
+        run()
+
+
+def test_cell_flags_a_further_bound_the_lower_bound_misses():
+    def cell(*further):
+        return _cell("m", 10, PrivacyConstraint.none(), "est", 1.0, 0.125, 100, 0.5, "b", None, {},
+                     *further)
+
+    assert isinstance(cell(), CellResult)
+    assert not cell().violation
+    assert not cell(1.375).violation  # risk 1.0 == 1.375 - 3 * 0.125 does not undercut
+    assert cell(0.25, 1.5).violation
+    assert cell(0.25, 1.5).lower_bound == 0.5
 
 
 # ---------------------------------------------------------------- cell streams

@@ -242,6 +242,17 @@ def test_parametric_model_validation():
         )
 
 
+@pytest.mark.parametrize("field", ["L", "gamma"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_parametric_model_rejects_non_finite_clip_and_kl_constant(field, value):
+    dummy = lambda *a: None
+    with pytest.raises(DomainError, match=field):
+        ParametricModel(
+            dim=1, space=Ball((0.0,), 1.0), sample=dummy, loglik=dummy, grad=dummy,
+            **{field: value},
+        )
+
+
 @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
 def test_parametric_model_rejects_bad_mean_grad_scale(scale):
     dummy = lambda *a: None
