@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from dpminimax import (
-    CellResult,
     DegenerateInput,
     DomainError,
     InsufficientBudget,
@@ -334,7 +333,6 @@ def test_cell_flags_a_further_bound_the_lower_bound_misses():
         return _cell("m", 10, PrivacyConstraint.none(), "est", 1.0, 0.125, 100, 0.5, "b", None, {},
                      *further)
 
-    assert isinstance(cell(), CellResult)
     assert not cell().violation
     assert not cell(1.375).violation  # risk 1.0 == 1.375 - 3 * 0.125 does not undercut
     assert cell(0.25, 1.5).violation
