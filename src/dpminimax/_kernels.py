@@ -12,6 +12,7 @@ __all__ = [
     "backend",
     "races_winners",
     "pair_assignments",
+    "clipped_mean",
     "dpsgml_trials",
 ]
 
@@ -68,56 +69,53 @@ def pair_assignments(u, agree_prob, common_cdf, pos_cdf, neg_cdf) -> np.ndarray:
     return out
 
 
+def clipped_mean(grads: np.ndarray, clip: float) -> np.ndarray:
+    """Mean over axis 1 of grads (trials, m, d), each row first scaled down
+    to norm ``clip`` when longer; a nan or inf row makes its mean nan.  A
+    zero row divides by zero but keeps factor 1.0, so callers run this under
+    np.errstate(divide="ignore")."""
+    m, d = grads.shape[1], grads.shape[2]
+    # Coordinate by coordinate: faster than a reduction over a short axis,
+    # and the same summation order as np.sum for d < 8.
+    sq = grads[..., 0] * grads[..., 0]
+    for j in range(1, d):
+        sq += grads[..., j] * grads[..., j]
+    norms = np.sqrt(sq)
+    factor = np.where(norms > clip, clip / norms, 1.0)
+    return np.einsum("tbj,tb->tj", grads, factor) / m
+
+
 def dpsgml_trials(
     data,
     theta0,
     batch_idx,
     step_noise,
-    grad_scale: float,
+    grad,
+    project,
     clip: float,
     eta: float,
     noise_std: float,
-    center,
-    radius: float,
 ) -> np.ndarray:
-    """Run all DP-SGML trials for a ball-constrained linear-gradient model.
-
-    data:       (trials, n, d) per-trial datasets.
-    theta0:     (trials, d) projected initial points.
-    batch_idx:  (trials, K, m) with-replacement batch indices, any integer
-                dtype (kept as given, not widened).
-    step_noise: (trials, K, d) standard normal injections.
-    The per-sample gradient is (x - theta) * grad_scale, clipped to norm
-    ``clip``; iterates are projected onto Ball(center, radius).
+    """Run DP-SGML trials for any model on (trials, n, d) data, from the
+    projected initial points theta0 (trials, d), with batch indices
+    batch_idx (trials, K, m) in [0, n) of any integer dtype and standard
+    normal step noise (trials, K, d).  Each step clips and averages
+    grad(batch, theta), of shape (trials, m, d), and projects the iterate.
     """
     data = np.ascontiguousarray(data, dtype=np.float64)
-    theta0 = np.ascontiguousarray(theta0, dtype=np.float64)
-    batch_idx = np.ascontiguousarray(batch_idx)
-    step_noise = np.ascontiguousarray(step_noise, dtype=np.float64)
-    center = np.ascontiguousarray(center, dtype=np.float64)
-    grad_scale, clip, eta, radius = float(grad_scale), float(clip), float(eta), float(radius)
+    theta = np.asarray(theta0, dtype=np.float64)
     trials, n, d = data.shape
     K, m = batch_idx.shape[1], batch_idx.shape[2]
     # Row batch_idx[t, k, b] of trial t is row t * n + batch_idx[t, k, b] of flat.
     flat = data.reshape(trials * n, d)
     offsets = np.arange(trials, dtype=np.int64)[:, None] * n
-    theta = theta0.copy()
+    batch = np.empty((trials, m, d))
     scale_noise = np.sqrt(2.0 * eta) * float(noise_std)
-    for k in range(K):
-        diff = np.take(flat, batch_idx[:, k, :] + offsets, axis=0)
-        diff -= theta[:, None, :]
-        diff *= grad_scale
-        # Coordinate by coordinate: faster than a reduction over a short
-        # axis, and the same summation order as np.sum for d < 8.
-        sq = diff[..., 0] * diff[..., 0]
-        for j in range(1, d):
-            sq += diff[..., j] * diff[..., j]
-        norms = np.sqrt(sq)
-        factor = np.where(norms > clip, clip / norms, 1.0)
-        grad = np.einsum("tbj,tb->tj", diff, factor) / m
-        theta = theta + eta * grad + scale_noise * step_noise[:, k, :]
-        offset = theta - center
-        dist = np.sqrt(np.sum(offset * offset, axis=1))
-        shrink = np.where(dist > radius, radius / np.where(dist > 0, dist, 1.0), 1.0)
-        theta = center + offset * shrink[:, None]
+    with np.errstate(divide="ignore"):
+        for k in range(K):
+            # With indices in range, mode="clip" changes nothing but lets take
+            # write straight into the reused buffer (the default stages a copy).
+            np.take(flat, batch_idx[:, k, :] + offsets, axis=0, out=batch, mode="clip")
+            mean = clipped_mean(grad(batch, theta), clip)
+            theta = project(theta + eta * mean + scale_noise * step_noise[:, k, :])
     return theta

@@ -52,9 +52,12 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0.0:
-            raise DomainError("radius must be positive")
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+        if not self.radius > 0.0:
+            raise DomainError(f"radius must be positive, got {self.radius!r}")
+        center = tuple(float(c) for c in self.center)
+        if not all(math.isfinite(c) for c in center):
+            raise DomainError("center must be finite")
+        object.__setattr__(self, "center", center)
 
     @property
     def dim(self) -> int:
@@ -65,13 +68,16 @@ class Ball:
         return float(np.linalg.norm(p - np.asarray(self.center))) <= self.radius + 1e-12
 
     def project(self, point) -> np.ndarray:
+        """Project each row of a (..., d) array; the input comes back when none lies outside."""
         p = np.asarray(point, dtype=float)
         c = np.asarray(self.center)
-        gap = p - c
-        norm = float(np.linalg.norm(gap))
-        if norm <= self.radius:
+        offset = p - c
+        dist = np.sqrt(np.sum(offset * offset, axis=-1))
+        if not np.any(dist > self.radius):
             return p
-        return c + gap * (self.radius / norm)
+        # radius / dist outside the ball, exactly 1.0 inside it.
+        shrink = self.radius / np.maximum(dist, self.radius)
+        return c + offset * shrink[..., None]
 
 
 @dataclass(frozen=True)
@@ -216,14 +222,16 @@ class ParametricModel:
     """A parametric family with log-likelihood gradients and curvature bounds.
 
     sample(theta, n, rng) returns an (n, dim) data array; loglik(X, theta)
-    and grad(X, theta) are batched over rows of X.  lam and beta bound the
-    strong concavity and smoothness of the log-likelihood, L is the gradient
-    clip norm, gamma the coefficient of the quadratic KL upper bound.
-    mean_grad_scale, when set, declares grad(x, theta) = (x - theta) * scale
-    for a positive finite scale.  Such a linear-gradient model gets the
-    exact MLE (the sample mean projected onto the space) from mle_pga and
-    the batched trial kernel from dp_sgml_batch; any other model falls back
-    to projected gradient ascent and per-trial runs.
+    is batched over rows of X.  grad(X, theta) broadcasts over leading axes:
+    X of shape (..., m, dim) and theta of shape (..., dim) give per-sample
+    gradients of shape (..., m, dim), so DP-SGML runs every trial of a batch
+    in one call.  space.project maps (..., dim) to (..., dim) row by row.
+    lam and beta (finite) bound the strong concavity and smoothness of the
+    log-likelihood, L is the gradient clip norm, gamma the coefficient of
+    the quadratic KL upper bound.  mean_grad_scale, when set, declares
+    grad(x, theta) = (x - theta) * scale for a positive finite scale; it
+    only makes mle_pga return the exact MLE (the sample mean projected onto
+    the space) instead of running projected gradient ascent.
     """
 
     dim: int
@@ -240,6 +248,8 @@ class ParametricModel:
     def __post_init__(self):
         if self.dim < 1:
             raise DomainError("dim must be >= 1")
+        if not (math.isfinite(self.lam) and math.isfinite(self.beta)):
+            raise DomainError("lam and beta must be finite")
         if not 0.0 < self.lam <= self.beta:
             raise DomainError("need 0 < lam <= beta")
         if self.L <= 0.0 or self.gamma <= 0.0:
@@ -263,8 +273,8 @@ def gaussian_mean_model(
     ``smoothness`` may declare a looser beta.  gamma = 1/(2 sigma^2) makes
     the quadratic KL bound exact: KL = gamma * ||theta' - theta||^2.
     """
-    if sigma <= 0.0:
-        raise DomainError("sigma must be positive")
+    if not 0.0 < sigma < math.inf:
+        raise DomainError("sigma must be positive and finite")
     curvature = 1.0 / (sigma * sigma)
     beta = curvature if smoothness is None else float(smoothness)
     if beta < curvature - 1e-12:
@@ -281,8 +291,9 @@ def gaussian_mean_model(
         return -0.5 * inv_var * np.sum(gap * gap, axis=1)
 
     def grad(X, theta):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return inv_var * (X - np.asarray(theta, dtype=float)[None, :])
+        g = np.asarray(X, dtype=float) - np.asarray(theta, dtype=float)[..., None, :]
+        g *= inv_var
+        return g
 
     return ParametricModel(
         dim=d,
@@ -330,42 +341,60 @@ def dp_sgml_config(n: int, d: int, rho: float, model: ParametricModel, m: int) -
     return DPSGMLConfig(sigma2_noise=sigma2, K=K, eta=eta, m=m, rho=rho, clip=model.L)
 
 
-def _clipped_mean_grad(model: ParametricModel, batch: np.ndarray, theta: np.ndarray, clip: float) -> np.ndarray:
-    g = np.atleast_2d(model.grad(batch, theta))
-    if not np.all(np.isfinite(g)):
-        raise NonFinite("model gradient is non-finite")
-    norms = np.linalg.norm(g, axis=1)
-    factors = np.where(norms > clip, clip / np.maximum(norms, 1e-300), 1.0)
-    return (g * factors[:, None]).mean(axis=0)
+def _run_trials(data: np.ndarray, model: ParametricModel, cfg: DPSGMLConfig, rngs) -> np.ndarray:
+    """DP-SGML on (trials, n, dim) data; trial t draws from the t-th rng its
+    initial normals, then its batch indices (when m is set), then its step
+    noise."""
+    data = np.asarray(data, dtype=float)
+    if data.ndim != 3 or data.shape[2] != model.dim:
+        raise DomainError(f"each trial's data must have shape (n, {model.dim})")
+    trials, n, d = data.shape
+    scale0 = math.sqrt(2.0 * cfg.sigma2_noise / model.lam)
+    # Indices are drawn as int64 (the stream is unchanged) but stored as int32,
+    # which halves the largest buffer, whenever n allows.
+    idx_dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    out = np.empty((trials, d))
+    # One iterator across all chunks: chunk c continues at trial c * _BATCH_CHUNK.
+    for start in range(0, trials, _BATCH_CHUNK):
+        size = min(_BATCH_CHUNK, trials - start)
+        theta0 = np.empty((size, d))
+        if cfg.m is None:
+            batch_idx = np.broadcast_to(np.arange(n, dtype=idx_dtype), (size, cfg.K, n))
+        else:
+            batch_idx = np.empty((size, cfg.K, cfg.m), dtype=idx_dtype)
+        step_noise = np.empty((size, cfg.K, d))
+        for i, r in zip(range(size), rngs):
+            theta0[i] = r.standard_normal(d)
+            if cfg.m is not None:
+                batch_idx[i] = r.integers(0, n, size=(cfg.K, cfg.m))
+            step_noise[i] = r.standard_normal((cfg.K, d))
+        out[start:start + size] = _kernels.dpsgml_trials(
+            data[start:start + size],
+            model.space.project(scale0 * theta0),
+            batch_idx,
+            step_noise,
+            model.grad,
+            model.space.project,
+            cfg.clip,
+            cfg.eta,
+            math.sqrt(cfg.sigma2_noise),
+        )
+    if not np.all(np.isfinite(out)):
+        raise NonFinite("DP-SGML output is non-finite")
+    return out
 
 
 def dp_sgml(data, model: ParametricModel, cfg: DPSGMLConfig, rng: np.random.Generator) -> np.ndarray:
-    """One run of DP-SGML; returns theta_K inside the parameter space.
+    """One run of DP-SGML on (n, dim) data; returns theta_K inside the space.
 
-    Randomness is consumed in a fixed order (initial normals, all batch
-    indices, all step noise) so a run is reproducible from its generator
-    state regardless of batching strategy.
+    This is the one-trial case of dp_sgml_batch: randomness is consumed in a
+    fixed order (initial normals, all batch indices, all step noise), and a
+    non-finite gradient or output raises NonFinite.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim == 1:
         data = data[:, None]
-    n = data.shape[0]
-    if data.shape[1] != model.dim:
-        raise DomainError("data dimension does not match the model")
-    theta0_raw = rng.standard_normal(model.dim)
-    if cfg.m is not None:
-        batch_idx = rng.integers(0, n, size=(cfg.K, cfg.m))
-    step_noise = rng.standard_normal((cfg.K, model.dim))
-
-    scale0 = math.sqrt(2.0 * cfg.sigma2_noise / model.lam)
-    theta = project(model.space, scale0 * theta0_raw)
-    noise_std = math.sqrt(cfg.sigma2_noise)
-    step_scale = math.sqrt(2.0 * cfg.eta)
-    for k in range(cfg.K):
-        batch = data if cfg.m is None else data[batch_idx[k]]
-        gbar = _clipped_mean_grad(model, batch, theta, cfg.clip)
-        theta = project(model.space, theta + cfg.eta * gbar + step_scale * noise_std * step_noise[k])
-    return theta
+    return _run_trials(data[None], model, cfg, iter((rng,)))[0]
 
 
 def dp_sgml_batch(
@@ -375,60 +404,13 @@ def dp_sgml_batch(
     seed: int,
     *tags: int,
 ) -> np.ndarray:
-    """Run dp_sgml on (trials, n, dim) data, trial t using derived stream t.
+    """Run DP-SGML on (trials, n, dim) data, trial t using derived stream t.
 
-    Models exposing mean_grad_scale on a Ball run through the vectorized
-    trial kernel in chunks; anything else falls back to per-trial runs.  Either
-    path agrees with dp_sgml(data[t], ..., derived_rng(seed, *tags, t)): the
-    trial streams come from trial_rngs, which derives them in bulk with the
-    same bits.
+    Row t equals dp_sgml(data[t], ..., derived_rng(seed, *tags, t)) bit for
+    bit, for any model, space and batch size: both run the same trial-batched
+    kernel, and trial_rngs derives the streams in bulk with the same bits.
     """
-    data = np.asarray(data, dtype=float)
-    if data.ndim != 3 or data.shape[2] != model.dim:
-        raise DomainError("data must have shape (trials, n, dim)")
-    trials, n, d = data.shape
-    fast = (
-        cfg.m is not None
-        and model.mean_grad_scale is not None
-        and isinstance(model.space, Ball)
-    )
-    if not fast:
-        return np.stack(
-            [dp_sgml(data[t], model, cfg, r) for t, r in enumerate(trial_rngs(seed, tags, trials))]
-        )
-
-    scale0 = math.sqrt(2.0 * cfg.sigma2_noise / model.lam)
-    center = np.asarray(model.space.center)
-    # Indices are drawn as int64 (the stream is unchanged) but stored as int32,
-    # which halves the largest buffer, whenever n allows.
-    idx_dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
-    out = np.empty((trials, d))
-    # One iterator across all chunks: chunk c continues at trial c * _BATCH_CHUNK.
-    rngs = trial_rngs(seed, tags, trials)
-    for start in range(0, trials, _BATCH_CHUNK):
-        stop = min(start + _BATCH_CHUNK, trials)
-        size = stop - start
-        theta0 = np.empty((size, d))
-        batch_idx = np.empty((size, cfg.K, cfg.m), dtype=idx_dtype)
-        step_noise = np.empty((size, cfg.K, d))
-        for t, r in zip(range(start, stop), rngs):
-            raw = r.standard_normal(d)
-            batch_idx[t - start] = r.integers(0, n, size=(cfg.K, cfg.m))
-            step_noise[t - start] = r.standard_normal((cfg.K, d))
-            theta0[t - start] = project(model.space, scale0 * raw)
-        out[start:stop] = _kernels.dpsgml_trials(
-            data[start:stop],
-            theta0,
-            batch_idx,
-            step_noise,
-            model.mean_grad_scale,
-            cfg.clip,
-            cfg.eta,
-            math.sqrt(cfg.sigma2_noise),
-            center,
-            model.space.radius,
-        )
-    return out
+    return _run_trials(data, model, cfg, trial_rngs(seed, tags, len(data)))
 
 
 def mle_pga(data, model: ParametricModel, tol: float = 1e-10, max_iter: int = 100_000) -> np.ndarray:
@@ -483,10 +465,12 @@ def estimate_xi2(
     if m < 1 or trials < 1:
         raise DomainError("m and trials must be >= 1")
     theta_ml = np.asarray(theta_ml, dtype=float)
-    n = data.shape[0]
-    values = np.empty(trials)
-    for t in range(trials):
-        idx = rng.integers(0, n, size=m)
-        gbar = _clipped_mean_grad(model, data[idx], theta_ml, model.L)
-        values[t] = float(gbar @ gbar)
+    # One draw per trial keeps the stream: a draw of m indices discards the
+    # half-used 32-bit word an odd m leaves.
+    idx = np.stack([rng.integers(0, len(data), size=m) for _ in range(trials)])
+    with np.errstate(divide="ignore"):
+        gbar = _kernels.clipped_mean(model.grad(data[idx], theta_ml), model.L)
+    if not np.all(np.isfinite(gbar)):
+        raise NonFinite("model gradient is non-finite")
+    values = np.array([g @ g for g in gbar])
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0

@@ -179,6 +179,10 @@ def test_verify_too_large_is_checked_failure(capsys):
         ["bounds", "fano", "--n", "1", "--N", "3", "--tv", "nan,0.1,0.2", "--dp", "--eps", "1"],
         ["experiment", "bernoulli", "--ns=", "--trials", "100"],
         ["experiment", "dpsgml", "--ns", "200", "--rho=", "--trials", "100"],
+        ["experiment", "dpsgml", "--ns", "200", "--rho", "0.5", "--trials", "100", "--smoothness", "inf"],
+        ["experiment", "dpsgml", "--ns", "200", "--rho", "0.5", "--trials", "100", "--sigma", "nan"],
+        ["experiment", "dpsgml", "--ns", "200", "--rho", "0.5", "--trials", "100", "--sigma", "inf"],
+        ["experiment", "dpsgml", "--ns", "200", "--rho", "0.5", "--trials", "100", "--radius", "nan"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
@@ -316,6 +320,15 @@ def test_experiment_dpsgml_quick_run(capsys):
     out = capsys.readouterr().out
     assert "dp_sgml" in out
     assert "mle" in out
+
+
+def test_experiment_dpsgml_infinite_radius_runs_unconstrained(capsys):
+    rc = main([
+        "experiment", "dpsgml", "--ns", "60", "--rho", "1.0", "--d", "3",
+        "--radius", "inf", "--m", "16", "--trials", "100", "--seed", "3",
+    ])
+    assert rc == 0
+    assert "dp_sgml" in capsys.readouterr().out
 
 
 def test_experiment_dpsgml_budget_failure_exits_1(capsys):

@@ -7,7 +7,7 @@ from dpminimax import derived_rng, spawn_keys
 from dpminimax._kernels import backend, dpsgml_trials, pair_assignments, races_winners
 from dpminimax._rng import trial_rngs
 from dpminimax.experiments import _bernoulli_sampler, _uniform_sampler, monte_carlo_risk
-from dpminimax.mechanisms import laplace_mean
+from dpminimax.mechanisms import Ball, laplace_mean
 
 
 def test_backend_reports_known_name():
@@ -125,6 +125,14 @@ def _dpsgml_reference(data, theta0, batch_idx, step_noise, grad_scale, clip, eta
     return out
 
 
+def _kernel_args(data, theta0, batch_idx, step_noise, grad_scale, clip, eta, noise_std, center, radius):
+    """The reference's arguments as the kernel takes them: a linear gradient
+    and the projection onto Ball(center, radius)."""
+    grad = lambda X, theta: (X - theta[..., None, :]) * grad_scale  # noqa: E731
+    project = Ball(center=tuple(center), radius=radius).project
+    return data, theta0, batch_idx, step_noise, grad, project, clip, eta, noise_std
+
+
 def _random_dpsgml_inputs(rng, trials=4, n=12, d=3, K=6, m=5):
     data = rng.standard_normal((trials, n, d))
     theta0 = 0.1 * rng.standard_normal((trials, d))
@@ -139,7 +147,7 @@ def test_dpsgml_trials_single_step_hand_check():
     theta0 = np.array([[0.5, 0.5]])
     batch_idx = np.array([[[0, 1]]])
     step_noise = np.zeros((1, 1, 2))
-    out = dpsgml_trials(data, theta0, batch_idx, step_noise, 1.0, 100.0, 0.5, 0.0, np.zeros(2), 10.0)
+    out = dpsgml_trials(*_kernel_args(data, theta0, batch_idx, step_noise, 1.0, 100.0, 0.5, 0.0, np.zeros(2), 10.0))
     grads = np.array([[0.5, -1.5], [2.5, 0.5]])
     expected = theta0[0] + 0.5 * grads.mean(axis=0)
     assert np.allclose(out[0], expected, atol=1e-12)
@@ -150,13 +158,13 @@ def test_dpsgml_trials_clipping_and_projection():
     theta0 = np.array([[0.0, 0.0]])
     batch_idx = np.array([[[0]]])
     step_noise = np.zeros((1, 1, 2))
-    out = dpsgml_trials(data, theta0, batch_idx, step_noise, 1.0, 2.0, 1.0, 0.0, np.zeros(2), 1.5)
+    out = dpsgml_trials(*_kernel_args(data, theta0, batch_idx, step_noise, 1.0, 2.0, 1.0, 0.0, np.zeros(2), 1.5))
     # gradient (10, 0) clips to (2, 0); the step lands at (2, 0) and projects
     assert np.allclose(out[0], [1.5, 0.0], atol=1e-12)
 
 
 def test_dpsgml_trials_index_dtype_does_not_change_results():
-    args = _random_dpsgml_inputs(derived_rng(208), trials=5, n=40, K=8, m=6)
+    args = _kernel_args(*_random_dpsgml_inputs(derived_rng(208), trials=5, n=40, K=8, m=6))
     narrow = (*args[:2], args[2].astype(np.int32), *args[3:])
     assert np.array_equal(dpsgml_trials(*args), dpsgml_trials(*narrow))
 
@@ -168,7 +176,7 @@ def test_dpsgml_trials_matches_reference():
         # A radius below the spread of the iterates keeps the projection active.
         args = (*_random_dpsgml_inputs(rng)[:-1], 0.3)
         data, theta0, batch_idx, _, grad_scale, clip, _, _, center, radius = args
-        out = dpsgml_trials(*args)
+        out = dpsgml_trials(*_kernel_args(*args))
         assert np.max(np.abs(out - _dpsgml_reference(*args))) <= 1e-12
         first = (data[np.arange(len(data))[:, None], batch_idx[:, 0]] - theta0[:, None]) * grad_scale
         clipped += int(np.sum(np.linalg.norm(first, axis=-1) > clip))

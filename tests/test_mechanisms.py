@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +49,32 @@ def test_ball_contains_and_projects():
     assert np.allclose(ball.project((0.1, 0.2)), [0.1, 0.2], atol=1e-15)
     with pytest.raises(DomainError):
         Ball(center=(0.0,), radius=0.0)
+
+
+def test_ball_projects_row_by_row():
+    ball = Ball(center=(1.0, -1.0), radius=0.5)
+    rows = np.array([[[1.0, -1.0], [4.0, 3.0]], [[1.2, -1.1], [0.0, -1.0]]])
+    out = ball.project(rows)
+    assert out.shape == rows.shape
+    for idx in np.ndindex(rows.shape[:-1]):
+        assert np.array_equal(out[idx], ball.project(rows[idx]))
+    inside = rows[:, 0]
+    assert ball.project(inside) is inside
+
+
+@pytest.mark.parametrize(
+    "center, radius, name",
+    [((0.0,), math.nan, "radius"), ((0.0,), -1.0, "radius"), ((math.nan, 0.0), 1.0, "center"),
+     ((math.inf,), 1.0, "center")],
+)
+def test_ball_rejects_bad_radius_and_center(center, radius, name):
+    with pytest.raises(DomainError, match=name):
+        Ball(center=center, radius=radius)
+
+
+def test_ball_of_infinite_radius_projects_nothing():
+    point = np.array([1e100, -3.0])
+    assert Ball(center=(0.0, 0.0), radius=math.inf).project(point) is point
 
 
 def test_box_contains_and_projects():
@@ -214,6 +241,17 @@ def test_gaussian_model_gradient_matches_finite_differences():
         assert np.allclose(grad[:, j], numeric, atol=1e-5)
 
 
+def test_gaussian_model_grad_broadcasts_over_leading_axes():
+    model = gaussian_mean_model(3, sigma=0.7)
+    rng = derived_rng(8)
+    X = rng.standard_normal((4, 6, 3))
+    theta = rng.standard_normal((4, 3))
+    grad = model.grad(X, theta)
+    assert grad.shape == X.shape
+    for t in range(4):
+        assert np.array_equal(grad[t], model.grad(X[t], theta[t]))
+
+
 def test_gaussian_model_constants():
     model = gaussian_mean_model(3, sigma=2.0, radius=1.0, clip_norm=0.7, smoothness=5.0)
     assert model.lam == pytest.approx(0.25)
@@ -229,6 +267,12 @@ def test_gaussian_model_validation():
         gaussian_mean_model(3, sigma=0.0)
     with pytest.raises(DomainError):
         gaussian_mean_model(3, sigma=1.0, smoothness=0.5)
+    for sigma in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="sigma"):
+            gaussian_mean_model(3, sigma=sigma)
+    for smoothness in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="beta"):
+            gaussian_mean_model(3, smoothness=smoothness)
 
 
 def test_parametric_model_validation():
@@ -245,6 +289,17 @@ def test_parametric_model_validation():
 @pytest.mark.parametrize("field", ["L", "gamma"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_parametric_model_rejects_non_finite_clip_and_kl_constant(field, value):
+    dummy = lambda *a: None
+    with pytest.raises(DomainError, match=field):
+        ParametricModel(
+            dim=1, space=Ball((0.0,), 1.0), sample=dummy, loglik=dummy, grad=dummy,
+            **{field: value},
+        )
+
+
+@pytest.mark.parametrize("field", ["lam", "beta"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_parametric_model_rejects_non_finite_curvature(field, value):
     dummy = lambda *a: None
     with pytest.raises(DomainError, match=field):
         ParametricModel(
@@ -305,30 +360,55 @@ def test_zero_noise_full_batch_recovers_sample_mean():
     assert np.allclose(out, data.mean(axis=0), atol=1e-10)
 
 
+def test_dp_sgml_draws_in_order_and_matches_a_plain_loop():
+    # Initial normals, then all batch indices, then all step noise.
+    model = gaussian_mean_model(3, sigma=1.0, radius=0.8)
+    cfg = DPSGMLConfig(sigma2_noise=0.3, K=7, eta=0.4, m=5, rho=1.0, clip=1.0)
+    data = model.sample(np.array([0.5, 0.2, -0.1]), 20, derived_rng(33))
+    rng = derived_rng(34)
+    theta = model.space.project(math.sqrt(2.0 * cfg.sigma2_noise / model.lam) * rng.standard_normal(3))
+    idx = rng.integers(0, 20, size=(cfg.K, cfg.m))
+    noise = rng.standard_normal((cfg.K, 3))
+    for k in range(cfg.K):
+        g = model.grad(data[idx[k]], theta)
+        norms = np.linalg.norm(g, axis=1)
+        g = g * np.where(norms > cfg.clip, cfg.clip / norms, 1.0)[:, None]
+        step = cfg.eta * g.mean(axis=0) + math.sqrt(2.0 * cfg.eta * cfg.sigma2_noise) * noise[k]
+        theta = model.space.project(theta + step)
+    assert np.max(np.abs(dp_sgml(data, model, cfg, derived_rng(34)) - theta)) <= 1e-12
+
+
 def test_dp_sgml_batch_matches_per_trial_runs():
     model = gaussian_mean_model(3, sigma=1.0, radius=2.0)
     cfg = dp_sgml_config(50, 3, 1.0, model, 8)
     theta_star = np.array([0.3, 0.0, -0.3])
     trials = 5
     data = np.stack([model.sample(theta_star, 50, derived_rng(21, t)) for t in range(trials)])
-    fast = dp_sgml_batch(data, model, cfg, 77, 9)
-    slow = np.stack([dp_sgml(data[t], model, cfg, derived_rng(77, 9, t)) for t in range(trials)])
-    assert np.allclose(fast, slow, atol=1e-9)
+    batch = dp_sgml_batch(data, model, cfg, 77, 9)
+    per_trial = np.stack([dp_sgml(data[t], model, cfg, derived_rng(77, 9, t)) for t in range(trials)])
+    assert np.array_equal(batch, per_trial)
 
 
-def test_dp_sgml_batch_fallback_path_agrees():
-    fast_model = gaussian_mean_model(3, sigma=1.0, radius=2.0)
-    slow_model = ParametricModel(
-        dim=3, space=fast_model.space, sample=fast_model.sample,
-        loglik=fast_model.loglik, grad=fast_model.grad,
-        lam=fast_model.lam, beta=fast_model.beta, L=fast_model.L,
-        gamma=fast_model.gamma, mean_grad_scale=None,
-    )
-    cfg = dp_sgml_config(50, 3, 1.0, fast_model, 8)
-    data = np.stack([fast_model.sample(np.zeros(3), 50, derived_rng(23, t)) for t in range(3)])
-    fast = dp_sgml_batch(data, fast_model, cfg, 5, 1)
-    slow = dp_sgml_batch(data, slow_model, cfg, 5, 1)
-    assert np.allclose(fast, slow, atol=1e-9)
+def test_dp_sgml_batch_does_not_read_mean_grad_scale():
+    model = gaussian_mean_model(3, sigma=1.0, radius=2.0)
+    cfg = dp_sgml_config(50, 3, 1.0, model, 8)
+    data = np.stack([model.sample(np.zeros(3), 50, derived_rng(23, t)) for t in range(3)])
+    plain = dataclasses.replace(model, mean_grad_scale=None)
+    assert np.array_equal(dp_sgml_batch(data, model, cfg, 5, 1), dp_sgml_batch(data, plain, cfg, 5, 1))
+
+
+@pytest.mark.parametrize("m", [8, None])
+def test_dp_sgml_batch_box_model_matches_per_trial_runs(m):
+    # A box that cuts through the data keeps the projection active.
+    box = Box(lo=(-0.2, 0.0, -1.0), hi=(0.2, 0.5, 1.0))
+    model = dataclasses.replace(gaussian_mean_model(3, sigma=1.0), space=box, mean_grad_scale=None)
+    cfg = DPSGMLConfig(sigma2_noise=0.05, K=12, eta=0.5, m=m, rho=1.0, clip=1.0)
+    data = np.stack([model.sample(np.array([0.5, 1.0, 0.0]), 40, derived_rng(24, t)) for t in range(6)])
+    batch = dp_sgml_batch(data, model, cfg, 79, 4)
+    per_trial = np.stack([dp_sgml(data[t], model, cfg, derived_rng(79, 4, t)) for t in range(6)])
+    assert np.array_equal(batch, per_trial)
+    assert all(box.contains(theta) for theta in batch)
+    assert np.any(batch == np.array(box.hi)) or np.any(batch == np.array(box.lo))
 
 
 def test_dp_sgml_batch_matches_per_trial_runs_across_chunks(monkeypatch):
@@ -347,16 +427,27 @@ def test_dp_sgml_batch_matches_per_trial_runs_across_chunks(monkeypatch):
     fast = dp_sgml_batch(data, model, cfg, 77, 3)
     assert seen == [(mechanisms._BATCH_CHUNK, np.int32), (2, np.int32)]
     slow = np.stack([dp_sgml(data[t], model, cfg, derived_rng(77, 3, t)) for t in range(trials)])
-    assert np.max(np.abs(fast - slow)) <= 1e-12
+    assert np.array_equal(fast, slow)
 
 
-def test_dp_sgml_batch_per_trial_path_matches_derived_streams():
-    # Full-batch gradients (m=None) take the per-trial path, not the kernel.
+def test_dp_sgml_batch_per_trial_path_matches_derived_streams(monkeypatch):
+    # Full-batch gradients (m=None) run the same kernel, every index in every step.
     model = gaussian_mean_model(2, sigma=1.0, radius=2.0)
     cfg = DPSGMLConfig(sigma2_noise=0.5, K=6, eta=0.3, m=None, rho=1.0, clip=2.0)
-    data = np.stack([model.sample(np.array([0.1, 0.3]), 40, derived_rng(26, t)) for t in range(5)])
+    trials = mechanisms._BATCH_CHUNK + 2
+    data = np.stack([model.sample(np.array([0.1, 0.3]), 40, derived_rng(26, t)) for t in range(trials)])
+    seen = []
+    kernel = mechanisms._kernels.dpsgml_trials
+
+    def spy(data, theta0, batch_idx, *args):
+        seen.append(batch_idx.shape)
+        assert np.array_equal(batch_idx[-1, -1], np.arange(40))
+        return kernel(data, theta0, batch_idx, *args)
+
+    monkeypatch.setattr(mechanisms._kernels, "dpsgml_trials", spy)
     batch = dp_sgml_batch(data, model, cfg, 78, 2)
-    per_trial = np.stack([dp_sgml(data[t], model, cfg, derived_rng(78, 2, t)) for t in range(5)])
+    assert seen == [(mechanisms._BATCH_CHUNK, 6, 40), (2, 6, 40)]
+    per_trial = np.stack([dp_sgml(data[t], model, cfg, derived_rng(78, 2, t)) for t in range(trials)])
     assert np.array_equal(batch, per_trial)
 
 
@@ -379,17 +470,34 @@ def test_dp_sgml_validation():
 
 def test_non_finite_gradient_is_reported():
     base = gaussian_mean_model(2)
-    bad = ParametricModel(
-        dim=2, space=base.space, sample=base.sample, loglik=base.loglik,
-        grad=lambda X, theta: np.full((np.atleast_2d(X).shape[0], 2), np.nan),
-        lam=1.0, beta=1.0, L=1.0, gamma=0.5, mean_grad_scale=None,
-    )
     cfg = DPSGMLConfig(sigma2_noise=0.1, K=3, eta=0.5, m=None, rho=0.1, clip=1.0)
     data = np.zeros((5, 2))
+    for value in (math.nan, math.inf):
+        bad = ParametricModel(
+            dim=2, space=base.space, sample=base.sample, loglik=base.loglik,
+            grad=lambda X, theta: np.full(np.shape(X), value),
+            lam=1.0, beta=1.0, L=1.0, gamma=0.5, mean_grad_scale=None,
+        )
+        with pytest.raises(NonFinite):
+            dp_sgml(data, bad, cfg, derived_rng(1))
+        with pytest.raises(NonFinite):
+            dp_sgml_batch(np.stack([data, data]), bad, cfg, 1)
+        with pytest.raises(NonFinite):
+            estimate_xi2(data, bad, np.zeros(2), m=3, trials=4, rng=derived_rng(2))
+        with pytest.raises(NonFinite):
+            mle_pga(data, bad)
+
+
+@pytest.mark.parametrize("m", [None, 4])
+def test_nan_data_row_raises_in_both_entry_points(m):
+    model = gaussian_mean_model(2, sigma=1.0, radius=2.0)
+    cfg = DPSGMLConfig(sigma2_noise=0.1, K=20, eta=0.5, m=m, rho=0.1, clip=1.0)
+    data = np.stack([model.sample(np.zeros(2), 5, derived_rng(27, t)) for t in range(3)])
+    data[1, 2, 0] = np.nan
     with pytest.raises(NonFinite):
-        dp_sgml(data, bad, cfg, derived_rng(1))
+        dp_sgml(data[1], model, cfg, derived_rng(28))
     with pytest.raises(NonFinite):
-        mle_pga(data, bad)
+        dp_sgml_batch(data, model, cfg, 28)
 
 
 # ----------------------------------------------------------- MLE and xi^2
@@ -449,6 +557,38 @@ def test_estimate_xi2_full_batch_is_small_but_positive():
     xi2, stderr = estimate_xi2(data, model, theta_ml, m=40, trials=200, rng=derived_rng(48))
     assert 0.0 < xi2 < 1.0
     assert stderr > 0.0
+
+
+def _xi2_reference(data, model, theta_ml, m, trials, rng):
+    """One clipped batch mean per trial, the batch drawn just before it."""
+    values = np.empty(trials)
+    for t in range(trials):
+        g = model.grad(data[rng.integers(0, len(data), size=m)], theta_ml)
+        norms = np.sqrt(np.sum(g * g, axis=1))
+        gbar = (g * np.where(norms > model.L, model.L / np.maximum(norms, 1e-300), 1.0)[:, None]).mean(axis=0)
+        values[t] = gbar @ gbar
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(trials))
+
+
+@pytest.mark.parametrize("m", [7, 16])
+def test_estimate_xi2_matches_per_batch_reference(m):
+    model = gaussian_mean_model(3, sigma=1.0, radius=5.0, clip_norm=1.5)
+    data = model.sample(np.array([0.2, -0.1, 0.4]), 30, derived_rng(49))
+    theta_ml = mle_pga(data, model)
+    got = estimate_xi2(data, model, theta_ml, m=m, trials=50, rng=derived_rng(50))
+    assert got == _xi2_reference(data, model, theta_ml, m, 50, derived_rng(50))
+
+
+def test_zero_gradient_rows_are_quiet():
+    # One data point is its own MLE, so every per-sample gradient is zero;
+    # noiseless DP-SGML started at the data stays there.
+    model = gaussian_mean_model(2, sigma=1.0, radius=5.0)
+    data = np.array([[0.0, 0.0]])
+    cfg = DPSGMLConfig(sigma2_noise=0.0, K=3, eta=0.5, m=2, rho=1.0, clip=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert estimate_xi2(data, model, mle_pga(data, model), m=4, trials=3, rng=derived_rng(51)) == (0.0, 0.0)
+        assert np.array_equal(dp_sgml(data, model, cfg, derived_rng(52)), [0.0, 0.0])
 
 
 def test_estimate_xi2_validation():
