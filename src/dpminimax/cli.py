@@ -59,6 +59,7 @@ from .mechanisms import (
     rr_sum_kernel,
 )
 from .verify import (
+    _MAX_DATASETS,
     verify_admissibility,
     verify_group_privacy,
     verify_kl_dp,
@@ -266,6 +267,8 @@ def _cmd_bounds_lecam(args) -> int:
 
 def _tv_matrix(args) -> np.ndarray:
     N = args.N
+    if N < 2:
+        raise DomainError("need at least two hypotheses")
     if args.tv_all is not None:
         m = np.full((N, N), args.tv_all)
         np.fill_diagonal(m, 0.0)
@@ -407,6 +410,15 @@ def _dist_config(m: DiscreteDistribution) -> dict:
 
 
 def _build_mechanism(args):
+    for flag in ("n", "alphabet"):
+        if getattr(args, flag) < 1:
+            raise DomainError(f"--{flag} must be >= 1")
+    # Check the size before building: a kernel has base^n rows.
+    base = args.alphabet if args.mechanism == "identity" else 2
+    if base > 1 and args.n * base.bit_length() > 4096:  # base^n > 2^2048: too long to print
+        raise TooLarge(f"{base}^{args.n} datasets exceeds cap {_MAX_DATASETS}")
+    if base**args.n > _MAX_DATASETS:
+        raise TooLarge(f"{base**args.n} datasets exceeds cap {_MAX_DATASETS}")
     if args.mechanism == "rr":
         return rr_kernel(args.eps, args.n)
     if args.mechanism == "rr-sum":

@@ -462,8 +462,8 @@ def run_dpsgml(
         outputs = dp_sgml_batch(data, model, cfg, seed, k, 1)
         risk, stderr = _mean_stderr(np.sum((outputs - theta_star[None, :]) ** 2, axis=1))
 
-        theta_ml0 = mle_pga(data[0], model)
-        xi2, xi2_err = estimate_xi2(data[0], model, theta_ml0, m, 200, derived_rng(seed, k, 2))
+        theta_ml = mle_pga(data[:ml_trials], model)
+        xi2, xi2_err = estimate_xi2(data[0], model, theta_ml[0], m, 200, derived_rng(seed, k, 2))
 
         nonprivate_lower = d / (beta_kl * n)
         lower = max(d / (beta_kl * rho * n * n), nonprivate_lower)
@@ -487,7 +487,7 @@ def run_dpsgml(
         )
         if n not in ml_done:
             ml_done.add(n)
-            ml_losses = [_squared_loss(mle_pga(x, model), theta_star) for x in data[:ml_trials]]
+            ml_losses = [_squared_loss(theta, theta_star) for theta in theta_ml]
             ml_risk, ml_stderr = _mean_stderr(np.array(ml_losses))
             cells.append(_cell(
                 "dpsgml", n, PrivacyConstraint.none(), "mle", ml_risk, ml_stderr, ml_trials,

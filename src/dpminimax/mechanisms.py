@@ -90,6 +90,9 @@ class Box:
     def __post_init__(self):
         lo = tuple(float(x) for x in self.lo)
         hi = tuple(float(x) for x in self.hi)
+        for name, bound in (("lo", lo), ("hi", hi)):
+            if any(math.isnan(x) for x in bound):
+                raise DomainError(f"{name} must not contain nan, got {bound!r}")
         if len(lo) != len(hi) or any(a > b for a, b in zip(lo, hi)):
             raise DomainError("box bounds must satisfy lo <= hi coordinatewise")
         object.__setattr__(self, "lo", lo)
@@ -119,6 +122,12 @@ def _check_unit_data(data: np.ndarray) -> None:
         raise DomainError("data must lie in [0, 1]")
 
 
+def _check_positive(name: str, value: float) -> None:
+    """Require 0 < value < inf; nan fails the check."""
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{name} must be positive and finite")
+
+
 def laplace_mean(data, epsilon: float, rng: np.random.Generator, clamp: bool = False) -> float:
     """Sample mean plus Laplace(1/(n epsilon)) noise; epsilon-DP on [0,1] data.
 
@@ -127,8 +136,7 @@ def laplace_mean(data, epsilon: float, rng: np.random.Generator, clamp: bool = F
     """
     data = np.asarray(data, dtype=float)
     _check_unit_data(data)
-    if epsilon <= 0.0:
-        raise DomainError("epsilon must be positive")
+    _check_positive("epsilon", epsilon)
     n = data.shape[0]
     out = float(data.mean() + rng.laplace(0.0, 1.0 / (n * epsilon)))
     return min(1.0, max(0.0, out)) if clamp else out
@@ -138,8 +146,7 @@ def gaussian_mean(data, rho: float, rng: np.random.Generator, clamp: bool = Fals
     """Sample mean plus (2/(n sqrt(rho))) standard-normal noise; rho-zCDP."""
     data = np.asarray(data, dtype=float)
     _check_unit_data(data)
-    if rho <= 0.0:
-        raise DomainError("rho must be positive")
+    _check_positive("rho", rho)
     n = data.shape[0]
     out = float(data.mean() + (2.0 / (n * math.sqrt(rho))) * rng.standard_normal())
     return min(1.0, max(0.0, out)) if clamp else out
@@ -159,8 +166,7 @@ def randomized_response(bit: int, epsilon: float, rng: np.random.Generator) -> i
     """Return the true bit with probability e^eps / (1 + e^eps)."""
     if bit not in (0, 1):
         raise DomainError("bit must be 0 or 1")
-    if epsilon <= 0.0:
-        raise DomainError("epsilon must be positive")
+    _check_positive("epsilon", epsilon)
     keep = _rr_keep(epsilon)
     return bit if rng.random() < keep else 1 - bit
 
@@ -170,8 +176,7 @@ def rr_kernel(epsilon: float, n: int = 1) -> FiniteMechanism:
 
     Outputs are bit vectors encoded as integers, first bit most significant.
     """
-    if not 0.0 < epsilon < math.inf:
-        raise DomainError("epsilon must be positive and finite")
+    _check_positive("epsilon", epsilon)
     if n < 1:
         raise DomainError("n must be >= 1")
     keep = _rr_keep(epsilon)
@@ -186,8 +191,7 @@ def rr_kernel(epsilon: float, n: int = 1) -> FiniteMechanism:
 
 def rr_sum_kernel(epsilon: float, n: int = 2) -> FiniteMechanism:
     """Sum of per-bit randomized responses; epsilon-DP with n + 1 outputs."""
-    if not 0.0 < epsilon < math.inf:
-        raise DomainError("epsilon must be positive and finite")
+    _check_positive("epsilon", epsilon)
     if n < 1:
         raise DomainError("n must be >= 1")
     keep = _rr_keep(epsilon)
@@ -228,10 +232,10 @@ class ParametricModel:
     in one call.  space.project maps (..., dim) to (..., dim) row by row.
     lam and beta (finite) bound the strong concavity and smoothness of the
     log-likelihood, L is the gradient clip norm, gamma the coefficient of
-    the quadratic KL upper bound.  mean_grad_scale, when set, declares
-    grad(x, theta) = (x - theta) * scale for a positive finite scale; it
-    only makes mle_pga return the exact MLE (the sample mean projected onto
-    the space) instead of running projected gradient ascent.
+    the quadratic KL upper bound.  mle(X, space) is the exact maximizer of
+    the summed log-likelihood over space, broadcast like grad: X of shape
+    (..., n, dim) gives (..., dim).  It takes the space as an argument so a
+    model whose space is swapped by dataclasses.replace stays exact.
     """
 
     dim: int
@@ -239,11 +243,11 @@ class ParametricModel:
     sample: Callable = field(compare=False)
     loglik: Callable = field(compare=False)
     grad: Callable = field(compare=False)
+    mle: Callable = field(compare=False)
     lam: float = 1.0
     beta: float = 1.0
     L: float = 1.0
     gamma: float = 0.5
-    mean_grad_scale: Optional[float] = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -256,8 +260,6 @@ class ParametricModel:
             raise DomainError("L and gamma must be positive")
         if not (math.isfinite(self.L) and math.isfinite(self.gamma)):
             raise DomainError("L and gamma must be finite")
-        if self.mean_grad_scale is not None and not 0.0 < self.mean_grad_scale < math.inf:
-            raise DomainError("mean_grad_scale must be positive and finite")
 
 
 def gaussian_mean_model(
@@ -295,17 +297,21 @@ def gaussian_mean_model(
         g *= inv_var
         return g
 
+    def mle(X, space):
+        # Exact on a Ball or a Box: the log-likelihood is an isotropic quadratic.
+        return space.project(np.asarray(X, dtype=float).mean(axis=-2))
+
     return ParametricModel(
         dim=d,
         space=Ball(center=(0.0,) * d, radius=radius),
         sample=sample,
         loglik=loglik,
         grad=grad,
+        mle=mle,
         lam=curvature,
         beta=beta,
         L=float(clip_norm),
         gamma=curvature / 2.0,
-        mean_grad_scale=inv_var,
     )
 
 
@@ -321,8 +327,12 @@ class DPSGMLConfig:
     clip: float
 
     def __post_init__(self):
-        if self.sigma2_noise < 0.0 or self.eta <= 0.0 or self.K < 1 or self.clip <= 0.0:
-            raise DomainError("invalid DP-SGML configuration")
+        if not 0.0 <= self.sigma2_noise < math.inf:
+            raise DomainError("sigma2_noise must be non-negative and finite")
+        for name in ("eta", "rho", "clip"):
+            _check_positive(name, getattr(self, name))
+        if self.K < 1:
+            raise DomainError("K must be >= 1")
         if self.m is not None and self.m < 1:
             raise DomainError("batch size must be >= 1")
 
@@ -331,8 +341,9 @@ def dp_sgml_config(n: int, d: int, rho: float, model: ParametricModel, m: int) -
     """Privacy calibration: sigma^2 = 4L^2/(rho lam n^2), eta = 1/(2 beta),
     K = ceil((2 beta / lam) ln(rho n^2 / d)).
     """
-    if n < 1 or d < 1 or rho <= 0.0:
-        raise DomainError("need n >= 1, d >= 1, rho > 0")
+    if n < 1 or d < 1:
+        raise DomainError("need n >= 1, d >= 1")
+    _check_positive("rho", rho)
     if rho * n * n <= d * math.e:
         raise InsufficientBudget(f"rho n^2 = {rho * n * n:g} must exceed d e = {d * math.e:g}")
     sigma2 = 4.0 * model.L**2 / (rho * model.lam * n * n)
@@ -413,37 +424,20 @@ def dp_sgml_batch(
     return _run_trials(data, model, cfg, trial_rngs(seed, tags, len(data)))
 
 
-def mle_pga(data, model: ParametricModel, tol: float = 1e-10, max_iter: int = 100_000) -> np.ndarray:
+def mle_pga(data, model: ParametricModel) -> np.ndarray:
     """Maximum-likelihood estimate over the model's parameter space.
 
-    A linear-gradient model (mean_grad_scale set) has an isotropic quadratic
-    log-likelihood, so its constrained maximizer is exactly the sample mean
-    projected onto the space; tol and max_iter are then unused.  Other
-    models fall back to deterministic projected gradient ascent: full-batch
-    unclipped mean gradient with step 1/beta, stopped when the update norm
-    falls below tol.
+    Returns model.mle, exact for every model, for (n, dim) data or a
+    (..., n, dim) stack of datasets, one row each.  The name outlives the
+    projected gradient ascent this replaced: callers and the benchmark's
+    tracer use it.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim == 1:
         data = data[:, None]
-    if model.mean_grad_scale is not None:
-        mean = data.mean(axis=0)
-        if not np.all(np.isfinite(mean)):
-            raise NonFinite("sample mean is non-finite")
-        return project(model.space, mean)
-    if isinstance(model.space, Ball):
-        theta = np.asarray(model.space.center, dtype=float)
-    else:
-        theta = (np.asarray(model.space.lo) + np.asarray(model.space.hi)) / 2.0
-    step = 1.0 / model.beta
-    for _ in range(max_iter):
-        g = np.atleast_2d(model.grad(data, theta))
-        if not np.all(np.isfinite(g)):
-            raise NonFinite("model gradient is non-finite")
-        nxt = project(model.space, theta + step * g.mean(axis=0))
-        if float(np.linalg.norm(nxt - theta)) <= tol:
-            return nxt
-        theta = nxt
+    theta = model.mle(data, model.space)
+    if not (np.all(np.isfinite(data)) and np.all(np.isfinite(theta))):
+        raise NonFinite("data or maximum-likelihood estimate is non-finite")
     return theta
 
 

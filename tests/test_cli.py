@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from dpminimax import cli
 from dpminimax.cli import build_parser, main
 
 CSV_HEADER = "model,n,constraint_kind,eps,delta,rho,mechanism,risk,stderr,lower_bound,branch"
@@ -158,6 +159,26 @@ def test_verify_too_large_is_checked_failure(capsys):
 
 
 @pytest.mark.parametrize(
+    "flags, count",
+    [
+        (["rr", "--n", "7"], "128"),
+        (["rr-sum", "--n", "7"], "128"),
+        (["identity", "--alphabet", "3", "--n", "4"], "81"),
+        (["rr", "--n", "100000"], "2^100000"),
+    ],
+    ids=["rr", "rr-sum", "identity", "rr-unprintable-count"],
+)
+def test_verify_refuses_a_large_instance_before_building_it(flags, count, monkeypatch, capsys):
+    def unbuilt(*args):
+        raise AssertionError("the kernel was built")
+
+    for builder in ("rr_kernel", "rr_sum_kernel", "identity_kernel"):
+        monkeypatch.setattr(cli, builder, unbuilt)
+    assert main(["verify", "privacy", "--mechanism", *flags]) == 1
+    assert capsys.readouterr().err == f"error: {count} datasets exceeds cap 64\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["bounds", "lecam", "--n", "2", "--tv", "0.5", "--dp", "--eps", "1.0", "--zcdp", "--rho", "0.1"],
@@ -183,6 +204,8 @@ def test_verify_too_large_is_checked_failure(capsys):
         ["experiment", "dpsgml", "--ns", "200", "--rho", "0.5", "--trials", "100", "--sigma", "nan"],
         ["experiment", "dpsgml", "--ns", "200", "--rho", "0.5", "--trials", "100", "--sigma", "inf"],
         ["experiment", "dpsgml", "--ns", "200", "--rho", "0.5", "--trials", "100", "--radius", "nan"],
+        ["verify", "privacy", "--mechanism", "identity", "--alphabet", "-2"],
+        ["bounds", "fano", "--n", "2", "--N", "-1", "--tv-all", "0.5"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):

@@ -87,6 +87,15 @@ def test_box_contains_and_projects():
         Box(lo=(1.0,), hi=(0.0,))
 
 
+@pytest.mark.parametrize("lo, hi, name", [((math.nan,), (1.0,), "lo"), ((0.0, -1.0), (1.0, math.nan), "hi")])
+def test_box_rejects_nan_bounds(lo, hi, name):
+    with pytest.raises(DomainError, match=name):
+        Box(lo=lo, hi=hi)
+    # Infinite bounds stay legal.
+    box = Box(lo=(-math.inf, 0.0), hi=(math.inf, math.inf))
+    assert np.array_equal(box.project([5.0, -2.0]), [5.0, 0.0])
+
+
 # ------------------------------------------------------- noisy mean outputs
 
 
@@ -125,6 +134,17 @@ def test_noisy_means_validate_inputs():
         gaussian_mean(np.array([0.5]), -1.0, rng)
     with pytest.raises(DomainError):
         laplace_mean(np.zeros((2, 2)), 1.0, rng)
+
+
+@pytest.mark.parametrize("budget", [math.nan, math.inf])
+def test_mean_mechanisms_reject_non_finite_budgets(budget):
+    rng = derived_rng(3)
+    with pytest.raises(DomainError, match="epsilon"):
+        laplace_mean(np.array([0.5]), budget, rng)
+    with pytest.raises(DomainError, match="rho"):
+        gaussian_mean(np.array([0.5]), budget, rng)
+    with pytest.raises(DomainError, match="epsilon"):
+        randomized_response(1, budget, rng)
 
 
 def test_clamped_outputs_stay_in_unit_interval():
@@ -258,7 +278,6 @@ def test_gaussian_model_constants():
     assert model.beta == 5.0
     assert model.L == 0.7
     assert model.gamma == pytest.approx(0.125)
-    assert model.mean_grad_scale == pytest.approx(0.25)
     assert isinstance(model.space, Ball)
 
 
@@ -278,10 +297,10 @@ def test_gaussian_model_validation():
 def test_parametric_model_validation():
     dummy = lambda *a: None
     with pytest.raises(DomainError):
-        ParametricModel(dim=0, space=Ball((0.0,), 1.0), sample=dummy, loglik=dummy, grad=dummy)
+        ParametricModel(dim=0, space=Ball((0.0,), 1.0), sample=dummy, loglik=dummy, grad=dummy, mle=dummy)
     with pytest.raises(DomainError):
         ParametricModel(
-            dim=1, space=Ball((0.0,), 1.0), sample=dummy, loglik=dummy, grad=dummy,
+            dim=1, space=Ball((0.0,), 1.0), sample=dummy, loglik=dummy, grad=dummy, mle=dummy,
             lam=2.0, beta=1.0,
         )
 
@@ -292,7 +311,7 @@ def test_parametric_model_rejects_non_finite_clip_and_kl_constant(field, value):
     dummy = lambda *a: None
     with pytest.raises(DomainError, match=field):
         ParametricModel(
-            dim=1, space=Ball((0.0,), 1.0), sample=dummy, loglik=dummy, grad=dummy,
+            dim=1, space=Ball((0.0,), 1.0), sample=dummy, loglik=dummy, grad=dummy, mle=dummy,
             **{field: value},
         )
 
@@ -303,18 +322,8 @@ def test_parametric_model_rejects_non_finite_curvature(field, value):
     dummy = lambda *a: None
     with pytest.raises(DomainError, match=field):
         ParametricModel(
-            dim=1, space=Ball((0.0,), 1.0), sample=dummy, loglik=dummy, grad=dummy,
+            dim=1, space=Ball((0.0,), 1.0), sample=dummy, loglik=dummy, grad=dummy, mle=dummy,
             **{field: value},
-        )
-
-
-@pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
-def test_parametric_model_rejects_bad_mean_grad_scale(scale):
-    dummy = lambda *a: None
-    with pytest.raises(DomainError):
-        ParametricModel(
-            dim=1, space=Ball((0.0,), 1.0), sample=dummy, loglik=dummy, grad=dummy,
-            mean_grad_scale=scale,
         )
 
 
@@ -349,6 +358,20 @@ def test_dp_sgml_config_validation():
         DPSGMLConfig(sigma2_noise=0.1, K=0, eta=0.1, m=4, rho=0.1, clip=1.0)
     with pytest.raises(DomainError):
         DPSGMLConfig(sigma2_noise=0.1, K=5, eta=0.1, m=0, rho=0.1, clip=1.0)
+
+
+@pytest.mark.parametrize("field", ["sigma2_noise", "eta", "rho", "clip"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_dp_sgml_config_rejects_non_finite_fields(field, value):
+    good = dict(sigma2_noise=0.1, K=3, eta=0.5, m=None, rho=1.0, clip=1.0)
+    with pytest.raises(DomainError, match=field):
+        DPSGMLConfig(**{**good, field: value})
+
+
+@pytest.mark.parametrize("rho", [math.nan, math.inf])
+def test_dp_sgml_calibration_rejects_non_finite_rho(rho):
+    with pytest.raises(DomainError, match="rho"):
+        dp_sgml_config(100, 2, rho, gaussian_mean_model(2), 8)
 
 
 def test_zero_noise_full_batch_recovers_sample_mean():
@@ -389,19 +412,11 @@ def test_dp_sgml_batch_matches_per_trial_runs():
     assert np.array_equal(batch, per_trial)
 
 
-def test_dp_sgml_batch_does_not_read_mean_grad_scale():
-    model = gaussian_mean_model(3, sigma=1.0, radius=2.0)
-    cfg = dp_sgml_config(50, 3, 1.0, model, 8)
-    data = np.stack([model.sample(np.zeros(3), 50, derived_rng(23, t)) for t in range(3)])
-    plain = dataclasses.replace(model, mean_grad_scale=None)
-    assert np.array_equal(dp_sgml_batch(data, model, cfg, 5, 1), dp_sgml_batch(data, plain, cfg, 5, 1))
-
-
 @pytest.mark.parametrize("m", [8, None])
 def test_dp_sgml_batch_box_model_matches_per_trial_runs(m):
     # A box that cuts through the data keeps the projection active.
     box = Box(lo=(-0.2, 0.0, -1.0), hi=(0.2, 0.5, 1.0))
-    model = dataclasses.replace(gaussian_mean_model(3, sigma=1.0), space=box, mean_grad_scale=None)
+    model = dataclasses.replace(gaussian_mean_model(3, sigma=1.0), space=box)
     cfg = DPSGMLConfig(sigma2_noise=0.05, K=12, eta=0.5, m=m, rho=1.0, clip=1.0)
     data = np.stack([model.sample(np.array([0.5, 1.0, 0.0]), 40, derived_rng(24, t)) for t in range(6)])
     batch = dp_sgml_batch(data, model, cfg, 79, 4)
@@ -475,8 +490,8 @@ def test_non_finite_gradient_is_reported():
     for value in (math.nan, math.inf):
         bad = ParametricModel(
             dim=2, space=base.space, sample=base.sample, loglik=base.loglik,
-            grad=lambda X, theta: np.full(np.shape(X), value),
-            lam=1.0, beta=1.0, L=1.0, gamma=0.5, mean_grad_scale=None,
+            grad=lambda X, theta: np.full(np.shape(X), value), mle=base.mle,
+            lam=1.0, beta=1.0, L=1.0, gamma=0.5,
         )
         with pytest.raises(NonFinite):
             dp_sgml(data, bad, cfg, derived_rng(1))
@@ -484,8 +499,6 @@ def test_non_finite_gradient_is_reported():
             dp_sgml_batch(np.stack([data, data]), bad, cfg, 1)
         with pytest.raises(NonFinite):
             estimate_xi2(data, bad, np.zeros(2), m=3, trials=4, rng=derived_rng(2))
-        with pytest.raises(NonFinite):
-            mle_pga(data, bad)
 
 
 @pytest.mark.parametrize("m", [None, 4])
@@ -509,6 +522,10 @@ def test_mle_closed_form_rejects_non_finite_data():
     data[3, 1] = np.nan
     with pytest.raises(NonFinite):
         mle_pga(data, model)
+    # A Box would clip an infinite mean onto a finite face.
+    data[3, 1] = np.inf
+    with pytest.raises(NonFinite):
+        mle_pga(data, dataclasses.replace(model, space=Box(lo=(-1.0, -1.0), hi=(1.0, 1.0))))
 
 
 @pytest.mark.parametrize(
@@ -526,12 +543,41 @@ def test_mle_closed_form_rejects_non_finite_data():
     ],
     ids=["ball-interior", "ball-exterior", "box-active"],
 )
-def test_mle_closed_form_agrees_with_projected_gradient_ascent(model, theta):
+def test_mle_satisfies_the_projection_certificate(model, theta):
+    # theta_hat maximizes the concave log-likelihood over the convex space iff
+    # <mean gradient at theta_hat, p - theta_hat> <= 0 for every feasible p.
     data = model.sample(np.array(theta), 80, derived_rng(45))
-    exact = mle_pga(data, model)
-    assert np.array_equal(exact, project(model.space, data.mean(axis=0)))
-    iterative = mle_pga(data, dataclasses.replace(model, mean_grad_scale=None))
-    assert np.max(np.abs(exact - iterative)) <= 1e-8
+    theta_hat = mle_pga(data, model)
+    assert np.array_equal(theta_hat, project(model.space, data.mean(axis=0)))
+    assert model.space.contains(theta_hat)
+    g = model.grad(data, theta_hat).mean(axis=0)
+    rng = derived_rng(46)
+    if isinstance(model.space, Ball):
+        directions = rng.standard_normal((500, 3))
+        directions /= np.linalg.norm(directions, axis=1)[:, None]
+        feasible = model.space.radius * directions * rng.uniform(0.0, 1.0, (500, 1)) ** (1 / 3)
+        feasible = np.vstack([feasible, model.space.radius * directions])
+    else:
+        lo, hi = np.array(model.space.lo), np.array(model.space.hi)
+        corners = np.array([np.where(bits, hi, lo) for bits in np.ndindex(2, 2, 2)])
+        feasible = np.vstack([lo + (hi - lo) * rng.uniform(size=(500, 3)), corners])
+    assert all(model.space.contains(p) for p in feasible)
+    assert np.max((feasible - theta_hat) @ g) <= 1e-12
+    best = model.loglik(data, theta_hat).sum()
+    assert all(best >= model.loglik(data, p).sum() for p in feasible)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 66])
+def test_mle_pga_on_stacked_data_returns_the_per_trial_rows(d):
+    ball = gaussian_mean_model(d, sigma=1.0, radius=0.6)
+    box = dataclasses.replace(ball, space=Box(lo=(-0.5,) * d, hi=(0.2,) * d))
+    for model in (ball, box):
+        for n in (3, 40, 1000):
+            # Trial means run from inside the space to outside it.
+            data = np.stack([model.sample(np.full(d, 0.05 * t), n, derived_rng(49, t)) for t in range(8)])
+            batch = mle_pga(data, model)
+            assert batch.shape == (8, d)
+            assert np.array_equal(batch, np.stack([mle_pga(x, model) for x in data]))
 
 
 def test_mle_pga_is_projected_sample_mean():
