@@ -7,17 +7,29 @@ Philox counter-based bit generator.  Stream i is a pure function of
 estimates do not depend on execution order or worker partitioning.
 
 derived_rng defines a stream.  Monte-Carlo loops walk the streams
-(seed, *tags, t) for t < count through trial_rngs, which derives all of their
-Philox keys in one vectorized pass and yields the same bits as derived_rng.
+(seed, *tags, t) for t < count in one of two ways, both of which derive all
+of their Philox keys in one vectorized pass and yield the same bits as
+derived_rng: trial_rngs iterates them in order on the calling thread, and
+trial_ranges hands contiguous trial ranges to one thread per CPU.  Because
+trial t reads only its own stream, a threaded run writes exactly the bits a
+serial one does, whatever the CPU count.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+import os
+import threading
+from typing import Callable, Iterator
 
 import numpy as np
 
-__all__ = ["derived_rng", "spawn_keys", "trial_rngs"]
+__all__ = ["derived_rng", "spawn_keys", "trial_rngs", "trial_ranges"]
+
+# Fewest random values a trial must draw before trial_ranges threads its
+# trials: below this, thread start-up and GIL hand-offs cost more than the
+# GIL-free numpy fills save (on 2 cores, Gaussian trials ran 0.59x as fast
+# threaded at 512 values, 1.35x at 4096 and 1.97x at 33 000).
+_THREAD_MIN_VALUES = 4096
 
 _MASK32 = 0xFFFFFFFF
 # SeedSequence's hash constants (numpy.random.bit_generator).
@@ -62,22 +74,23 @@ def _words(value: int) -> list[int]:
     return words
 
 
-def _philox_keys(seed: int, tags: tuple[int, ...], count: int) -> np.ndarray:
-    """Philox keys of derived_rng(seed, *tags, t) for t < count, shape (count, 2).
+def _philox_keys(seed: int, tags: tuple[int, ...], count: int, start: int = 0) -> np.ndarray:
+    """Philox keys of derived_rng(seed, *tags, t) for start <= t < start + count,
+    shape (count, 2).
 
     Runs SeedSequence's mix_entropy and generate_state(2, uint64) with the
     trial index as a vector: every other entropy word is the same for all
     trials, and t < 2^32 is always exactly one word.
     """
-    if count > 1 << 32:
-        raise ValueError("count must be at most 2**32")
+    if start < 0 or start + count > 1 << 32:
+        raise ValueError("trial indices must lie in [0, 2**32)")
     prefix = [len(tags) + 1, *_words(seed)]
     for tag in tags:
         prefix += _words(tag)
     # Length-1 arrays, not numpy scalars: array arithmetic wraps mod 2^32
     # silently, where scalar arithmetic warns on overflow.
     entropy = [np.full(1, w, dtype=np.uint32) for w in prefix]
-    entropy.append(np.arange(count, dtype=np.uint32))
+    entropy.append(np.arange(start, start + count, dtype=np.uint32))
     hash_const = _INIT_A
 
     def hashmix(value):
@@ -113,6 +126,13 @@ def _philox_keys(seed: int, tags: tuple[int, ...], count: int) -> np.ndarray:
     return state[:, 0::2] | (state[:, 1::2] << np.uint64(32))
 
 
+def _stream_id(seed: int, tags: tuple) -> tuple[int, tuple[int, ...]]:
+    tags = tuple(int(t) for t in tags)
+    if any(t < 0 for t in tags):
+        raise ValueError("stream tags must be non-negative")
+    return int(seed), tags
+
+
 def trial_rngs(seed: int, tags: tuple[int, ...], count: int) -> Iterator[np.random.Generator]:
     """Yield the streams derived_rng(seed, *tags, t) for t = 0, ..., count - 1.
 
@@ -120,12 +140,64 @@ def trial_rngs(seed: int, tags: tuple[int, ...], count: int) -> Iterator[np.rand
     to trial t's key at counter 0 before it is yielded, so it is valid only
     until the next trial is requested.
     """
-    seed = int(seed)
-    tags = tuple(int(t) for t in tags)
-    if any(t < 0 for t in tags):
-        raise ValueError("stream tags must be non-negative")
-    keys = _philox_keys(seed, tags, int(count)).tolist()
-    return _rewound(keys)
+    seed, tags = _stream_id(seed, tags)
+    return _rewound(_philox_keys(seed, tags, int(count)).tolist())
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity query on this platform
+        return os.cpu_count() or 1
+
+
+def trial_ranges(
+    seed: int,
+    tags: tuple[int, ...],
+    count: int,
+    body: Callable[[int, int, Iterator[np.random.Generator]], None],
+    values_per_trial: int,
+    start: int = 0,
+) -> None:
+    """Call body(lo, hi, rngs) on contiguous ranges that cover trials
+    [start, start + count), one range per CPU.
+
+    rngs yields derived_rng(seed, *tags, t) for t = lo, ..., hi - 1, rewound
+    as in trial_rngs; every range has its own Generator.  The calling thread
+    runs the first range and a threading.Thread each other one, so body must
+    write only the outputs of its own trials, and whatever it calls must be
+    safe to call concurrently with distinct rngs.  After every range ends,
+    the error of the lowest failing range is raised: the error a serial run
+    would raise.  When a trial draws fewer than _THREAD_MIN_VALUES random
+    values (values_per_trial), one range runs on the calling thread.
+    """
+    seed, tags = _stream_id(seed, tags)
+    count, start = int(count), int(start)
+    keys = _philox_keys(seed, tags, count, start).tolist()
+    workers = min(_cpu_count(), count) if values_per_trial >= _THREAD_MIN_VALUES else 1
+    if workers <= 1:
+        body(start, start + count, _rewound(keys))
+        return
+    edges = [count * i // workers for i in range(workers + 1)]
+    errors: list = [None] * workers
+
+    def run(i: int) -> None:
+        lo, hi = edges[i], edges[i + 1]
+        try:
+            body(start + lo, start + hi, _rewound(keys[lo:hi]))
+        except BaseException as exc:  # re-raised below, in range order
+            errors[i] = exc
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 def _rewound(keys: list) -> Iterator[np.random.Generator]:

@@ -16,7 +16,15 @@ noise from the stream (seed, k, t).  run_dpsgml walks its (rho, n) cells
 rho-major: cell k draws trial t's data from (seed, k, 0, t), its DP-SGML
 noise from (seed, k, 1, t) and its xi^2 batches from (seed, k, 2); the MLE
 row of each distinct n reuses the first min(trials, 100) datasets of that
-n's first cell.
+n's first cell.  Every study rejects an n below 1.
+
+A cell whose datasets hold at least _rng._THREAD_MIN_VALUES values (n d of
+the Gaussian and DP-SGML studies) splits its trials into one contiguous
+range per CPU through _rng.trial_ranges.
+Trial t still reads only its own stream and writes only its own loss, and
+the losses are reduced in trial order after the join, so every report is
+the same bytes at any CPU count; samplers and mechanisms must therefore be
+safe to call concurrently with distinct rngs.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._rng import derived_rng, trial_rngs
+from ._rng import derived_rng, trial_ranges
 from .bounds import (
     PrivacyConstraint,
     kl_quadratic_bounds,
@@ -41,7 +49,7 @@ from .divergences import (
     closed_form,
     pinsker_tv_upper,
 )
-from .errors import DegenerateInput, DomainError, RegimeError
+from .errors import DegenerateInput, DomainError, NonFinite, RegimeError
 from .mechanisms import (
     ParametricModel,
     dp_sgml_batch,
@@ -162,9 +170,13 @@ def monte_carlo_risk(
 
     Trial t draws its data and mechanism noise from the stream
     (seed, *tags, t), so the estimate is independent of trial scheduling.
-    The streams are derived in bulk by trial_rngs and equal
+    The streams are derived in bulk by trial_ranges and equal
     derived_rng(seed, *tags, t) bit for bit; the rng passed to the sampler
-    and the mechanism is valid only for its own trial.
+    and the mechanism is valid only for its own trial.  When a dataset holds
+    at least _rng._THREAD_MIN_VALUES values (n times the model's dim, if it
+    has one), the trials run in one range per CPU, so model.sample and
+    mechanism must be safe to call concurrently.  A non-finite loss raises
+    NonFinite.
     """
     if trials < _MIN_TRIALS:
         raise DomainError(f"trials must be >= {_MIN_TRIALS}")
@@ -175,9 +187,15 @@ def monte_carlo_risk(
         raise DomainError("theta_star lies outside the parameter space")
     constraint = constraint or PrivacyConstraint.none()
     losses = np.empty(trials)
-    for t, rng in enumerate(trial_rngs(seed, tags, trials)):
-        data = model.sample(theta_star, n, rng)
-        losses[t] = _squared_loss(mechanism(data, rng), theta_star)
+
+    def run(lo, hi, rngs):
+        for t, rng in zip(range(lo, hi), rngs):
+            data = model.sample(theta_star, n, rng)
+            losses[t] = _squared_loss(mechanism(data, rng), theta_star)
+
+    trial_ranges(seed, tags, trials, run, n * getattr(model, "dim", 1))
+    if not np.all(np.isfinite(losses)):
+        raise NonFinite("a trial's squared loss is non-finite")
     risk, stderr = _mean_stderr(losses)
     return RiskEstimate(
         risk=risk, stderr=stderr, trials=trials, seed=seed, n=n, constraint=constraint,
@@ -223,11 +241,14 @@ def _slopes(points: dict) -> dict:
 
 
 def _grid(outer, ns, outer_name: str):
-    """The (k, (outer value, n)) cells of a study, outer-major; no axis may be empty."""
+    """The (k, (outer value, n)) cells of a study, outer-major; no axis may
+    be empty and every n must be at least 1."""
     outer, ns = tuple(outer), tuple(ns)
     for name, axis in ((outer_name, outer), ("ns", ns)):
         if not axis:
             raise DomainError(f"{name} must not be empty")
+    if any(not n >= 1 for n in ns):
+        raise DomainError("every n in ns must be >= 1")
     return enumerate(itertools.product(outer, ns))
 
 
@@ -457,8 +478,12 @@ def run_dpsgml(
         c = PrivacyConstraint.zcdp(rho)
         cfg = dp_sgml_config(n, d, rho, model, m)
         data = np.empty((trials, n, d))
-        for t, rng in enumerate(trial_rngs(seed, (k, 0), trials)):
-            data[t] = model.sample(theta_star, n, rng)
+
+        def fill(lo, hi, rngs):
+            for t, rng in zip(range(lo, hi), rngs):
+                data[t] = model.sample(theta_star, n, rng)
+
+        trial_ranges(seed, (k, 0), trials, fill, n * d)
         outputs = dp_sgml_batch(data, model, cfg, seed, k, 1)
         risk, stderr = _mean_stderr(np.sum((outputs - theta_star[None, :]) ** 2, axis=1))
 

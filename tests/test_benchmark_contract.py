@@ -5,13 +5,27 @@ Renaming or folding away any wrapped name breaks the per-layer split of
 """
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
-from dpminimax import _kernels, derived_rng, dp_sgml_batch, dp_sgml_config, gaussian_mean_model
+from dpminimax import (
+    PrivacyConstraint,
+    _kernels,
+    _rng,
+    derived_rng,
+    dp_sgml_batch,
+    dp_sgml_config,
+    gaussian_mean_model,
+    run_gaussian,
+)
+from dpminimax.mechanisms import _BATCH_CHUNK
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _load_tracing():
@@ -44,3 +58,45 @@ def test_tracer_reads_the_dpsgml_kernel_arguments():
     assert tracer.counters["kernels.dpsgml_trials.bytes"] == trials * cfg.K * m * 2 * 8
     assert tracer.calls["kernels.dpsgml_trials"] == 1
     assert tracer.busy_ns["kernels.dpsgml_trials"] > 0
+
+
+def test_threaded_gaussian_run_under_the_tracer_matches_an_untraced_run(monkeypatch):
+    # Worker threads call the traced model.sample; the tracer is single-threaded,
+    # so this checks only that the run completes with the same report.
+    monkeypatch.setattr(_rng, "_cpu_count", lambda: 2)
+    tracing = _load_tracing()
+    run = lambda: run_gaussian(66, 1.0, [100], [PrivacyConstraint.none()], trials=101, seed=5)
+    untraced = run().to_dict()
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        traced = run().to_dict()
+    assert traced == untraced
+    assert tracer.calls["mechanisms.sample"] > 0  # the traced sampler ran
+
+
+def test_threaded_dpsgml_draws_keep_one_traced_kernel_call_per_chunk(monkeypatch):
+    monkeypatch.setattr(_rng, "_cpu_count", lambda: 2)
+    tracing = _load_tracing()
+    model = gaussian_mean_model(2, radius=5.0)
+    trials, n, m = _BATCH_CHUNK + 3, 400, 256
+    cfg = dp_sgml_config(n, 2, 1.0, model, m)
+    assert 2 + cfg.K * (m + 2) >= _rng._THREAD_MIN_VALUES  # the draws are threaded
+    data = np.stack([model.sample(np.zeros(2), n, derived_rng(62, t)) for t in range(trials)])
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        dp_sgml_batch(data, model, cfg, 63)
+    assert tracer.calls["kernels.dpsgml_trials"] == 2
+    assert tracer.counters["kernels.dpsgml_trials.steps"] == trials * cfg.K * m
+
+
+def test_import_starts_no_thread_and_no_executor():
+    # setup_s times a fresh-interpreter import; threads start only inside a run.
+    probe = (
+        "import sys, threading\n"
+        "import dpminimax\n"
+        "print(threading.active_count(), 'concurrent.futures' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.split() == ["1", "False"]

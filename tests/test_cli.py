@@ -206,6 +206,7 @@ def test_verify_refuses_a_large_instance_before_building_it(flags, count, monkey
         ["experiment", "dpsgml", "--ns", "200", "--rho", "0.5", "--trials", "100", "--radius", "nan"],
         ["verify", "privacy", "--mechanism", "identity", "--alphabet", "-2"],
         ["bounds", "fano", "--n", "2", "--N", "-1", "--tv-all", "0.5"],
+        ["experiment", "gaussian", "--d", "3", "--ns", "0", "--trials", "100"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):

@@ -1,6 +1,7 @@
 """Tests for the Monte-Carlo risk experiments and their reports."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -9,10 +10,13 @@ from dpminimax import (
     DegenerateInput,
     DomainError,
     InsufficientBudget,
+    NonFinite,
     PrivacyConstraint,
     RegimeError,
     gaussian_mean,
     gaussian_mean_model,
+    derived_rng,
+    dp_sgml,
     dp_sgml_batch,
     dp_sgml_config,
     laplace_mean,
@@ -24,8 +28,9 @@ from dpminimax import (
     run_gaussian,
     run_uniform,
 )
+from dpminimax import _rng
 from dpminimax._rng import trial_rngs
-from dpminimax.experiments import _cell
+from dpminimax.experiments import _cell, _uniform_sampler
 
 CSV_COLUMNS = [
     "model", "n", "constraint_kind", "eps", "delta", "rho",
@@ -71,6 +76,12 @@ def test_monte_carlo_risk_validation():
     outside = np.array([1.0, 1.0])
     with pytest.raises(DomainError):
         monte_carlo_risk(model, outside, lambda d, r: d.mean(axis=0), n=10, trials=200, seed=0)
+
+
+def test_monte_carlo_risk_rejects_a_non_finite_loss():
+    with pytest.raises(NonFinite):
+        monte_carlo_risk(_uniform_sampler(), math.nan, lambda d, r: float(d.max()), n=10,
+                         trials=100, seed=0)
 
 
 # ------------------------------------------------------------------ rate_slope
@@ -328,6 +339,21 @@ def test_empty_grid_axis_is_a_domain_error(run):
         run()
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: run_bernoulli([50, 0], [PrivacyConstraint.none()], trials=100, seed=0),
+        lambda: run_gaussian(3, 1.0, [0], [PrivacyConstraint.none()], trials=100, seed=0),
+        lambda: run_uniform([10, -2], [PrivacyConstraint.none()], trials=100, seed=0),
+        lambda: run_dpsgml(gaussian_mean_model(5, radius=10.0), np.zeros(5), [200, 0], [0.5], m=16,
+                           trials=100, seed=0),
+    ],
+)
+def test_a_sample_size_below_one_is_a_domain_error(run):
+    with pytest.raises(DomainError, match="every n in ns must be >= 1"):
+        run()
+
+
 def test_cell_flags_a_further_bound_the_lower_bound_misses():
     def cell(*further):
         return _cell("m", 10, PrivacyConstraint.none(), "est", 1.0, 0.125, 100, 0.5, "b", None, {},
@@ -401,3 +427,109 @@ def test_report_to_dict_round_trips_cells(bernoulli_report):
         "lower_bound", "branch", "analytic_risk", "violation", "extras",
     }
     assert set(cell["constraint"]) == {"kind", "epsilon", "delta", "rho"}
+
+
+# ------------------------------------------------------- threaded trial ranges
+
+# The forced CPU counts; none divides the trial counts 101, 103 and 131.
+_CPU_COUNTS = [1, 2, 3, 7]
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """The threads started while the test runs."""
+    starts = []
+    original = threading.Thread.start
+
+    def start(self):
+        starts.append(self)
+        original(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return starts
+
+
+def _serial(monkeypatch, run):
+    monkeypatch.setattr(_rng, "_cpu_count", lambda: 1)
+    return run()
+
+
+@pytest.mark.parametrize("cpus", _CPU_COUNTS)
+def test_threaded_gaussian_cells_match_the_serial_run(monkeypatch, thread_starts, cpus):
+    # n * d >= 64 * 66 values per trial, so every cell is threaded.
+    def run():
+        c = [PrivacyConstraint.none(), PrivacyConstraint.pure(0.5)]
+        return run_gaussian(66, 1.0, [64, 101], c, trials=103, seed=17).to_dict()
+
+    serial = _serial(monkeypatch, run)
+    assert thread_starts == []
+    monkeypatch.setattr(_rng, "_cpu_count", lambda: cpus)
+    assert run() == serial
+    assert len(thread_starts) == 4 * (cpus - 1)
+
+
+@pytest.mark.parametrize("cpus", _CPU_COUNTS)
+def test_threaded_dpsgml_draws_match_per_trial_runs(monkeypatch, thread_starts, cpus):
+    # d + K (m + d) = 2 + 23 * 258 values per trial: the draws are threaded,
+    # in a chunk of 128 trials and one of 3.
+    model = gaussian_mean_model(2, radius=5.0)
+    cfg = dp_sgml_config(400, 2, 1.0, model, 256)
+    trials = 131
+    data = np.stack([model.sample(np.zeros(2), 400, derived_rng(70, t)) for t in range(trials)])
+    monkeypatch.setattr(_rng, "_cpu_count", lambda: cpus)
+    batch = dp_sgml_batch(data, model, cfg, 71, 5)
+    assert len(thread_starts) == (cpus - 1) + (min(cpus, 3) - 1)
+    for t in range(trials):
+        assert batch[t].tolist() == dp_sgml(data[t], model, cfg, derived_rng(71, 5, t)).tolist()
+
+
+@pytest.mark.parametrize("cpus", _CPU_COUNTS)
+def test_threaded_dpsgml_data_fill_matches_the_serial_run(monkeypatch, thread_starts, cpus):
+    # n * d = 1000 * 5 values per dataset: the data fill is threaded.
+    def run():
+        model = gaussian_mean_model(5, radius=10.0)
+        return run_dpsgml(model, np.full(5, 0.3), [1000], [0.5], m=16, trials=101, seed=19).to_dict()
+
+    serial = _serial(monkeypatch, run)
+    monkeypatch.setattr(_rng, "_cpu_count", lambda: cpus)
+    assert run() == serial
+    assert len(thread_starts) == cpus - 1
+
+
+class _FailingSampler:
+    """Raises on the given trials of the streams (seed, t); each trial
+    draws dim * n values, enough to be threaded."""
+
+    dim = _rng._THREAD_MIN_VALUES
+
+    def __init__(self, seed, failing):
+        self.failing = {self._key(derived_rng(seed, t)): t for t in failing}
+
+    @staticmethod
+    def _key(rng):
+        return tuple(rng.bit_generator.state["state"]["key"].tolist())
+
+    def sample(self, theta, n, rng):
+        t = self.failing.get(self._key(rng))
+        if t is not None:
+            raise DegenerateInput(f"trial {t} failed")
+        return np.zeros(n)
+
+
+@pytest.mark.parametrize("cpus", _CPU_COUNTS)
+def test_threaded_trials_raise_the_lowest_failing_trial(monkeypatch, thread_starts, cpus):
+    monkeypatch.setattr(_rng, "_cpu_count", lambda: cpus)
+    with pytest.raises(DegenerateInput, match="trial 7 failed"):
+        monte_carlo_risk(_FailingSampler(3, (7, 150)), 0.0, _mean_mech, n=1, trials=200, seed=3)
+    assert len(thread_starts) == cpus - 1
+    with pytest.raises(DegenerateInput, match="trial 150 failed"):
+        monte_carlo_risk(_FailingSampler(3, (150,)), 0.0, _mean_mech, n=1, trials=200, seed=3)
+
+
+@pytest.mark.parametrize("cpus", _CPU_COUNTS)
+def test_uniform_and_bernoulli_cells_start_no_thread(monkeypatch, thread_starts, cpus):
+    monkeypatch.setattr(_rng, "_cpu_count", lambda: cpus)
+    constraints = [PrivacyConstraint.none(), PrivacyConstraint.pure(1.0)]
+    run_uniform([10, 20, 40], constraints, trials=101, seed=5)
+    run_bernoulli([50, 100, 200], constraints, trials=101, seed=5)
+    assert thread_starts == []

@@ -1,11 +1,13 @@
 """Reference and stream-derivation tests for the numerical kernels."""
 
+import sys
+
 import numpy as np
 import pytest
 
-from dpminimax import derived_rng, spawn_keys
+from dpminimax import _rng, derived_rng, spawn_keys
 from dpminimax._kernels import backend, dpsgml_trials, pair_assignments, races_winners
-from dpminimax._rng import trial_rngs
+from dpminimax._rng import trial_ranges, trial_rngs
 from dpminimax.experiments import _bernoulli_sampler, _uniform_sampler, monte_carlo_risk
 from dpminimax.mechanisms import Ball, laplace_mean
 
@@ -239,6 +241,53 @@ def test_trial_rngs_match_derived_rng(seed, tags):
             assert rng.integers(0, 7, size=3).tolist() == expected.integers(0, 7, size=3).tolist()
             seen += 1
         assert seen == count
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 7])
+def test_trial_ranges_cover_each_trial_once_with_its_stream(monkeypatch, cpus):
+    monkeypatch.setattr(_rng, "_cpu_count", lambda: cpus)
+    for count, start in ((0, 0), (1, 0), (5, 0), (129, 0), (3, 128)):
+        seen = []
+
+        def body(lo, hi, rngs):
+            draws = [rng.standard_normal(2).tolist() for rng in rngs]
+            seen.append((lo, hi, draws))
+
+        trial_ranges(9, (4, 1), count, body, _rng._THREAD_MIN_VALUES, start=start)
+        seen.sort()
+        # Contiguous ranges, one per CPU at most, covering [start, start + count).
+        assert len(seen) == max(1, min(cpus, count))
+        assert [lo for lo, _, _ in seen] == [start] + [hi for _, hi, _ in seen[:-1]]
+        assert seen[-1][1] == start + count
+        draws = [d for _, _, ds in seen for d in ds]
+        assert draws == [derived_rng(9, 4, 1, t).standard_normal(2).tolist()
+                         for t in range(start, start + count)]
+    # Trials that draw fewer values run as one range on the calling thread.
+    seen = []
+    trial_ranges(9, (4, 1), 129, body, _rng._THREAD_MIN_VALUES - 1)
+    assert [(lo, hi) for lo, hi, _ in seen] == [(0, 129)]
+    with pytest.raises(ValueError, match="non-negative"):
+        trial_ranges(9, (-1,), 5, body, _rng._THREAD_MIN_VALUES)
+
+
+def test_trial_ranges_under_frequent_thread_switches(monkeypatch):
+    # More ranges than cores and a tiny switch interval: a lost or misplaced
+    # write would show as a row that differs from its own stream's draws.
+    monkeypatch.setattr(_rng, "_cpu_count", lambda: 16)
+    count = 1000
+    out = np.zeros((count, 8))
+
+    def body(lo, hi, rngs):
+        for t, rng in zip(range(lo, hi), rngs):
+            out[t] = rng.standard_normal(8)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        trial_ranges(12, (3,), count, body, _rng._THREAD_MIN_VALUES)
+    finally:
+        sys.setswitchinterval(interval)
+    assert out.tolist() == [rng.standard_normal(8).tolist() for rng in trial_rngs(12, (3,), count)]
 
 
 def _reference_risk(model, theta_star, mechanism, n, trials, seed, tags):

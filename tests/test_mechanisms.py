@@ -136,6 +136,15 @@ def test_noisy_means_validate_inputs():
         laplace_mean(np.zeros((2, 2)), 1.0, rng)
 
 
+def test_noisy_means_reject_nan_data():
+    # nan fails both sides of a [0, 1] range test, so it must not pass as inside.
+    rng = derived_rng(3)
+    with pytest.raises(DomainError, match=r"\[0, 1\]"):
+        laplace_mean(np.array([math.nan, 0.5]), 1.0, rng)
+    with pytest.raises(DomainError, match=r"\[0, 1\]"):
+        gaussian_mean(np.array([math.nan]), 1.0, rng)
+
+
 @pytest.mark.parametrize("budget", [math.nan, math.inf])
 def test_mean_mechanisms_reject_non_finite_budgets(budget):
     rng = derived_rng(3)
