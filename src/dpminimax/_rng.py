@@ -12,24 +12,29 @@ of their Philox keys in one vectorized pass and yield the same bits as
 derived_rng: trial_rngs iterates them in order on the calling thread, and
 trial_ranges hands contiguous trial ranges to one thread per CPU.  Because
 trial t reads only its own stream, a threaded run writes exactly the bits a
-serial one does, whatever the CPU count.
+serial one does, whatever the CPU count.  Callers thread only callables
+marked by thread_safe.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+import weakref
 from typing import Callable, Iterator
 
 import numpy as np
 
-__all__ = ["derived_rng", "spawn_keys", "trial_rngs", "trial_ranges"]
+__all__ = ["derived_rng", "spawn_keys", "thread_safe", "trial_rngs", "trial_ranges"]
 
-# Fewest random values a trial must draw before trial_ranges threads its
-# trials: below this, thread start-up and GIL hand-offs cost more than the
-# GIL-free numpy fills save (on 2 cores, Gaussian trials ran 0.59x as fast
-# threaded at 512 values, 1.35x at 4096 and 1.97x at 33 000).
+# Fewest random values a trial must draw before its cell is worth threading:
+# below this, thread start-up and GIL hand-offs cost more than the GIL-free
+# numpy fills save (on 2 cores, Gaussian trials ran 0.59x as fast threaded at
+# 512 values, 1.35x at 4096 and 1.97x at 33 000).
 _THREAD_MIN_VALUES = 4096
+
+# The callables marked by thread_safe, held by identity.
+_THREAD_SAFE: "weakref.WeakSet[Callable]" = weakref.WeakSet()
 
 _MASK32 = 0xFFFFFFFF
 # SeedSequence's hash constants (numpy.random.bit_generator).
@@ -74,23 +79,22 @@ def _words(value: int) -> list[int]:
     return words
 
 
-def _philox_keys(seed: int, tags: tuple[int, ...], count: int, start: int = 0) -> np.ndarray:
-    """Philox keys of derived_rng(seed, *tags, t) for start <= t < start + count,
-    shape (count, 2).
+def _philox_keys(seed: int, tags: tuple[int, ...], count: int) -> np.ndarray:
+    """Philox keys of derived_rng(seed, *tags, t) for t < count, shape (count, 2).
 
     Runs SeedSequence's mix_entropy and generate_state(2, uint64) with the
     trial index as a vector: every other entropy word is the same for all
     trials, and t < 2^32 is always exactly one word.
     """
-    if start < 0 or start + count > 1 << 32:
-        raise ValueError("trial indices must lie in [0, 2**32)")
+    if count > 1 << 32:
+        raise ValueError("count must be at most 2**32")
     prefix = [len(tags) + 1, *_words(seed)]
     for tag in tags:
         prefix += _words(tag)
     # Length-1 arrays, not numpy scalars: array arithmetic wraps mod 2^32
     # silently, where scalar arithmetic warns on overflow.
     entropy = [np.full(1, w, dtype=np.uint32) for w in prefix]
-    entropy.append(np.arange(start, start + count, dtype=np.uint32))
+    entropy.append(np.arange(count, dtype=np.uint32))
     hash_const = _INIT_A
 
     def hashmix(value):
@@ -152,16 +156,32 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def thread_safe(fn: Callable) -> Callable:
+    """Mark fn as safe to call from several threads at once, each call with
+    its own rng, and return it.
+
+    The mark is on the object itself: a wrapper of fn (a tracer's span, say)
+    is a new, unmarked callable, so trials that call it stay serial.  Mark
+    functions, not bound methods, which are a new object at every access.
+    """
+    _THREAD_SAFE.add(fn)
+    return fn
+
+
+def is_thread_safe(*fns: Callable) -> bool:
+    """Whether every one of fns was marked by thread_safe."""
+    return all(fn in _THREAD_SAFE for fn in fns)
+
+
 def trial_ranges(
     seed: int,
     tags: tuple[int, ...],
     count: int,
     body: Callable[[int, int, Iterator[np.random.Generator]], None],
-    values_per_trial: int,
-    start: int = 0,
+    threaded: bool,
 ) -> None:
     """Call body(lo, hi, rngs) on contiguous ranges that cover trials
-    [start, start + count), one range per CPU.
+    [0, count), one range per CPU when threaded and one range otherwise.
 
     rngs yields derived_rng(seed, *tags, t) for t = lo, ..., hi - 1, rewound
     as in trial_rngs; every range has its own Generator.  The calling thread
@@ -169,15 +189,14 @@ def trial_ranges(
     write only the outputs of its own trials, and whatever it calls must be
     safe to call concurrently with distinct rngs.  After every range ends,
     the error of the lowest failing range is raised: the error a serial run
-    would raise.  When a trial draws fewer than _THREAD_MIN_VALUES random
-    values (values_per_trial), one range runs on the calling thread.
+    would raise.
     """
     seed, tags = _stream_id(seed, tags)
-    count, start = int(count), int(start)
-    keys = _philox_keys(seed, tags, count, start).tolist()
-    workers = min(_cpu_count(), count) if values_per_trial >= _THREAD_MIN_VALUES else 1
+    count = int(count)
+    keys = _philox_keys(seed, tags, count).tolist()
+    workers = min(_cpu_count(), count) if threaded else 1
     if workers <= 1:
-        body(start, start + count, _rewound(keys))
+        body(0, count, _rewound(keys))
         return
     edges = [count * i // workers for i in range(workers + 1)]
     errors: list = [None] * workers
@@ -185,7 +204,7 @@ def trial_ranges(
     def run(i: int) -> None:
         lo, hi = edges[i], edges[i + 1]
         try:
-            body(start + lo, start + hi, _rewound(keys[lo:hi]))
+            body(lo, hi, _rewound(keys[lo:hi]))
         except BaseException as exc:  # re-raised below, in range order
             errors[i] = exc
 

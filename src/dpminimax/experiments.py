@@ -18,13 +18,13 @@ noise from (seed, k, 1, t) and its xi^2 batches from (seed, k, 2); the MLE
 row of each distinct n reuses the first min(trials, 100) datasets of that
 n's first cell.  Every study rejects an n below 1.
 
-A cell whose datasets hold at least _rng._THREAD_MIN_VALUES values (n d of
-the Gaussian and DP-SGML studies) splits its trials into one contiguous
-range per CPU through _rng.trial_ranges.
+A Gaussian cell whose datasets hold at least _rng._THREAD_MIN_VALUES values
+(n d) splits its trials into one contiguous range per CPU through
+_rng.trial_ranges: its sampler and its mean are marked by _rng.thread_safe.
 Trial t still reads only its own stream and writes only its own loss, and
 the losses are reduced in trial order after the join, so every report is
-the same bytes at any CPU count; samplers and mechanisms must therefore be
-safe to call concurrently with distinct rngs.
+the same bytes at any CPU count.  Every other cell, and every cell whose
+sampler or mechanism is wrapped or supplied unmarked, runs serially.
 """
 
 from __future__ import annotations
@@ -36,7 +36,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._rng import derived_rng, trial_ranges
+from ._rng import (
+    _THREAD_MIN_VALUES,
+    derived_rng,
+    is_thread_safe,
+    thread_safe,
+    trial_ranges,
+    trial_rngs,
+)
 from .bounds import (
     PrivacyConstraint,
     kl_quadratic_bounds,
@@ -172,11 +179,11 @@ def monte_carlo_risk(
     (seed, *tags, t), so the estimate is independent of trial scheduling.
     The streams are derived in bulk by trial_ranges and equal
     derived_rng(seed, *tags, t) bit for bit; the rng passed to the sampler
-    and the mechanism is valid only for its own trial.  When a dataset holds
-    at least _rng._THREAD_MIN_VALUES values (n times the model's dim, if it
-    has one), the trials run in one range per CPU, so model.sample and
-    mechanism must be safe to call concurrently.  A non-finite loss raises
-    NonFinite.
+    and the mechanism is valid only for its own trial.  The trials run in
+    one range per CPU when model.sample and mechanism are both marked by
+    _rng.thread_safe and a dataset holds at least _rng._THREAD_MIN_VALUES
+    values (n times the model's dim, if it has one); otherwise they run in
+    order on the calling thread.  A non-finite loss raises NonFinite.
     """
     if trials < _MIN_TRIALS:
         raise DomainError(f"trials must be >= {_MIN_TRIALS}")
@@ -193,7 +200,9 @@ def monte_carlo_risk(
             data = model.sample(theta_star, n, rng)
             losses[t] = _squared_loss(mechanism(data, rng), theta_star)
 
-    trial_ranges(seed, tags, trials, run, n * getattr(model, "dim", 1))
+    values = n * getattr(model, "dim", 1)
+    threaded = values >= _THREAD_MIN_VALUES and is_thread_safe(model.sample, mechanism)
+    trial_ranges(seed, tags, trials, run, threaded)
     if not np.all(np.isfinite(losses)):
         raise NonFinite("a trial's squared loss is non-finite")
     risk, stderr = _mean_stderr(losses)
@@ -358,7 +367,7 @@ def run_gaussian(d: int, sigma: float, ns, constraints, trials: int, seed: int) 
     risk-only cells).
     """
     model = gaussian_mean_model(d, sigma=sigma, radius=1.0)
-    mechanism = lambda data, rng: data.mean(axis=0)
+    mechanism = thread_safe(lambda data, rng: data.mean(axis=0))
 
     def cell(c, n):
         if d >= 66:
@@ -478,12 +487,8 @@ def run_dpsgml(
         c = PrivacyConstraint.zcdp(rho)
         cfg = dp_sgml_config(n, d, rho, model, m)
         data = np.empty((trials, n, d))
-
-        def fill(lo, hi, rngs):
-            for t, rng in zip(range(lo, hi), rngs):
-                data[t] = model.sample(theta_star, n, rng)
-
-        trial_ranges(seed, (k, 0), trials, fill, n * d)
+        for t, rng in enumerate(trial_rngs(seed, (k, 0), trials)):
+            data[t] = model.sample(theta_star, n, rng)
         outputs = dp_sgml_batch(data, model, cfg, seed, k, 1)
         risk, stderr = _mean_stderr(np.sum((outputs - theta_star[None, :]) ** 2, axis=1))
 

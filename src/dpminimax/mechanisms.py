@@ -17,7 +17,7 @@ import numpy as np
 from . import _kernels
 # derived_rng is unused here but stays a module attribute: the benchmark's
 # tracer (perfbench/tracing.py) wraps it in this module by name.
-from ._rng import derived_rng, trial_ranges  # noqa: F401
+from ._rng import derived_rng, thread_safe, trial_rngs  # noqa: F401
 from .errors import DomainError, InsufficientBudget, NonFinite
 from .verify import FiniteMechanism
 
@@ -284,6 +284,7 @@ def gaussian_mean_model(
         raise DomainError("declared smoothness below the true curvature")
     inv_var = curvature
 
+    @thread_safe  # reads only its arguments
     def sample(theta, n, rng):
         theta = np.asarray(theta, dtype=float)
         return theta[None, :] + sigma * rng.standard_normal((n, d))
@@ -353,16 +354,10 @@ def dp_sgml_config(n: int, d: int, rho: float, model: ParametricModel, m: int) -
     return DPSGMLConfig(sigma2_noise=sigma2, K=K, eta=eta, m=m, rho=rho, clip=model.L)
 
 
-def _run_trials(data: np.ndarray, model: ParametricModel, cfg: DPSGMLConfig, ranges) -> np.ndarray:
-    """DP-SGML on (trials, n, dim) data; trial t draws from its rng its
+def _run_trials(data: np.ndarray, model: ParametricModel, cfg: DPSGMLConfig, rngs) -> np.ndarray:
+    """DP-SGML on (trials, n, dim) data; trial t draws from the t-th rng its
     initial normals, then its batch indices (when m is set), then its step
-    noise.
-
-    ranges(count, body, values_per_trial, start) has the signature of
-    trial_ranges without its stream id: it calls body(lo, hi, rngs) over
-    trials [start, start + count), rngs yielding trial lo's rng first.  Each
-    chunk draws through it, then runs the kernel on the calling thread.
-    """
+    noise."""
     data = np.asarray(data, dtype=float)
     if data.ndim != 3 or data.shape[2] != model.dim:
         raise DomainError(f"each trial's data must have shape (n, {model.dim})")
@@ -372,7 +367,7 @@ def _run_trials(data: np.ndarray, model: ParametricModel, cfg: DPSGMLConfig, ran
     # which halves the largest buffer, whenever n allows.
     idx_dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
     out = np.empty((trials, d))
-    values_per_trial = d + cfg.K * ((cfg.m or 0) + d)
+    # One iterator across all chunks: chunk c continues at trial c * _BATCH_CHUNK.
     for start in range(0, trials, _BATCH_CHUNK):
         size = min(_BATCH_CHUNK, trials - start)
         theta0 = np.empty((size, d))
@@ -381,15 +376,11 @@ def _run_trials(data: np.ndarray, model: ParametricModel, cfg: DPSGMLConfig, ran
         else:
             batch_idx = np.empty((size, cfg.K, cfg.m), dtype=idx_dtype)
         step_noise = np.empty((size, cfg.K, d))
-
-        def draw(lo, hi, rngs):
-            for i, r in zip(range(lo - start, hi - start), rngs):
-                theta0[i] = r.standard_normal(d)
-                if cfg.m is not None:
-                    batch_idx[i] = r.integers(0, n, size=(cfg.K, cfg.m))
-                step_noise[i] = r.standard_normal((cfg.K, d))
-
-        ranges(size, draw, values_per_trial, start)
+        for i, r in zip(range(size), rngs):
+            theta0[i] = r.standard_normal(d)
+            if cfg.m is not None:
+                batch_idx[i] = r.integers(0, n, size=(cfg.K, cfg.m))
+            step_noise[i] = r.standard_normal((cfg.K, d))
         out[start:start + size] = _kernels.dpsgml_trials(
             data[start:start + size],
             model.space.project(scale0 * theta0),
@@ -416,7 +407,7 @@ def dp_sgml(data, model: ParametricModel, cfg: DPSGMLConfig, rng: np.random.Gene
     data = np.asarray(data, dtype=float)
     if data.ndim == 1:
         data = data[:, None]
-    return _run_trials(data[None], model, cfg, lambda count, body, *_: body(0, 1, iter((rng,))))[0]
+    return _run_trials(data[None], model, cfg, iter((rng,)))[0]
 
 
 def dp_sgml_batch(
@@ -429,12 +420,10 @@ def dp_sgml_batch(
     """Run DP-SGML on (trials, n, dim) data, trial t using derived stream t.
 
     Row t equals dp_sgml(data[t], ..., derived_rng(seed, *tags, t)) bit for
-    bit, for any model, space and batch size, and at any CPU count: both run
-    the same trial-batched kernel, and trial_ranges derives the streams in
-    bulk with the same bits, drawing a chunk's trials in one range per CPU
-    when each draws at least _rng._THREAD_MIN_VALUES values.
+    bit, for any model, space and batch size: both run the same trial-batched
+    kernel, and trial_rngs derives the streams in bulk with the same bits.
     """
-    return _run_trials(data, model, cfg, lambda *args: trial_ranges(seed, tags, *args))
+    return _run_trials(data, model, cfg, trial_rngs(seed, tags, len(data)))
 
 
 def mle_pga(data, model: ParametricModel) -> np.ndarray:

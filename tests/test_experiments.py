@@ -1,7 +1,9 @@
 """Tests for the Monte-Carlo risk experiments and their reports."""
 
+import dataclasses
 import math
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +18,6 @@ from dpminimax import (
     gaussian_mean,
     gaussian_mean_model,
     derived_rng,
-    dp_sgml,
     dp_sgml_batch,
     dp_sgml_config,
     laplace_mean,
@@ -431,7 +432,7 @@ def test_report_to_dict_round_trips_cells(bernoulli_report):
 
 # ------------------------------------------------------- threaded trial ranges
 
-# The forced CPU counts; none divides the trial counts 101, 103 and 131.
+# The forced CPU counts; 3 and 7 split 101, 103 and 200 trials into unequal ranges.
 _CPU_COUNTS = [1, 2, 3, 7]
 
 
@@ -468,68 +469,52 @@ def test_threaded_gaussian_cells_match_the_serial_run(monkeypatch, thread_starts
     assert len(thread_starts) == 4 * (cpus - 1)
 
 
-@pytest.mark.parametrize("cpus", _CPU_COUNTS)
-def test_threaded_dpsgml_draws_match_per_trial_runs(monkeypatch, thread_starts, cpus):
-    # d + K (m + d) = 2 + 23 * 258 values per trial: the draws are threaded,
-    # in a chunk of 128 trials and one of 3.
-    model = gaussian_mean_model(2, radius=5.0)
-    cfg = dp_sgml_config(400, 2, 1.0, model, 256)
-    trials = 131
-    data = np.stack([model.sample(np.zeros(2), 400, derived_rng(70, t)) for t in range(trials)])
-    monkeypatch.setattr(_rng, "_cpu_count", lambda: cpus)
-    batch = dp_sgml_batch(data, model, cfg, 71, 5)
-    assert len(thread_starts) == (cpus - 1) + (min(cpus, 3) - 1)
-    for t in range(trials):
-        assert batch[t].tolist() == dp_sgml(data[t], model, cfg, derived_rng(71, 5, t)).tolist()
+def _failing_sampler(seed, failing):
+    """A model whose marked sampler raises on the given trials of the
+    streams (seed, t); each trial draws dim * n values, enough to be threaded."""
 
-
-@pytest.mark.parametrize("cpus", _CPU_COUNTS)
-def test_threaded_dpsgml_data_fill_matches_the_serial_run(monkeypatch, thread_starts, cpus):
-    # n * d = 1000 * 5 values per dataset: the data fill is threaded.
-    def run():
-        model = gaussian_mean_model(5, radius=10.0)
-        return run_dpsgml(model, np.full(5, 0.3), [1000], [0.5], m=16, trials=101, seed=19).to_dict()
-
-    serial = _serial(monkeypatch, run)
-    monkeypatch.setattr(_rng, "_cpu_count", lambda: cpus)
-    assert run() == serial
-    assert len(thread_starts) == cpus - 1
-
-
-class _FailingSampler:
-    """Raises on the given trials of the streams (seed, t); each trial
-    draws dim * n values, enough to be threaded."""
-
-    dim = _rng._THREAD_MIN_VALUES
-
-    def __init__(self, seed, failing):
-        self.failing = {self._key(derived_rng(seed, t)): t for t in failing}
-
-    @staticmethod
-    def _key(rng):
+    def key(rng):
         return tuple(rng.bit_generator.state["state"]["key"].tolist())
 
-    def sample(self, theta, n, rng):
-        t = self.failing.get(self._key(rng))
+    failing = {key(derived_rng(seed, t)): t for t in failing}
+
+    @_rng.thread_safe
+    def sample(theta, n, rng):
+        t = failing.get(key(rng))
         if t is not None:
             raise DegenerateInput(f"trial {t} failed")
         return np.zeros(n)
+
+    return SimpleNamespace(dim=_rng._THREAD_MIN_VALUES, sample=sample)
+
+
+_thread_safe_mean = _rng.thread_safe(lambda data, rng: float(data.mean()))
 
 
 @pytest.mark.parametrize("cpus", _CPU_COUNTS)
 def test_threaded_trials_raise_the_lowest_failing_trial(monkeypatch, thread_starts, cpus):
     monkeypatch.setattr(_rng, "_cpu_count", lambda: cpus)
-    with pytest.raises(DegenerateInput, match="trial 7 failed"):
-        monte_carlo_risk(_FailingSampler(3, (7, 150)), 0.0, _mean_mech, n=1, trials=200, seed=3)
-    assert len(thread_starts) == cpus - 1
-    with pytest.raises(DegenerateInput, match="trial 150 failed"):
-        monte_carlo_risk(_FailingSampler(3, (150,)), 0.0, _mean_mech, n=1, trials=200, seed=3)
+    for failing, first in (((7, 150), 7), ((150,), 150)):
+        with pytest.raises(DegenerateInput, match=f"trial {first} failed"):
+            monte_carlo_risk(_failing_sampler(3, failing), 0.0, _thread_safe_mean, n=1, trials=200,
+                             seed=3)
+    assert len(thread_starts) == 2 * (cpus - 1)
 
 
 @pytest.mark.parametrize("cpus", _CPU_COUNTS)
-def test_uniform_and_bernoulli_cells_start_no_thread(monkeypatch, thread_starts, cpus):
+def test_unmarked_callables_and_other_studies_start_no_thread(monkeypatch, thread_starts, cpus):
+    # Each of these trials draws at least _rng._THREAD_MIN_VALUES values; only
+    # a sampler and a mechanism both marked by _rng.thread_safe are threaded.
     monkeypatch.setattr(_rng, "_cpu_count", lambda: cpus)
     constraints = [PrivacyConstraint.none(), PrivacyConstraint.pure(1.0)]
-    run_uniform([10, 20, 40], constraints, trials=101, seed=5)
-    run_bernoulli([50, 100, 200], constraints, trials=101, seed=5)
+    run_uniform([10, 5000], constraints, trials=101, seed=5)
+    run_bernoulli([50, 5000], constraints, trials=101, seed=5)
+    model = gaussian_mean_model(5, radius=10.0)
+    run_dpsgml(model, np.full(5, 0.3), [1000], [0.5], m=16, trials=101, seed=19)
+    mean = lambda data, rng: data.mean(axis=0)
+    monte_carlo_risk(model, np.zeros(5), mean, n=1000, trials=101, seed=5)
+    wrapped = dataclasses.replace(model, sample=lambda *args: model.sample(*args))
+    monte_carlo_risk(wrapped, np.zeros(5), _thread_safe_mean, n=1000, trials=101, seed=5)
     assert thread_starts == []
+    monte_carlo_risk(model, np.zeros(5), _rng.thread_safe(mean), n=1000, trials=101, seed=5)
+    assert len(thread_starts) == cpus - 1

@@ -246,28 +246,27 @@ def test_trial_rngs_match_derived_rng(seed, tags):
 @pytest.mark.parametrize("cpus", [1, 2, 3, 7])
 def test_trial_ranges_cover_each_trial_once_with_its_stream(monkeypatch, cpus):
     monkeypatch.setattr(_rng, "_cpu_count", lambda: cpus)
-    for count, start in ((0, 0), (1, 0), (5, 0), (129, 0), (3, 128)):
+    for count in (0, 1, 5, 129):
         seen = []
 
         def body(lo, hi, rngs):
             draws = [rng.standard_normal(2).tolist() for rng in rngs]
             seen.append((lo, hi, draws))
 
-        trial_ranges(9, (4, 1), count, body, _rng._THREAD_MIN_VALUES, start=start)
+        trial_ranges(9, (4, 1), count, body, threaded=True)
         seen.sort()
-        # Contiguous ranges, one per CPU at most, covering [start, start + count).
+        # Contiguous ranges, one per CPU at most, covering [0, count).
         assert len(seen) == max(1, min(cpus, count))
-        assert [lo for lo, _, _ in seen] == [start] + [hi for _, hi, _ in seen[:-1]]
-        assert seen[-1][1] == start + count
+        assert [lo for lo, _, _ in seen] == [0] + [hi for _, hi, _ in seen[:-1]]
+        assert seen[-1][1] == count
         draws = [d for _, _, ds in seen for d in ds]
-        assert draws == [derived_rng(9, 4, 1, t).standard_normal(2).tolist()
-                         for t in range(start, start + count)]
-    # Trials that draw fewer values run as one range on the calling thread.
+        assert draws == [derived_rng(9, 4, 1, t).standard_normal(2).tolist() for t in range(count)]
+    # Unthreaded, the trials run as one range on the calling thread.
     seen = []
-    trial_ranges(9, (4, 1), 129, body, _rng._THREAD_MIN_VALUES - 1)
+    trial_ranges(9, (4, 1), 129, body, threaded=False)
     assert [(lo, hi) for lo, hi, _ in seen] == [(0, 129)]
     with pytest.raises(ValueError, match="non-negative"):
-        trial_ranges(9, (-1,), 5, body, _rng._THREAD_MIN_VALUES)
+        trial_ranges(9, (-1,), 5, body, threaded=True)
 
 
 def test_trial_ranges_under_frequent_thread_switches(monkeypatch):
@@ -284,7 +283,7 @@ def test_trial_ranges_under_frequent_thread_switches(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        trial_ranges(12, (3,), count, body, _rng._THREAD_MIN_VALUES)
+        trial_ranges(12, (3,), count, body, threaded=True)
     finally:
         sys.setswitchinterval(interval)
     assert out.tolist() == [rng.standard_normal(8).tolist() for rng in trial_rngs(12, (3,), count)]
