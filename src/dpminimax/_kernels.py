@@ -1,7 +1,8 @@
 """Hot numerical kernels, vectorized over trials in numpy.
 
 Each kernel consumes pre-generated random inputs, so its callers fix the
-random stream and the kernel is a pure function of its arguments.
+random stream and the kernel is a pure function of its arguments.  The
+coupling kernels return atoms, and no kernel needs a floating-point guard.
 """
 
 from __future__ import annotations
@@ -40,48 +41,43 @@ def races_winners(clocks: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return out
 
 
-def pair_assignments(u, agree_prob, common_cdf, pos_cdf, neg_cdf) -> np.ndarray:
+def _inverse_cdf(atoms: np.ndarray, weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One atom per uniform in u, by inverse CDF over the atoms of positive
+    weight; a uniform past the last cumulative weight takes the last atom."""
+    live = weights > 0.0
+    cdf = np.cumsum(weights[live])
+    return atoms[live][np.minimum(np.searchsorted(cdf, u, side="right"), cdf.shape[0] - 1)]
+
+
+def pair_assignments(u, atoms, common, pos, neg, agree_prob: float) -> np.ndarray:
     """Maximal-coupling draws for a pair from 3 uniforms per draw.
 
-    Draw t agrees iff u[t,0] < agree_prob; agreeing draws sample the common
-    part through u[t,1], disagreeing draws sample the two residuals through
-    u[t,1] and u[t,2].  Returns (trials, 2) indices into the caller's atom
-    arrays for the common/positive/negative parts respectively.
+    common, pos and neg are weights on the atoms, each summing to 1: the
+    common part min(p, q) and the residuals of p and q.  Draw t agrees iff
+    u[t,0] < agree_prob and takes a common atom through u[t,1]; otherwise it
+    takes residual atoms through u[t,1] and u[t,2].  Returns (trials, 2) atoms.
     """
     u = np.ascontiguousarray(u, dtype=np.float64)
-    common_cdf = np.asarray(common_cdf, dtype=np.float64)
-    pos_cdf = np.asarray(pos_cdf, dtype=np.float64)
-    neg_cdf = np.asarray(neg_cdf, dtype=np.float64)
+    atoms = np.asarray(atoms, dtype=np.int64)
     out = np.empty((u.shape[0], 2), dtype=np.int64)
     agree = u[:, 0] < float(agree_prob)
-    k = common_cdf.shape[0]
-    idx = np.minimum(np.searchsorted(common_cdf, u[agree, 1], side="right"), k - 1)
-    out[agree, 0] = idx
-    out[agree, 1] = idx
-    dis = ~agree
-    if pos_cdf.shape[0] > 0:
-        kp = pos_cdf.shape[0]
-        kq = neg_cdf.shape[0]
-        out[dis, 0] = np.minimum(np.searchsorted(pos_cdf, u[dis, 1], side="right"), kp - 1)
-        out[dis, 1] = np.minimum(np.searchsorted(neg_cdf, u[dis, 2], side="right"), kq - 1)
-    else:
-        out[dis] = 0
+    out[agree] = _inverse_cdf(atoms, common, u[agree, 1])[:, None]
+    out[~agree, 0] = _inverse_cdf(atoms, pos, u[~agree, 1])
+    out[~agree, 1] = _inverse_cdf(atoms, neg, u[~agree, 2])
     return out
 
 
 def clipped_mean(grads: np.ndarray, clip: float) -> np.ndarray:
     """Mean over axis 1 of grads (trials, m, d), each row first scaled down
-    to norm ``clip`` when longer; a nan or inf row makes its mean nan.  A
-    zero row divides by zero but keeps factor 1.0, so callers run this under
-    np.errstate(divide="ignore")."""
+    to norm ``clip`` (positive and finite) when longer; a zero row keeps
+    factor 1.0, and a nan or inf row makes its mean nan."""
     m, d = grads.shape[1], grads.shape[2]
     # Coordinate by coordinate: faster than a reduction over a short axis,
     # and the same summation order as np.sum for d < 8.
     sq = grads[..., 0] * grads[..., 0]
     for j in range(1, d):
         sq += grads[..., j] * grads[..., j]
-    norms = np.sqrt(sq)
-    factor = np.where(norms > clip, clip / norms, 1.0)
+    factor = clip / np.maximum(np.sqrt(sq), clip)
     return np.einsum("tbj,tb->tj", grads, factor) / m
 
 
@@ -111,11 +107,10 @@ def dpsgml_trials(
     offsets = np.arange(trials, dtype=np.int64)[:, None] * n
     batch = np.empty((trials, m, d))
     scale_noise = np.sqrt(2.0 * eta) * float(noise_std)
-    with np.errstate(divide="ignore"):
-        for k in range(K):
-            # With indices in range, mode="clip" changes nothing but lets take
-            # write straight into the reused buffer (the default stages a copy).
-            np.take(flat, batch_idx[:, k, :] + offsets, axis=0, out=batch, mode="clip")
-            mean = clipped_mean(grad(batch, theta), clip)
-            theta = project(theta + eta * mean + scale_noise * step_noise[:, k, :])
+    for k in range(K):
+        # With indices in range, mode="clip" changes nothing but lets take
+        # write straight into the reused buffer (the default stages a copy).
+        np.take(flat, batch_idx[:, k, :] + offsets, axis=0, out=batch, mode="clip")
+        mean = clipped_mean(grad(batch, theta), clip)
+        theta = project(theta + eta * mean + scale_noise * step_noise[:, k, :])
     return theta

@@ -111,37 +111,13 @@ def _sample_maximal_pair(marginals, u: np.ndarray) -> np.ndarray:
     pw = np.array([p.prob(a) for a in atoms])
     qw = np.array([q.prob(a) for a in atoms])
     common = np.minimum(pw, qw)
-    agree_prob = float(common.sum())
-    tvd = 1.0 - agree_prob
-    atom_arr = np.asarray(atoms, dtype=np.int64)
-
-    if agree_prob > 0.0:
-        common_atoms = atom_arr[common > 0.0]
-        common_cdf = np.cumsum(common[common > 0.0] / agree_prob)
-    else:
-        common_atoms = atom_arr[:1]
-        common_cdf = np.array([1.0])
+    mass = float(common.sum())
+    tvd = 1.0 - mass
+    common_w = common / mass if mass > 0.0 else common
     if tvd > 1e-15:
-        pos = pw - common
-        neg = qw - common
-        pos_atoms = atom_arr[pos > 0.0]
-        neg_atoms = atom_arr[neg > 0.0]
-        pos_cdf = np.cumsum(pos[pos > 0.0] / tvd)
-        neg_cdf = np.cumsum(neg[neg > 0.0] / tvd)
-    else:
-        agree_prob = 1.0
-        pos_atoms = neg_atoms = atom_arr[:1]
-        pos_cdf = neg_cdf = np.zeros(0)
-
-    idx = _kernels.pair_assignments(u, agree_prob, common_cdf, pos_cdf, neg_cdf)
-    agree = u[:, 0] < agree_prob
-    out = np.empty((u.shape[0], 2), dtype=np.int64)
-    out[agree, 0] = common_atoms[idx[agree, 0]]
-    out[agree, 1] = common_atoms[idx[agree, 1]]
-    if pos_cdf.shape[0] > 0:
-        out[~agree, 0] = pos_atoms[idx[~agree, 0]]
-        out[~agree, 1] = neg_atoms[idx[~agree, 1]]
-    return out
+        return _kernels.pair_assignments(u, atoms, common_w, (pw - common) / tvd, (qw - common) / tvd, mass)
+    # Equal up to rounding: every draw agrees, so the residuals are never read.
+    return _kernels.pair_assignments(u, atoms, common_w, np.zeros_like(pw), np.zeros_like(qw), 1.0)
 
 
 def _sample_races(marginals, u: np.ndarray) -> np.ndarray:
@@ -198,15 +174,13 @@ def product_lift(base: CouplingSampler, n: int) -> CouplingSampler:
 
 def estimate_disagreement(sampler: CouplingSampler, trials: int, seed: int) -> DisagreementMatrix:
     """Monte-Carlo pairwise disagreement matrix for a coupling sampler."""
-    draws = sampler.sample(trials, seed)
     N = sampler.n_marginals
+    # A plain draw is a lift of length 1: components disagree when any coordinate does.
+    draws = sampler.sample(trials, seed).reshape(trials, N, -1)
     est = np.zeros((N, N))
     for i in range(N):
         for j in range(i + 1, N):
-            if draws.ndim == 3:
-                dis = np.any(draws[:, i, :] != draws[:, j, :], axis=1)
-            else:
-                dis = draws[:, i] != draws[:, j]
+            dis = np.any(draws[:, i] != draws[:, j], axis=1)
             est[i, j] = est[j, i] = float(np.mean(dis))
     stderr = np.sqrt(est * (1.0 - est) / trials)
     return DisagreementMatrix(estimates=est, stderr=stderr, trials=trials, seed=seed)

@@ -217,10 +217,13 @@ def _mean_stderr(losses: np.ndarray) -> tuple[float, float]:
 
 
 def rate_slope(points) -> float:
-    """Least-squares slope of ln(risk) against ln(n)."""
+    """Least-squares slope of ln(risk) against ln(n), over at least three
+    points on at least two distinct n."""
     pts = [(float(n), float(r)) for n, r in points]
     if len(pts) < 3:
         raise DegenerateInput("need at least three (n, risk) points")
+    if len({n for n, _ in pts}) < 2:
+        raise DegenerateInput("need at least two distinct n")
     if any(r <= 0.0 or n <= 0.0 for n, r in pts):
         raise DegenerateInput("rate fits need positive n and risk")
     x = np.log([n for n, _ in pts])
@@ -245,8 +248,12 @@ def _uniform_sampler() -> _SamplerModel:
 
 
 def _slopes(points: dict) -> dict:
-    """The rate slope of every key that has at least three (n, risk) points."""
-    return {key: rate_slope(pts) for key, pts in points.items() if len(pts) >= 3}
+    """The rate slope of every key that has at least three (n, risk) points
+    on at least two distinct n."""
+    return {
+        key: rate_slope(pts) for key, pts in points.items()
+        if len(pts) >= 3 and len({n for n, _ in pts}) >= 2
+    }
 
 
 def _grid(outer, ns, outer_name: str):
@@ -498,7 +505,7 @@ def run_dpsgml(
         nonprivate_lower = d / (beta_kl * n)
         lower = max(d / (beta_kl * rho * n * n), nonprivate_lower)
         try:
-            packing_value = kl_quadratic_bounds(d, n, model.gamma, model.space.radius, c).value
+            packing_value = kl_quadratic_bounds(d, n, model.gamma, model.space.inradius, c).value
         except DomainError:
             packing_value = None
         extras = {

@@ -63,6 +63,11 @@ class Ball:
     def dim(self) -> int:
         return len(self.center)
 
+    @property
+    def inradius(self) -> float:
+        """Radius of the largest ball inside the space."""
+        return self.radius
+
     def contains(self, point) -> bool:
         p = np.asarray(point, dtype=float)
         return float(np.linalg.norm(p - np.asarray(self.center))) <= self.radius + 1e-12
@@ -101,6 +106,11 @@ class Box:
     @property
     def dim(self) -> int:
         return len(self.lo)
+
+    @property
+    def inradius(self) -> float:
+        """Radius of the largest ball inside the box: half its narrowest side."""
+        return min((b - a) / 2.0 for a, b in zip(self.lo, self.hi))
 
     def contains(self, point) -> bool:
         p = np.asarray(point, dtype=float)
@@ -464,8 +474,7 @@ def estimate_xi2(
     # One draw per trial keeps the stream: a draw of m indices discards the
     # half-used 32-bit word an odd m leaves.
     idx = np.stack([rng.integers(0, len(data), size=m) for _ in range(trials)])
-    with np.errstate(divide="ignore"):
-        gbar = _kernels.clipped_mean(model.grad(data[idx], theta_ml), model.L)
+    gbar = _kernels.clipped_mean(model.grad(data[idx], theta_ml), model.L)
     if not np.all(np.isfinite(gbar)):
         raise NonFinite("model gradient is non-finite")
     values = np.array([g @ g for g in gbar])

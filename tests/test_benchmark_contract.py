@@ -12,11 +12,13 @@ import threading
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from dpminimax import (
     PrivacyConstraint,
     _kernels,
     _rng,
+    cli,
     derived_rng,
     dp_sgml_batch,
     dp_sgml_config,
@@ -59,6 +61,31 @@ def test_tracer_reads_the_dpsgml_kernel_arguments():
     assert tracer.counters["kernels.dpsgml_trials.bytes"] == trials * cfg.K * m * 2 * 8
     assert tracer.calls["kernels.dpsgml_trials"] == 1
     assert tracer.busy_ns["kernels.dpsgml_trials"] > 0
+
+
+@pytest.mark.parametrize(
+    "flags, kernel, other",
+    [
+        (("pair", "--p", "0.2,0.5,0.3", "--q", "0:0.4,3:0.6"), "pair_assignments", "races_winners"),
+        (("races", "--marginals", "0.2,0.5,0.3;0:0.4,3:0.6;0.6,0.4"), "races_winners", "pair_assignments"),
+    ],
+    ids=["pair", "races"],
+)
+def test_a_traced_couple_run_calls_its_kernel_once_per_sample(tmp_path, flags, kernel, other):
+    # The tracer wraps both coupling kernels by name and reads no argument of
+    # either; one couple run is one sample, and every draw is counted.
+    tracing = _load_tracing()
+    trials = 3000
+    argv = ["couple", *flags, "--trials", str(trials), "--seed", "9"]
+    assert cli.main([*argv, "--out", str(tmp_path / "untraced.json")]) == 0
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        assert cli.main([*argv, "--out", str(tmp_path / "traced.json")]) == 0
+    assert tracer.calls["couplings.sample"] == 1
+    assert tracer.calls[f"kernels.{kernel}"] == 1
+    assert tracer.calls[f"kernels.{other}"] == 0
+    assert tracer.counters["couplings.draws"] == trials
+    assert (tmp_path / "traced.json").read_bytes() == (tmp_path / "untraced.json").read_bytes()
 
 
 def test_a_traced_gaussian_run_stays_serial_and_matches_an_untraced_run(monkeypatch):

@@ -78,6 +78,44 @@ def test_maximal_pair_disjoint_supports_always_disagree():
     assert empirical_marginal_l1(draws[:, 1], q) <= 0.03
 
 
+_THIRDS = [0.3333333333333333, 0.3333333333333333, 0.3333333333333334]
+
+
+@pytest.mark.parametrize(
+    "p, q, seed, expected",
+    [
+        (
+            DiscreteDistribution.from_weights([0.2, 0.5, 0.3]),
+            DiscreteDistribution.from_weights([0.4, 0.1, 0.5]),
+            4,
+            [[1, 1, 2, 0, 1, 2, 1, 1, 0, 1, 2, 0, 2, 1, 1, 2],
+             [2, 0, 2, 0, 2, 2, 1, 1, 0, 2, 2, 0, 2, 2, 0, 2]],
+        ),
+        (
+            DiscreteDistribution((0, 1), np.array([0.5, 0.5])),
+            DiscreteDistribution((2, 3), np.array([0.25, 0.75])),
+            12,
+            [[1, 1, 0, 0, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0],
+             [2, 3, 2, 2, 2, 3, 2, 3, 2, 3, 3, 3, 3, 3, 3, 3]],
+        ),
+        (
+            DiscreteDistribution.from_weights(_THIRDS),
+            DiscreteDistribution.from_weights(_THIRDS[::-1]),
+            13,
+            [[2, 2, 2, 0, 0, 2, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0],
+             [2, 2, 2, 0, 0, 2, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0]],
+        ),
+    ],
+    ids=["generic", "disjoint", "rounding_equal"],
+)
+def test_maximal_pair_draws_are_pinned(p, q, seed, expected):
+    # Seeded draws are part of the reproducibility contract: these arrays
+    # must not move when the sampler is restructured.
+    draws = maximal_pair(p, q).sample(16, seed=seed)
+    assert draws.dtype == np.int64
+    assert np.array_equal(draws.T, expected)
+
+
 # ------------------------------------------------------------ shared uniform
 
 

@@ -3,12 +3,14 @@
 import dataclasses
 import math
 import threading
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from dpminimax import (
+    Box,
     DegenerateInput,
     DomainError,
     InsufficientBudget,
@@ -17,6 +19,7 @@ from dpminimax import (
     RegimeError,
     gaussian_mean,
     gaussian_mean_model,
+    kl_quadratic_bounds,
     derived_rng,
     dp_sgml_batch,
     dp_sgml_config,
@@ -102,6 +105,19 @@ def test_rate_slope_validation():
         rate_slope([(10, 1.0), (20, 0.5), (40, 0.0)])
     with pytest.raises(DegenerateInput):
         rate_slope([(0, 1.0), (20, 0.5), (40, 0.2)])
+
+
+def test_rate_slope_needs_two_distinct_n():
+    with pytest.raises(DegenerateInput, match="two distinct n"):
+        rate_slope([(10, 1.0), (10, 0.9), (10, 0.8)])
+    # A study whose grid repeats one n reports no slope, and fits no line.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_uniform([10, 10, 10], [PrivacyConstraint.none()], trials=100, seed=0)
+    assert len(report.cells) == 3 and report.slopes == {}
+    assert set(run_uniform([10, 10, 20], [PrivacyConstraint.none()], trials=100, seed=0).slopes) == {
+        "max_estimator"
+    }
 
 
 # --------------------------------------------------------------- run_bernoulli
@@ -288,6 +304,25 @@ def test_dpsgml_is_deterministic():
     a = run_dpsgml(model, np.zeros(3), [60], [1.0], m=16, trials=100, seed=17)
     b = run_dpsgml(model, np.zeros(3), [60], [1.0], m=16, trials=100, seed=17)
     assert a.cells[0].risk == b.cells[0].risk
+
+
+def _box_model(d):
+    model = gaussian_mean_model(d, radius=10.0, clip_norm=4.0, smoothness=32.0)
+    return dataclasses.replace(model, space=Box((-5.0,) * d, (5.0,) * d))
+
+
+def test_dpsgml_runs_on_a_box():
+    report = run_dpsgml(_box_model(3), np.zeros(3), [200, 300, 400], [0.5], m=8, trials=100, seed=1)
+    assert [cell.n for cell in report.cells] == [200, 200, 300, 300, 400, 400]
+    assert report.cells[0].extras["packing_bound"] is None
+    assert set(report.slopes) == {"n_slope@rho=0.5"}
+
+
+def test_dpsgml_packing_bound_on_a_box_uses_its_inscribed_ball():
+    model = _box_model(66)
+    report = run_dpsgml(model, np.zeros(66), [200], [0.5], m=8, trials=100, seed=1)
+    expected = kl_quadratic_bounds(66, 200, model.gamma, 5.0, PrivacyConstraint.zcdp(0.5)).value
+    assert report.cells[0].extras["packing_bound"] == expected
 
 
 def test_dpsgml_validation():

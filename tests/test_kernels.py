@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from dpminimax import _rng, derived_rng, spawn_keys
-from dpminimax._kernels import backend, dpsgml_trials, pair_assignments, races_winners
+from dpminimax._kernels import backend, clipped_mean, dpsgml_trials, pair_assignments, races_winners
 from dpminimax._rng import trial_ranges, trial_rngs
+from dpminimax.couplings import maximal_pair
+from dpminimax.divergences import DiscreteDistribution
 from dpminimax.experiments import _bernoulli_sampler, _uniform_sampler, monte_carlo_risk
 from dpminimax.mechanisms import Ball, laplace_mean
 
@@ -62,45 +64,63 @@ def test_races_winners_skips_zero_probability_atoms():
 # --------------------------------------------------------- pair assignments
 
 
-def _pair_reference(u, agree_prob, common_cdf, pos_cdf, neg_cdf):
+def _pair_reference(u, atoms, common, pos, neg, agree_prob):
+    def draw(weights, v):
+        total, last = 0.0, None
+        for atom, w in zip(atoms, weights):
+            if w > 0.0:
+                total, last = total + w, atom
+                if v < total:
+                    return atom
+        return last
+
     out = np.empty((u.shape[0], 2), dtype=np.int64)
     for t in range(u.shape[0]):
         if u[t, 0] < agree_prob:
-            idx = min(int(np.searchsorted(common_cdf, u[t, 1], side="right")), len(common_cdf) - 1)
-            out[t] = idx, idx
-        elif len(pos_cdf) > 0:
-            x = min(int(np.searchsorted(pos_cdf, u[t, 1], side="right")), len(pos_cdf) - 1)
-            y = min(int(np.searchsorted(neg_cdf, u[t, 2], side="right")), len(neg_cdf) - 1)
-            out[t] = x, y
+            atom = draw(common, u[t, 1])
+            out[t] = atom, atom
         else:
-            out[t] = 0, 0
+            out[t] = draw(pos, u[t, 1]), draw(neg, u[t, 2])
     return out
 
 
 def _random_pair_inputs(rng, trials=256):
-    u = rng.random((trials, 3))
-    agree_prob = float(rng.random())
-    common = np.sort(rng.random(int(rng.integers(1, 5))))
-    common /= common[-1]
-    pos = np.sort(rng.random(int(rng.integers(1, 4))))
-    pos /= pos[-1]
-    neg = np.sort(rng.random(len(pos)))
-    neg /= neg[-1]
-    return u, agree_prob, common, pos, neg
+    k = int(rng.integers(2, 7))
+    atoms = np.sort(rng.choice(np.arange(-5, 20), size=k, replace=False))
+    weights = []
+    for _ in range(3):
+        w = rng.random(k)
+        w[rng.random(k) < 0.3] = 0.0
+        w[rng.integers(k)] += 0.05
+        weights.append(w / w.sum())
+    return (rng.random((trials, 3)), atoms, *weights, float(rng.random()))
 
 
 def test_pair_assignments_matches_reference():
     rng = derived_rng(205)
     for _ in range(10):
         args = _random_pair_inputs(rng)
-        expected = _pair_reference(*args)
-        assert np.array_equal(pair_assignments(*args), expected)
+        out = pair_assignments(*args)
+        assert out.dtype == np.int64
+        assert np.array_equal(out, _pair_reference(*args))
 
 
 def test_pair_assignments_empty_residual_degenerates_to_common():
-    u = np.array([[0.99, 0.4, 0.6]])
-    out = pair_assignments(u, 0.5, np.array([0.5, 1.0]), np.array([]), np.array([]))
-    assert np.array_equal(out, [[0, 0]])
+    # Equal up to rounding: 1 - sum min(p, q) is 1.1e-16, below the 1e-15 at
+    # which maximal_pair treats the residuals as empty, so every draw agrees.
+    third = [0.3333333333333333, 0.3333333333333333, 0.3333333333333334]
+    p, q = DiscreteDistribution.from_weights(third), DiscreteDistribution.from_weights(third[::-1])
+    draws = maximal_pair(p, q).sample(20_000, seed=3)
+    assert np.array_equal(draws[:, 0], draws[:, 1])
+    assert set(draws[:, 0].tolist()) == {0, 1, 2}
+
+
+def test_clipped_mean_zero_row_raises_no_floating_point_error():
+    grads = np.array([[[0.0, 0.0], [3.0, 4.0], [0.3, 0.4]]])
+    with np.errstate(all="raise"):
+        out = clipped_mean(grads, 1.0)
+    # rows clip to (0, 0), (0.6, 0.8) and (0.3, 0.4)
+    assert np.allclose(out, [[0.3, 0.4]], atol=1e-15)
 
 
 # ------------------------------------------------------------ DP-SGML steps

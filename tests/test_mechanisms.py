@@ -96,6 +96,12 @@ def test_box_rejects_nan_bounds(lo, hi, name):
     assert np.array_equal(box.project([5.0, -2.0]), [5.0, 0.0])
 
 
+def test_inradius_is_the_largest_inscribed_ball():
+    assert Ball(center=(1.0, 2.0), radius=3.5).inradius == 3.5
+    assert Box(lo=(0.0, -1.0, -5.0), hi=(1.0, 1.0, 5.0)).inradius == 0.5
+    assert Box(lo=(-math.inf, 0.0), hi=(math.inf, 4.0)).inradius == 2.0
+
+
 # ------------------------------------------------------- noisy mean outputs
 
 
