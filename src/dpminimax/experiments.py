@@ -7,14 +7,16 @@ evaluated testing bound with its winning branch, and rate slopes.  Every
 cell of all four studies is built by one _cell, which holds the violation
 rule: a cell is flagged when its risk undercuts its lower bound, or a
 further bound, by more than three standard errors; reports with violations
-fail loudly downstream.  An empty grid axis is a DomainError.
+fail loudly downstream.  A reference row, whose "lower bound" is its own
+expected risk (run_dpsgml's MLE rows), is never flagged.  An empty grid
+axis is a DomainError.
 
 The three worked examples (Bernoulli, Gaussian, uniform) differ only in
 their per-cell estimator and bounds, so they share one cell loop, _run_grid:
 it walks the cells constraint-major, and cell k draws trial t's data and
 noise from the stream (seed, k, t).  run_dpsgml walks its (rho, n) cells
-rho-major: cell k draws trial t's data from (seed, k, 0, t), its DP-SGML
-noise from (seed, k, 1, t) and its xi^2 batches from (seed, k, 2); the MLE
+rho-major: cell k draws trial t's data from (seed, k, 0, t) and its DP-SGML
+noise from (seed, k, 1, t); its xi^2 is exact and draws nothing.  The MLE
 row of each distinct n reuses the first min(trials, 100) datasets of that
 n's first cell.  Every study rejects an n below 1.
 
@@ -36,9 +38,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._rng import derived_rng  # noqa: F401  (wrapped by perfbench/tracing.py)
 from ._rng import (
     _THREAD_MIN_VALUES,
-    derived_rng,
     is_thread_safe,
     thread_safe,
     trial_ranges,
@@ -268,13 +270,16 @@ def _grid(outer, ns, outer_name: str):
     return enumerate(itertools.product(outer, ns))
 
 
-def _cell(model, n, c, mechanism, risk, stderr, trials, lower, branch, analytic, extras, *further):
+def _cell(model, n, c, mechanism, risk, stderr, trials, lower, branch, analytic, extras, *further,
+          reference=False):
     """One CellResult, flagged when its risk undercuts the lower bound or a
-    further bound by more than three standard errors."""
+    further bound by more than three standard errors.  A reference row is
+    never flagged: its lower_bound is its own expected risk, not a bound."""
+    violation = not reference and any(risk < b - 3.0 * stderr for b in (lower, *further))
     return CellResult(
         model=model, n=n, constraint=c, mechanism=mechanism, risk=risk, stderr=stderr,
         trials=trials, lower_bound=lower, branch=branch, analytic_risk=analytic,
-        violation=any(risk < b - 3.0 * stderr for b in (lower, *further)), extras=extras,
+        violation=violation, extras=extras,
     )
 
 
@@ -366,22 +371,28 @@ def _bernoulli_cell(c: PrivacyConstraint, n: int, theta_star: float):
     return name, mechanism, lower, evaluated_test.branch, analytic, extras, (value,)
 
 
+def _packing_bound(d: int, n: int, gamma: float, radius: float, c: PrivacyConstraint):
+    """kl_quadratic_bounds(d, n, gamma, radius, c), or None wherever that
+    raises DomainError: below d = 66, or at a budget it does not cover."""
+    try:
+        return kl_quadratic_bounds(d, n, gamma, radius, c)
+    except DomainError:
+        return None
+
+
 def run_gaussian(d: int, sigma: float, ns, constraints, trials: int, seed: int) -> ExperimentReport:
     """Mean estimation for N(0, sigma^2 I_d) data on the unit ball.
 
     The empirical mean's risk sigma^2 d / n is compared against the
-    KL-quadratic packing bound (available for d >= 66; smaller d keeps
-    risk-only cells).
+    KL-quadratic packing bound.  A cell the bound does not cover (d < 66,
+    or rho >= 1) reads lower bound 0.0 and branch "unavailable".
     """
     model = gaussian_mean_model(d, sigma=sigma, radius=1.0)
     mechanism = thread_safe(lambda data, rng: data.mean(axis=0))
 
     def cell(c, n):
-        if d >= 66:
-            bound = kl_quadratic_bounds(d, n, model.gamma, 1.0, c)
-            lower, branch = bound.value, bound.branch
-        else:
-            lower, branch = 0.0, "unavailable"
+        bound = _packing_bound(d, n, model.gamma, 1.0, c)
+        lower, branch = (0.0, "unavailable") if bound is None else (bound.value, bound.branch)
         analytic = sigma * sigma * d / n
         extras = {"d": d, "sigma": sigma, "gamma": model.gamma}
         return "empirical_mean", mechanism, lower, branch, analytic, extras, ()
@@ -472,10 +483,12 @@ def run_dpsgml(
     """DP-SGML risk over an (n, rho) grid, with MLE baseline and lower bounds.
 
     The lower bound per cell is the parametric rate max{d/(2 gamma rho n^2),
-    d/(2 gamma n)}; one MLE row per distinct n carries its nonprivate part.
-    Slopes are reported per grid axis, and each dp_sgml cell records its
-    risk-to-bound ratio, the batch-gradient noise estimate xi^2 at the MLE,
-    and the packing-argument bound (when the dimension admits one).
+    d/(2 gamma n)}.  One MLE row per distinct n carries its nonprivate part,
+    which is the MLE's own expected risk, so that row is a reference and is
+    never flagged.  Slopes are reported per grid axis, and each dp_sgml cell
+    records its risk-to-bound ratio, the exact batch-gradient noise xi^2 of
+    its first dataset at that dataset's MLE, and the packing-argument bound
+    (null where kl_quadratic_bounds does not apply).
     """
     theta_star = np.asarray(theta_star, dtype=float)
     d = model.dim
@@ -500,23 +513,17 @@ def run_dpsgml(
         risk, stderr = _mean_stderr(np.sum((outputs - theta_star[None, :]) ** 2, axis=1))
 
         theta_ml = mle_pga(data[:ml_trials], model)
-        xi2, xi2_err = estimate_xi2(data[0], model, theta_ml[0], m, 200, derived_rng(seed, k, 2))
-
         nonprivate_lower = d / (beta_kl * n)
         lower = max(d / (beta_kl * rho * n * n), nonprivate_lower)
-        try:
-            packing_value = kl_quadratic_bounds(d, n, model.gamma, model.space.inradius, c).value
-        except DomainError:
-            packing_value = None
+        packing = _packing_bound(d, n, model.gamma, model.space.inradius, c)
         extras = {
             "ratio": risk / lower,
-            "xi2": xi2,
-            "xi2_stderr": xi2_err,
+            "xi2": estimate_xi2(data[0], model, theta_ml[0], m),
             "K": cfg.K,
             "eta": cfg.eta,
             "sigma2_noise": cfg.sigma2_noise,
             "m": m,
-            "packing_bound": packing_value,
+            "packing_bound": None if packing is None else packing.value,
         }
         branch = "zcdp_parametric" if lower > nonprivate_lower else "nonprivate_parametric"
         cells.append(
@@ -528,7 +535,7 @@ def run_dpsgml(
             ml_risk, ml_stderr = _mean_stderr(np.array(ml_losses))
             cells.append(_cell(
                 "dpsgml", n, PrivacyConstraint.none(), "mle", ml_risk, ml_stderr, ml_trials,
-                nonprivate_lower, "nonprivate_parametric", None, {},
+                nonprivate_lower, "nonprivate_parametric", None, {}, reference=True,
             ))
         sgml_points.setdefault(("n", rho), []).append((n, risk))
         sgml_points.setdefault(("rho", n), []).append((rho, risk))

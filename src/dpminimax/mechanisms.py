@@ -163,14 +163,17 @@ def gaussian_mean(data, rho: float, rng: np.random.Generator, clamp: bool = Fals
     return min(1.0, max(0.0, out)) if clamp else out
 
 
-def _rr_keep(epsilon: float) -> float:
-    """e^eps / (1 + e^eps), the chance randomized response keeps a bit.
+def _rr_keep_flip(epsilon: float) -> tuple[float, float]:
+    """keep = 1/(1 + e^-eps) and flip = e^-eps/(1 + e^-eps), the chances
+    randomized response keeps and flips a bit.  Neither is one minus the
+    other, so keep / flip is e^eps to a few ulp, and no eps overflows."""
+    tail = math.exp(-epsilon)
+    return 1.0 / (1.0 + tail), tail / (1.0 + tail)
 
-    The exponent is clamped at 40, where the ratio is already exactly 1.0,
-    so large eps cannot overflow.
-    """
-    scale = math.exp(min(epsilon, 40.0))
-    return scale / (1.0 + scale)
+
+def _word_bits(n: int) -> np.ndarray:
+    """The bits of the 2^n words of n bits, one row per word."""
+    return (np.arange(2**n)[:, None] >> np.arange(n)) & 1
 
 
 def randomized_response(bit: int, epsilon: float, rng: np.random.Generator) -> int:
@@ -178,7 +181,7 @@ def randomized_response(bit: int, epsilon: float, rng: np.random.Generator) -> i
     if bit not in (0, 1):
         raise DomainError("bit must be 0 or 1")
     _check_positive("epsilon", epsilon)
-    keep = _rr_keep(epsilon)
+    keep, _ = _rr_keep_flip(epsilon)
     return bit if rng.random() < keep else 1 - bit
 
 
@@ -186,38 +189,24 @@ def rr_kernel(epsilon: float, n: int = 1) -> FiniteMechanism:
     """Product randomized-response kernel on n bits; epsilon-DP.
 
     Outputs are bit vectors encoded as integers, first bit most significant.
+    Entry (x, o) is keep^(n - h) flip^h, with h the Hamming distance of x and o.
     """
     _check_positive("epsilon", epsilon)
     if n < 1:
         raise DomainError("n must be >= 1")
-    keep = _rr_keep(epsilon)
-    size = 2**n
-    kernel = np.empty((size, size))
-    for x in range(size):
-        for o in range(size):
-            h = bin(x ^ o).count("1")
-            kernel[x, o] = keep ** (n - h) * (1.0 - keep) ** h
-    return FiniteMechanism(alphabet_size=2, n=n, outputs=tuple(range(size)), kernel=kernel)
+    keep, flip = _rr_keep_flip(epsilon)
+    bits = _word_bits(n)
+    h = np.sum(bits[:, None, :] != bits[None, :, :], axis=2)
+    kernel = keep ** (n - h) * flip**h
+    return FiniteMechanism(alphabet_size=2, n=n, outputs=tuple(range(2**n)), kernel=kernel)
 
 
 def rr_sum_kernel(epsilon: float, n: int = 2) -> FiniteMechanism:
-    """Sum of per-bit randomized responses; epsilon-DP with n + 1 outputs."""
-    _check_positive("epsilon", epsilon)
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    keep = _rr_keep(epsilon)
-    size = 2**n
-    kernel = np.zeros((size, n + 1))
-    for x in range(size):
-        bits = [(x >> (n - 1 - i)) & 1 for i in range(n)]
-        dist = np.array([1.0])
-        for b in bits:
-            p_one = keep if b == 1 else 1.0 - keep
-            nxt = np.zeros(dist.shape[0] + 1)
-            nxt[: dist.shape[0]] += dist * (1.0 - p_one)
-            nxt[1:] += dist * p_one
-            dist = nxt
-        kernel[x] = dist
+    """Sum of per-bit randomized responses; epsilon-DP with n + 1 outputs:
+    rr_kernel's columns summed by the weight of their output word."""
+    full = rr_kernel(epsilon, n)
+    weight = np.sum(_word_bits(n), axis=1)
+    kernel = full.kernel @ (weight[:, None] == np.arange(n + 1))
     return FiniteMechanism(alphabet_size=2, n=n, outputs=tuple(range(n + 1)), kernel=kernel)
 
 
@@ -453,29 +442,25 @@ def mle_pga(data, model: ParametricModel) -> np.ndarray:
     return theta
 
 
-def estimate_xi2(
-    data,
-    model: ParametricModel,
-    theta_ml,
-    m: int,
-    trials: int,
-    rng: np.random.Generator,
-) -> tuple[float, float]:
-    """Monte-Carlo estimate of E||clipped batch gradient at theta_ml||^2.
+def estimate_xi2(data, model: ParametricModel, theta_ml, m: int) -> float:
+    """E||clipped batch-mean gradient at theta_ml||^2, exactly, over batches
+    of m records drawn with replacement.
 
-    Returns (estimate, stderr); batches of size m are drawn with replacement.
+    With c_i the clipped per-record gradients and cbar their mean, a batch
+    mean has mean cbar and covariance (mean_i c_i c_i^T - cbar cbar^T) / m,
+    so the value is ||cbar||^2 + (mean_i ||c_i||^2 - ||cbar||^2) / m.  It
+    draws no random number; a non-finite gradient raises NonFinite.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim == 1:
         data = data[:, None]
-    if m < 1 or trials < 1:
-        raise DomainError("m and trials must be >= 1")
-    theta_ml = np.asarray(theta_ml, dtype=float)
-    # One draw per trial keeps the stream: a draw of m indices discards the
-    # half-used 32-bit word an odd m leaves.
-    idx = np.stack([rng.integers(0, len(data), size=m) for _ in range(trials)])
-    gbar = _kernels.clipped_mean(model.grad(data[idx], theta_ml), model.L)
-    if not np.all(np.isfinite(gbar)):
+    if m < 1:
+        raise DomainError("m must be >= 1")
+    # Each record is its own batch of one, so the clip has one implementation.
+    grads = model.grad(data[:, None, :], np.asarray(theta_ml, dtype=float))
+    clipped = _kernels.clipped_mean(grads, model.L)
+    if not np.all(np.isfinite(clipped)):
         raise NonFinite("model gradient is non-finite")
-    values = np.array([g @ g for g in gbar])
-    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    center = clipped.mean(axis=0)
+    center_sq = float(center @ center)
+    return center_sq + (float(np.mean(np.sum(clipped * clipped, axis=1))) - center_sq) / m

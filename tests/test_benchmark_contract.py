@@ -5,6 +5,7 @@ Renaming or folding away any wrapped name breaks the per-layer split of
 """
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -86,6 +87,23 @@ def test_a_traced_couple_run_calls_its_kernel_once_per_sample(tmp_path, flags, k
     assert tracer.calls[f"kernels.{other}"] == 0
     assert tracer.counters["couplings.draws"] == trials
     assert (tmp_path / "traced.json").read_bytes() == (tmp_path / "untraced.json").read_bytes()
+
+
+def test_a_traced_dpsgml_run_computes_xi2_once_per_cell_from_no_stream(tmp_path):
+    # xi^2 is exact: each dp_sgml cell calls estimate_xi2 once, and no cell
+    # derives a stream through derived_rng.
+    tracing = _load_tracing()
+    argv = ["experiment", "dpsgml", "--d", "5", "--ns", "200,300", "--rho", "0.5", "--trials", "100"]
+    assert cli.main([*argv, "--out", str(tmp_path / "untraced.json")]) == 0
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        assert cli.main([*argv, "--out", str(tmp_path / "traced.json")]) == 0
+    for suffix in ("json", "csv"):
+        traced = (tmp_path / f"traced.{suffix}").read_bytes()
+        assert traced == (tmp_path / f"untraced.{suffix}").read_bytes()
+    cells = json.loads((tmp_path / "traced.json").read_text())["report"]["cells"]
+    assert tracer.calls["mechanisms.estimate_xi2"] == sum(c["mechanism"] == "dp_sgml" for c in cells) == 2
+    assert tracer.calls["rng.derived_rng"] == 0
 
 
 def test_a_traced_gaussian_run_stays_serial_and_matches_an_untraced_run(monkeypatch):

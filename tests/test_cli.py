@@ -355,6 +355,39 @@ def test_experiment_dpsgml_infinite_radius_runs_unconstrained(capsys):
     assert "dp_sgml" in capsys.readouterr().out
 
 
+def test_experiment_dpsgml_mle_rows_are_never_flagged(tmp_path, capsys):
+    # At this seed the n = 500 MLE row falls more than three standard errors
+    # below d/n, which is its own expected risk, not a bound below it.
+    out = tmp_path / "report.json"
+    rc = main([
+        "experiment", "dpsgml", "--d", "5", "--ns", "500", "--rho", "0.001,0.01,0.1",
+        "--trials", "100", "--seed", "2028277857", "--out", str(out),
+    ])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert "VIOLATION" not in captured.out
+    assert "violation" not in captured.err
+    cells = json.loads(out.read_text())["report"]["cells"]
+    assert not any(cell["violation"] for cell in cells)
+    (mle,) = [cell for cell in cells if cell["mechanism"] == "mle"]
+    assert mle["lower_bound"] == pytest.approx(5.0 / 500.0)
+    assert mle["branch"] == "nonprivate_parametric"
+    assert mle["risk"] < mle["lower_bound"] - 3.0 * mle["stderr"]
+
+
+def test_experiment_gaussian_cells_past_the_zcdp_bound_are_unavailable(tmp_path):
+    argv = ["experiment", "gaussian", "--d", "66", "--ns", "100", "--trials", "100"]
+    assert main([*argv, "--rho", "0.01,2", "--out", str(tmp_path / "both.json")]) == 0
+    assert main([*argv, "--rho", "0.01", "--out", str(tmp_path / "small.json")]) == 0
+    both = json.loads((tmp_path / "both.json").read_text())["report"]["cells"]
+    small = json.loads((tmp_path / "small.json").read_text())["report"]["cells"]
+    assert [cell["constraint"]["rho"] for cell in both] == [None, 0.01, 2.0]
+    assert both[:2] == small
+    assert small[1]["branch"] != "unavailable"
+    assert (both[2]["lower_bound"], both[2]["branch"]) == (0.0, "unavailable")
+    assert not both[2]["violation"]
+
+
 def test_experiment_dpsgml_budget_failure_exits_1(capsys):
     rc = main(["experiment", "dpsgml", "--ns", "3", "--rho", "0.1", "--trials", "100"])
     assert rc == 1

@@ -24,6 +24,7 @@ from dpminimax import (
     dp_sgml_batch,
     dp_sgml_config,
     laplace_mean,
+    estimate_xi2,
     mle_pga,
     monte_carlo_risk,
     rate_slope,
@@ -289,7 +290,7 @@ def test_dpsgml_cells_and_bounds(dpsgml_report):
 def test_dpsgml_extras(dpsgml_report):
     extras = dpsgml_report.cells[0].extras
     assert set(extras) == {
-        "ratio", "xi2", "xi2_stderr", "K", "eta", "sigma2_noise", "m", "packing_bound",
+        "ratio", "xi2", "K", "eta", "sigma2_noise", "m", "packing_bound",
     }
     assert extras["ratio"] == pytest.approx(dpsgml_report.cells[0].risk / (5.0 / 200.0))
     assert extras["K"] == 531
@@ -359,6 +360,15 @@ def test_dpsgml_cell_k_draws_from_streams_k_rho_major():
         gaps = [mle_pga(x, model) - theta_star for x in first_data[cell.n]]
         losses = np.array([gap @ gap for gap in gaps])
         assert (cell.risk, cell.stderr) == (losses.mean(), losses.std(ddof=1) / math.sqrt(trials))
+
+
+def test_dpsgml_xi2_is_exact_at_the_first_datasets_mle():
+    model = gaussian_mean_model(3, sigma=1.0, radius=5.0)
+    theta_star = np.full(3, 0.5)
+    report = run_dpsgml(model, theta_star, [60], [1.0], m=16, trials=100, seed=24)
+    data = model.sample(theta_star, 60, next(trial_rngs(24, (0, 0), 1)))
+    expected = estimate_xi2(data, model, mle_pga(data, model), 16)
+    assert report.cells[0].extras["xi2"] == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize(

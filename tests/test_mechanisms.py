@@ -1,13 +1,14 @@
 """Tests for private mechanisms, finite kernels, and DP-SGML."""
 
 import dataclasses
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from dpminimax import mechanisms
+from dpminimax import _kernels, mechanisms
 from dpminimax import (
     Ball,
     Box,
@@ -31,6 +32,7 @@ from dpminimax import (
     randomized_response,
     rr_kernel,
     rr_sum_kernel,
+    verify_group_privacy,
     verify_privacy,
 )
 
@@ -239,24 +241,67 @@ def test_kernel_constructor_validation():
             rr_sum_kernel(bad, 2)
 
 
-def _unclamped_keep(eps):
-    return math.exp(eps) / (1.0 + math.exp(eps))
-
-
-def test_rr_kernels_are_bit_identical_below_the_exponent_clamp():
+def test_rr_keep_over_flip_is_e_to_the_eps():
+    # keep and flip are each computed from e^-eps, so their ratio keeps the
+    # precision that 1 - keep loses once keep is close to 1.
     rng = derived_rng(7)
-    for eps in [math.log(3.0), 36.0, 37.0, 39.9, 40.0, 40.1, 700.0] + list(rng.uniform(0.01, 709.0, 200)):
-        eps = float(eps)
-        assert mechanisms._rr_keep(eps) == _unclamped_keep(eps)
-    assert rr_kernel(45.0, 2).kernel.tobytes() == rr_kernel(40.0, 2).kernel.tobytes()
+    for eps in [1e-300, 1e-8, math.log(3.0), 9.94, 10.4, 36.0, 40.0, 700.0] + list(rng.uniform(0.0, 700.0, 200)):
+        keep, flip = mechanisms._rr_keep_flip(float(eps))
+        assert keep / flip == pytest.approx(math.exp(eps), rel=8 * np.finfo(float).eps)
 
 
 def test_rr_kernels_at_large_eps_do_not_overflow():
     for eps in (800.0, 1e300):
         assert np.array_equal(rr_kernel(eps, 2).kernel, np.eye(4))
-        assert np.array_equal(rr_sum_kernel(eps, 2).kernel, rr_sum_kernel(40.0, 2).kernel)
+        weights = [0, 1, 1, 2]  # the weight of each dataset's own word
+        assert np.array_equal(rr_sum_kernel(eps, 2).kernel, np.eye(3)[weights])
         rng = derived_rng(8)
         assert all(randomized_response(bit, eps, rng) == bit for bit in (0, 1) * 10)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("make_kernel", [rr_kernel, rr_sum_kernel], ids=["rr", "rr_sum"])
+def test_rr_kernels_are_private_at_large_eps(make_kernel, n):
+    # From eps = 9.94 on, a flip probability taken as 1 - keep was off by
+    # enough to refute these verdicts.
+    for eps in (9.94, 10.4, 12.0, 20.0, 36.0, 40.0, 100.0, 230.0):
+        mech = make_kernel(eps, n)
+        assert verify_privacy(mech, PrivacyConstraint.pure(eps)).holds, eps
+        assert verify_privacy(mech, PrivacyConstraint.approx(eps, 1e-3)).holds, eps
+        assert verify_group_privacy(mech, PrivacyConstraint.pure(eps)), eps
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_rr_kernel_matches_a_per_entry_reference(n):
+    for eps in (0.05, math.log(3.0), 10.4, 230.0):
+        keep, flip = mechanisms._rr_keep_flip(eps)
+        expected = [
+            [keep ** (n - bin(x ^ o).count("1")) * flip ** bin(x ^ o).count("1") for o in range(2**n)]
+            for x in range(2**n)
+        ]
+        # numpy may take small integer powers by repeated multiplication.
+        assert np.allclose(rr_kernel(eps, n).kernel, expected, rtol=4 * np.finfo(float).eps, atol=0.0)
+
+
+def _binomial_sum_row(keep, flip, bits):
+    """The law of the number of ones among independent randomized responses."""
+    dist = np.array([1.0])
+    for b in bits:
+        p_one = keep if b == 1 else flip
+        p_zero = flip if b == 1 else keep
+        dist = np.append(dist * p_zero, 0.0) + np.append(0.0, dist * p_one)
+    return dist
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_rr_sum_kernel_matches_a_binomial_convolution(n):
+    for eps in (0.05, math.log(3.0), 2.5, 10.4, 40.0):
+        keep, flip = mechanisms._rr_keep_flip(eps)
+        expected = [
+            _binomial_sum_row(keep, flip, [(x >> (n - 1 - i)) & 1 for i in range(n)])
+            for x in range(2**n)
+        ]
+        assert np.allclose(rr_sum_kernel(eps, n).kernel, expected, rtol=0.0, atol=1e-15)
 
 
 # ---------------------------------------------------------- parametric model
@@ -513,7 +558,7 @@ def test_non_finite_gradient_is_reported():
         with pytest.raises(NonFinite):
             dp_sgml_batch(np.stack([data, data]), bad, cfg, 1)
         with pytest.raises(NonFinite):
-            estimate_xi2(data, bad, np.zeros(2), m=3, trials=4, rng=derived_rng(2))
+            estimate_xi2(data, bad, np.zeros(2), m=3)
 
 
 @pytest.mark.parametrize("m", [None, 4])
@@ -615,29 +660,31 @@ def test_estimate_xi2_full_batch_is_small_but_positive():
     model = gaussian_mean_model(3, sigma=1.0, radius=5.0)
     data = model.sample(np.zeros(3), 40, derived_rng(47))
     theta_ml = mle_pga(data, model)
-    xi2, stderr = estimate_xi2(data, model, theta_ml, m=40, trials=200, rng=derived_rng(48))
+    xi2 = estimate_xi2(data, model, theta_ml, m=40)
     assert 0.0 < xi2 < 1.0
-    assert stderr > 0.0
+    # Larger batches average more records, so xi^2 falls as m grows.
+    assert xi2 < estimate_xi2(data, model, theta_ml, m=1)
 
 
-def _xi2_reference(data, model, theta_ml, m, trials, rng):
-    """One clipped batch mean per trial, the batch drawn just before it."""
-    values = np.empty(trials)
-    for t in range(trials):
-        g = model.grad(data[rng.integers(0, len(data), size=m)], theta_ml)
-        norms = np.sqrt(np.sum(g * g, axis=1))
-        gbar = (g * np.where(norms > model.L, model.L / np.maximum(norms, 1e-300), 1.0)[:, None]).mean(axis=0)
-        values[t] = gbar @ gbar
-    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(trials))
+def _xi2_brute_force(data, model, theta_ml, m):
+    """The mean of ||clipped batch mean||^2 over every one of the n^m
+    ordered batches of m records."""
+    batches = np.array(list(itertools.product(range(len(data)), repeat=m)))
+    gbar = _kernels.clipped_mean(model.grad(data[batches], theta_ml), model.L)
+    return float(np.mean(np.sum(gbar * gbar, axis=1)))
 
 
-@pytest.mark.parametrize("m", [7, 16])
-def test_estimate_xi2_matches_per_batch_reference(m):
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_estimate_xi2_matches_brute_force_over_all_batches(m):
     model = gaussian_mean_model(3, sigma=1.0, radius=5.0, clip_norm=1.5)
-    data = model.sample(np.array([0.2, -0.1, 0.4]), 30, derived_rng(49))
-    theta_ml = mle_pga(data, model)
-    got = estimate_xi2(data, model, theta_ml, m=m, trials=50, rng=derived_rng(50))
-    assert got == _xi2_reference(data, model, theta_ml, m, 50, derived_rng(50))
+    for n, seed in ((1, 49), (3, 50), (5, 51)):
+        data = model.sample(np.array([0.2, -0.1, 0.4]), n, derived_rng(seed))
+        data[0] += 4.0  # a row whose gradient the clip shortens
+        theta_ml = mle_pga(data, model)
+        norms = np.linalg.norm(model.grad(data, theta_ml), axis=1)
+        assert n == 1 or np.any(norms > model.L)
+        exact = estimate_xi2(data, model, theta_ml, m=m)
+        assert exact == pytest.approx(_xi2_brute_force(data, model, theta_ml, m), rel=1e-13, abs=1e-16)
 
 
 def test_zero_gradient_rows_are_quiet():
@@ -648,7 +695,7 @@ def test_zero_gradient_rows_are_quiet():
     cfg = DPSGMLConfig(sigma2_noise=0.0, K=3, eta=0.5, m=2, rho=1.0, clip=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert estimate_xi2(data, model, mle_pga(data, model), m=4, trials=3, rng=derived_rng(51)) == (0.0, 0.0)
+        assert estimate_xi2(data, model, mle_pga(data, model), m=4) == 0.0
         assert np.array_equal(dp_sgml(data, model, cfg, derived_rng(52)), [0.0, 0.0])
 
 
@@ -656,4 +703,4 @@ def test_estimate_xi2_validation():
     model = gaussian_mean_model(2)
     data = np.zeros((5, 2))
     with pytest.raises(DomainError):
-        estimate_xi2(data, model, np.zeros(2), m=0, trials=10, rng=derived_rng(0))
+        estimate_xi2(data, model, np.zeros(2), m=0)
