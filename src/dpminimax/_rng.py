@@ -6,10 +6,18 @@ Philox counter-based bit generator.  Stream i is a pure function of
 (seed, tags), never of how much randomness other streams consumed, so
 estimates do not depend on execution order or worker partitioning.
 
-derived_rng defines a stream.  Monte-Carlo loops walk the streams
-(seed, *tags, t) for t < count in one of two ways, both of which derive all
-of their Philox keys in one vectorized pass and yield the same bits as
-derived_rng: trial_rngs iterates them in order on the calling thread, and
+derived_rng defines a stream.  The last tag is a trial index and addresses
+the Philox counter: the streams (seed, *tags, t) of a Monte-Carlo cell share
+one key, hashed by SeedSequence from the seed and the other tags, and trial t
+starts at counter t * 2**128 (counter words 2-3), so no two trials overlap
+until one draws 2**128 blocks.  The key is SeedSequence's key of the trial-0
+stream: a tagless stream and trial 0 of every stream are
+Philox(SeedSequence((len(tags), seed, *tags))), the bits the package drew
+before trials were counter-addressed; trials t >= 1 drew other bits then.
+
+Monte-Carlo loops walk the trials of a cell in one of two ways, both of which
+derive the key once and rewind one Generator per thread to each trial's
+counter: trial_rngs iterates them in order on the calling thread, and
 trial_ranges hands contiguous trial ranges to one thread per CPU.  Because
 trial t reads only its own stream, a threaded run writes exactly the bits a
 serial one does, whatever the CPU count.  Callers thread only callables
@@ -21,7 +29,7 @@ from __future__ import annotations
 import os
 import threading
 import weakref
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -36,29 +44,40 @@ _THREAD_MIN_VALUES = 4096
 # The callables marked by thread_safe, held by identity.
 _THREAD_SAFE: "weakref.WeakSet[Callable]" = weakref.WeakSet()
 
-_MASK32 = 0xFFFFFFFF
-# SeedSequence's hash constants (numpy.random.bit_generator).
-_INIT_A = 0x43B0D7E5
-_MULT_A = 0x931E8875
-_INIT_B = 0x8B51F9DD
-_MULT_B = 0x58F38DED
-_MIX_MULT_L = 0xCA01F9DD
-_MIX_MULT_R = 0x4973F715
-_POOL_SIZE = 4
+# A trial index fills Philox counter words 2-3.
+_TRIAL_LIMIT = 1 << 128
+_MASK64 = (1 << 64) - 1
+
+
+def _stream(seed: int, tags: tuple) -> tuple[list[int], int]:
+    """The Philox key words and the trial of the stream (seed, *tags).
+
+    The last tag is the trial.  The key is SeedSequence's hash of the tag
+    count, the seed and the tags with the last one set to 0: the key of
+    trial 0, whatever the trial.  The tag count leads the entropy because
+    SeedSequence pads entropy of fewer than four words with zero words:
+    without it (seed, 0) would alias the bare (seed,) stream.
+    """
+    tags = [int(t) for t in tags]
+    if any(t < 0 for t in tags):
+        raise ValueError("stream tags must be non-negative")
+    trial = 0
+    if tags:
+        trial, tags[-1] = tags[-1], 0
+    if trial >= _TRIAL_LIMIT:
+        raise ValueError("the last stream tag must be below 2**128")
+    key = np.random.SeedSequence((len(tags), int(seed), *tags)).generate_state(2, np.uint64)
+    return key.tolist(), trial
 
 
 def derived_rng(seed: int, *tags: int) -> np.random.Generator:
     """Return a Generator for the stream identified by (seed, *tags).
 
-    Tags must be non-negative integers; the same (seed, tags) always yields
-    an identical stream.
+    Tags must be non-negative integers, the last one below 2**128; the same
+    (seed, tags) always yields an identical stream.
     """
-    entropy = (int(seed),) + tuple(int(t) for t in tags)
-    if any(t < 0 for t in entropy[1:]):
-        raise ValueError("stream tags must be non-negative")
-    # The tag count leads the entropy because SeedSequence absorbs trailing
-    # zero words: without it (seed, 0) would alias the bare (seed,) stream.
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((len(tags),) + entropy)))
+    (low, high), trial = _stream(seed, tags)
+    return np.random.Generator(np.random.Philox(key=low | high << 64, counter=trial << 128))
 
 
 def spawn_keys(seed: int, count: int, *tags: int) -> list[tuple[int, ...]]:
@@ -67,85 +86,23 @@ def spawn_keys(seed: int, count: int, *tags: int) -> list[tuple[int, ...]]:
     return [base + (i,) for i in range(count)]
 
 
-def _words(value: int) -> list[int]:
-    """SeedSequence's split of a non-negative int into 32-bit words, low first."""
-    if value < 0:
-        raise ValueError("expected non-negative integer")
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
-
-
-def _philox_keys(seed: int, tags: tuple[int, ...], count: int) -> np.ndarray:
-    """Philox keys of derived_rng(seed, *tags, t) for t < count, shape (count, 2).
-
-    Runs SeedSequence's mix_entropy and generate_state(2, uint64) with the
-    trial index as a vector: every other entropy word is the same for all
-    trials, and t < 2^32 is always exactly one word.
-    """
-    if count > 1 << 32:
-        raise ValueError("count must be at most 2**32")
-    prefix = [len(tags) + 1, *_words(seed)]
-    for tag in tags:
-        prefix += _words(tag)
-    # Length-1 arrays, not numpy scalars: array arithmetic wraps mod 2^32
-    # silently, where scalar arithmetic warns on overflow.
-    entropy = [np.full(1, w, dtype=np.uint32) for w in prefix]
-    entropy.append(np.arange(count, dtype=np.uint32))
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> np.uint32(16))
-
-    def mix(x, y):
-        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return result ^ (result >> np.uint32(16))
-
-    zero = np.zeros(1, dtype=np.uint32)
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
-    for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
-    for word in entropy[_POOL_SIZE:]:
-        for i_dst in range(_POOL_SIZE):
-            pool[i_dst] = mix(pool[i_dst], hashmix(word))
-
-    # generate_state(2, uint64): one 32-bit word per pool entry, paired low
-    # word first into the two 64-bit key words.
-    state = np.empty((count, 4), dtype=np.uint64)
-    hash_const = _INIT_B
-    for i in range(4):
-        value = pool[i] ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        value = value * np.uint32(hash_const)
-        state[:, i] = value ^ (value >> np.uint32(16))
-    return state[:, 0::2] | (state[:, 1::2] << np.uint64(32))
-
-
-def _stream_id(seed: int, tags: tuple) -> tuple[int, tuple[int, ...]]:
-    tags = tuple(int(t) for t in tags)
-    if any(t < 0 for t in tags):
-        raise ValueError("stream tags must be non-negative")
-    return int(seed), tags
+def _cell_key(seed: int, tags: tuple, count: int) -> list[int]:
+    """The key of the streams (seed, *tags, t) for t < count."""
+    key, _ = _stream(seed, (*tags, 0))
+    if count >= _TRIAL_LIMIT:
+        raise ValueError("count must be below 2**128")
+    return key
 
 
 def trial_rngs(seed: int, tags: tuple[int, ...], count: int) -> Iterator[np.random.Generator]:
     """Yield the streams derived_rng(seed, *tags, t) for t = 0, ..., count - 1.
 
-    All Philox keys are derived up front; one Generator is reused and rewound
-    to trial t's key at counter 0 before it is yielded, so it is valid only
-    until the next trial is requested.
+    The key is derived once; one Generator is reused and rewound to trial
+    t's counter before it is yielded, so it is valid only until the next
+    trial is requested.
     """
-    seed, tags = _stream_id(seed, tags)
-    return _rewound(_philox_keys(seed, tags, int(count)).tolist())
+    count = int(count)
+    return _rewound(_cell_key(seed, tags, count), range(count))
 
 
 def _cpu_count() -> int:
@@ -191,12 +148,11 @@ def trial_ranges(
     the error of the lowest failing range is raised: the error a serial run
     would raise.
     """
-    seed, tags = _stream_id(seed, tags)
     count = int(count)
-    keys = _philox_keys(seed, tags, count).tolist()
+    key = _cell_key(seed, tags, count)
     workers = min(_cpu_count(), count) if threaded else 1
     if workers <= 1:
-        body(0, count, _rewound(keys))
+        body(0, count, _rewound(key, range(count)))
         return
     edges = [count * i // workers for i in range(workers + 1)]
     errors: list = [None] * workers
@@ -204,7 +160,7 @@ def trial_ranges(
     def run(i: int) -> None:
         lo, hi = edges[i], edges[i + 1]
         try:
-            body(lo, hi, _rewound(keys[lo:hi]))
+            body(lo, hi, _rewound(key, range(lo, hi)))
         except BaseException as exc:  # re-raised below, in range order
             errors[i] = exc
 
@@ -219,18 +175,19 @@ def trial_ranges(
             raise exc
 
 
-def _rewound(keys: list) -> Iterator[np.random.Generator]:
+def _rewound(key: list[int], trials: Iterable[int]) -> Iterator[np.random.Generator]:
     bit_generator = np.random.Philox(0)
     rng = np.random.Generator(bit_generator)
-    key = [0, 0]
+    counter = [0, 0, 0, 0]
     state = {
         "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": key},
+        "state": {"counter": counter, "key": key},
         "buffer": (0, 0, 0, 0),
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
-    for key[0], key[1] in keys:
+    for t in trials:
+        counter[2], counter[3] = t & _MASK64, t >> 64
         bit_generator.state = state
         yield rng

@@ -36,16 +36,12 @@ from .couplings import (
 from .divergences import DiscreteDistribution, tv
 from .errors import (
     ArityMismatch,
-    BudgetExhausted,
     DegenerateInput,
     DegenerateMarginal,
     DomainError,
     DPMinimaxError,
-    InsufficientBudget,
     KindConstraintMismatch,
     LengthMismatch,
-    NonFinite,
-    OutOfSpace,
     RegimeError,
     ShapeMismatch,
     TooLarge,
@@ -69,7 +65,7 @@ from .verify import (
 
 __all__ = ["main"]
 
-_SCHEMA = "dpminimax.report/1"
+_SCHEMA = "dpminimax.report/2"
 
 _USAGE_ERRORS = (
     DomainError,
@@ -82,7 +78,6 @@ _USAGE_ERRORS = (
     DegenerateInput,
     RegimeError,
 )
-_CHECKED_ERRORS = (TooLarge, BudgetExhausted, InsufficientBudget, OutOfSpace, NonFinite)
 
 _SIMILARITY_KINDS = (
     "global_anchor",
@@ -720,9 +715,6 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_experiment(args)
-    except _CHECKED_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except _USAGE_ERRORS as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

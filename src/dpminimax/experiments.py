@@ -16,9 +16,11 @@ their per-cell estimator and bounds, so they share one cell loop, _run_grid:
 it walks the cells constraint-major, and cell k draws trial t's data and
 noise from the stream (seed, k, t).  run_dpsgml walks its (rho, n) cells
 rho-major: cell k draws trial t's data from (seed, k, 0, t) and its DP-SGML
-noise from (seed, k, 1, t); its xi^2 is exact and draws nothing.  The MLE
-row of each distinct n reuses the first min(trials, 100) datasets of that
-n's first cell.  Every study rejects an n below 1.
+noise from (seed, k, 1, t); its xi^2 is exact and draws nothing.  The
+trials of each of these cells share a Philox key, and trial t is addressed
+by the counter (see _rng).  The MLE row of each distinct n reuses the first
+min(trials, 100) datasets of that n's first cell.  Every study rejects an n
+below 1.
 
 A Gaussian cell whose datasets hold at least _rng._THREAD_MIN_VALUES values
 (n d) splits its trials into one contiguous range per CPU through
@@ -179,13 +181,14 @@ def monte_carlo_risk(
 
     Trial t draws its data and mechanism noise from the stream
     (seed, *tags, t), so the estimate is independent of trial scheduling.
-    The streams are derived in bulk by trial_ranges and equal
-    derived_rng(seed, *tags, t) bit for bit; the rng passed to the sampler
-    and the mechanism is valid only for its own trial.  The trials run in
-    one range per CPU when model.sample and mechanism are both marked by
-    _rng.thread_safe and a dataset holds at least _rng._THREAD_MIN_VALUES
-    values (n times the model's dim, if it has one); otherwise they run in
-    order on the calling thread.  A non-finite loss raises NonFinite.
+    trial_ranges derives the cell's Philox key once and rewinds a Generator
+    to trial t's counter, which gives derived_rng(seed, *tags, t) bit for
+    bit; the rng passed to the sampler and the mechanism is valid only for
+    its own trial.  The trials run in one range per CPU when model.sample
+    and mechanism are both marked by _rng.thread_safe and a dataset holds at
+    least _rng._THREAD_MIN_VALUES values (n times the model's dim, if it has
+    one); otherwise they run in order on the calling thread.  A non-finite
+    loss raises NonFinite.
     """
     if trials < _MIN_TRIALS:
         raise DomainError(f"trials must be >= {_MIN_TRIALS}")

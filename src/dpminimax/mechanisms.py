@@ -420,7 +420,7 @@ def dp_sgml_batch(
 
     Row t equals dp_sgml(data[t], ..., derived_rng(seed, *tags, t)) bit for
     bit, for any model, space and batch size: both run the same trial-batched
-    kernel, and trial_rngs derives the streams in bulk with the same bits.
+    kernel, and trial_rngs rewinds one Generator to each trial's counter.
     """
     return _run_trials(data, model, cfg, trial_rngs(seed, tags, len(data)))
 

@@ -289,9 +289,10 @@ def _zcdp_pair_holds(p: np.ndarray, q: np.ndarray, rho_bound: float):
     The grid is scanned first, in its fixed order.  D_alpha is non-decreasing
     in alpha, so D_b <= rho_bound * a certifies every alpha in [a, b]: each
     interval between consecutive grid points, and (1, min grid] taken with
-    a = 1, is certified that way or bisected until it is.  The tail alpha > 16
-    is certified by D_infinity <= 16 * rho_bound.  The witness is a failing
-    alpha, math.inf for the tail, or an (a, b) interval still open after
+    a = 1, is certified that way or bisected until it is.  The tail beyond
+    top = max(16, D_infinity / rho_bound) is certified by D_alpha <=
+    D_infinity <= rho_bound * alpha, and (16, top] is one more interval.  The
+    witness is a failing alpha, or an (a, b) interval still open after
     _ALPHA_BISECTIONS bisections.
     """
     divergence = {}
@@ -303,10 +304,13 @@ def _zcdp_pair_holds(p: np.ndarray, q: np.ndarray, rho_bound: float):
     for alpha in _ALPHA_GRID:
         if fails(alpha):
             return alpha
-    if _max_log_ratio(p, q) > rho_bound * _ALPHA_MAX + _DP_TOL:
-        return math.inf
-
+    # D_infinity is finite here: an infinite one makes every D_alpha infinite.
+    top = _max_log_ratio(p, q) / rho_bound
     points = (1.0,) + tuple(sorted(_ALPHA_GRID))
+    if top > _ALPHA_MAX:
+        if fails(top):
+            return top
+        points += (top,)
     open_intervals = list(zip(points, points[1:]))
     bisections = 0
     while open_intervals:
@@ -347,9 +351,9 @@ def verify_privacy(m: FiniteMechanism, c: PrivacyConstraint) -> PrivacyCheck:
 
     DP checks the worst event of each pair in closed form; zCDP certifies
     D_alpha <= rho * alpha for every alpha > 1 from an alpha grid, bisection
-    between grid points and the max-log-ratio tail.  Returns a violating
-    witness (dataset pair plus worst event, or alpha or alpha interval) when
-    the check fails.
+    between grid points and up to D_infinity / rho, and the max-log-ratio
+    tail beyond it.  Returns a violating witness (dataset pair plus worst
+    event, or alpha or alpha interval) when the check fails.
     """
     _check_caps(m)
     if c.kind == "none":

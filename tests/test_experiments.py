@@ -516,17 +516,22 @@ def test_threaded_gaussian_cells_match_the_serial_run(monkeypatch, thread_starts
 
 def _failing_sampler(seed, failing):
     """A model whose marked sampler raises on the given trials of the
-    streams (seed, t); each trial draws dim * n values, enough to be threaded."""
+    streams (seed, t); each trial draws dim * n values, enough to be threaded.
 
-    def key(rng):
-        return tuple(rng.bit_generator.state["state"]["key"].tolist())
+    The streams of a cell share one key, and trial t starts at counter
+    t * 2**128, which is where the sampler, the first to draw, finds it."""
 
-    failing = {key(derived_rng(seed, t)): t for t in failing}
+    def stream(rng):
+        state = rng.bit_generator.state["state"]
+        low, high = state["counter"][2:].tolist()
+        return tuple(state["key"].tolist()), low | high << 64
+
+    failing = {stream(derived_rng(seed, t)) for t in failing}
 
     @_rng.thread_safe
     def sample(theta, n, rng):
-        t = failing.get(key(rng))
-        if t is not None:
+        key, t = stream(rng)
+        if (key, t) in failing:
             raise DegenerateInput(f"trial {t} failed")
         return np.zeros(n)
 

@@ -246,14 +246,59 @@ def test_spawn_keys_enumerate_trial_streams():
 # ---------------------------------------------------------- bulk trial streams
 
 
-@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**40 + 5])
-@pytest.mark.parametrize("tags", [(), (0,), (3, 0), (2**33 + 7,)])
+_SEEDS = [0, 2**32 - 1, 2**32, 2**40 + 5]
+_TAGS = [(), (0,), (3, 0), (2**33 + 7,)]
+
+
+def _draws(rng):
+    # Three 32-bit draws leave half a word buffered.
+    return rng.standard_normal(3).tolist(), rng.integers(0, 7, size=3).tolist()
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+@pytest.mark.parametrize("tags", _TAGS)
+def test_trial_t_is_the_cell_key_at_counter_t_times_2_to_the_128(seed, tags):
+    low, high = np.random.SeedSequence((len(tags) + 1, seed, *tags, 0)).generate_state(2, np.uint64)
+    key = int(low) | int(high) << 64
+    for t in (1, 2**32, 2**64 + 3):
+        expected = np.random.Generator(np.random.Philox(key=key, counter=t << 128))
+        assert _draws(derived_rng(seed, *tags, t)) == _draws(expected)
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+@pytest.mark.parametrize("tags", _TAGS)
+def test_tagless_streams_and_trial_0_are_seedsequence_streams(seed, tags):
+    # The bits these streams had before trials were addressed by the counter.
+    def seeded(*entropy):
+        return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+
+    assert _draws(derived_rng(seed)) == _draws(seeded(0, seed))
+    assert _draws(derived_rng(seed, *tags, 0)) == _draws(seeded(len(tags) + 1, seed, *tags, 0))
+    assert _draws(next(trial_rngs(seed, tags, 1))) == _draws(seeded(len(tags) + 1, seed, *tags, 0))
+
+
+def test_trial_index_and_count_must_be_below_2_to_the_128():
+    # The last trial fills counter words 2-3; the largest count is accepted
+    # without walking its trials.
+    low, high = np.random.SeedSequence((2, 3, 1, 0)).generate_state(2, np.uint64)
+    last = np.random.Philox(key=int(low) | int(high) << 64, counter=(2**128 - 1) << 128)
+    assert _draws(derived_rng(3, 1, 2**128 - 1)) == _draws(np.random.Generator(last))
+    trial_rngs(3, (1,), 2**128 - 1)
+    body = lambda lo, hi, rngs: None
+    with pytest.raises(ValueError, match="2\\*\\*128"):
+        derived_rng(3, 1, 2**128)
+    with pytest.raises(ValueError, match="2\\*\\*128"):
+        trial_rngs(3, (1,), 2**128)
+    with pytest.raises(ValueError, match="2\\*\\*128"):
+        trial_ranges(3, (1,), 2**128, body, threaded=False)
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+@pytest.mark.parametrize("tags", _TAGS)
 def test_trial_rngs_match_derived_rng(seed, tags):
     for count in (0, 1, 129, 1000):
         seen = 0
         for t, rng in enumerate(trial_rngs(seed, tags, count)):
-            ref = np.random.Philox(np.random.SeedSequence((len(tags) + 1, seed, *tags, t)))
-            assert np.array_equal(rng.bit_generator.state["state"]["key"], ref.state["state"]["key"])
             expected = derived_rng(seed, *tags, t)
             assert rng.standard_normal(2).tolist() == expected.standard_normal(2).tolist()
             # Three 32-bit draws leave half a word buffered, which the next

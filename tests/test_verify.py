@@ -706,6 +706,21 @@ def test_zcdp_open_interval_after_the_bisection_cap_is_not_certified(monkeypatch
     assert 2.0 <= a < b <= 4.0
 
 
+@pytest.mark.parametrize("eps", [0.05, 0.1, 0.12])
+def test_zcdp_tail_beyond_16_is_certified_from_the_max_log_ratio(eps, capsys):
+    # Randomized response is eps^2/2-zCDP, and its D_infinity = eps exceeds
+    # 16 rho for eps < 1/8: alpha in (16, eps / rho] is bisected, and
+    # D_alpha <= eps <= rho alpha certifies every larger alpha.
+    rho = eps**2 / 2.0
+    assert verify_privacy(rr_kernel(eps, 1), PrivacyConstraint.zcdp(rho)).holds
+    argv = ["verify", "privacy", "--mechanism", "rr", "--eps", repr(eps), "--rho", repr(rho)]
+    assert cli.main(argv) == 0
+    assert "all checks hold" in capsys.readouterr().out
+    # A grid witness is found before the tail is looked at.
+    res = verify_privacy(identity_kernel(2, 1), PrivacyConstraint.zcdp(0.5))
+    assert res.witness[2] == 2.0
+
+
 def test_zcdp_certificates_hold_on_a_dense_alpha_scan():
     rng = derived_rng(604)
     alphas = np.concatenate([1.0 + np.geomspace(1e-6, 1.0, 400), np.linspace(2.0, 16.0, 2000)])
