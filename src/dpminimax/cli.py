@@ -158,6 +158,10 @@ def _add_constraint_flags(p: argparse.ArgumentParser) -> None:
 def _constraint_from_args(args) -> Optional[PrivacyConstraint]:
     if args.dp and args.zcdp:
         raise DomainError("choose one of --dp and --zcdp")
+    if not args.dp and (args.eps is not None or args.delta != 0.0):
+        raise DomainError("--eps and --delta need --dp")
+    if not args.zcdp and args.rho is not None:
+        raise DomainError("--rho needs --zcdp")
     if args.dp:
         if args.eps is None:
             raise DomainError("--dp requires --eps")
@@ -423,6 +427,8 @@ def _build_mechanism(args):
 
 def _verify_constraint(args) -> PrivacyConstraint:
     if args.rho is not None:
+        if args.delta != 0.0:
+            raise DomainError("--delta does not apply to a zCDP check (--rho)")
         return PrivacyConstraint.zcdp(args.rho)
     if args.delta != 0.0:
         return PrivacyConstraint.approx(args.eps, args.delta)

@@ -116,7 +116,9 @@ def renyi(alpha: float, p: DiscreteDistribution, q: DiscreteDistribution) -> flo
     """Renyi divergence D_alpha(p || q) for alpha > 1.
 
     D_alpha = (1/(alpha-1)) ln sum_x p(x)^alpha q(x)^(1-alpha), with the
-    convention that any atom with p(x) > 0 = q(x) gives +inf.
+    convention that any atom with p(x) > 0 = q(x) gives +inf.  The sum is
+    taken in log space (see _cgf), so it neither overflows nor underflows
+    at large alpha.
     """
     if not alpha > 1.0:
         raise DomainError("renyi is defined here for alpha > 1")
@@ -132,13 +134,36 @@ def _kl_weights(pw: np.ndarray, qw: np.ndarray) -> float:
     return float(np.sum(pw[mask] * np.log(pw[mask] / qw[mask])))
 
 
-def _renyi_weights(pw: np.ndarray, qw: np.ndarray, alpha: float) -> float:
-    """D_alpha between two aligned non-negative weight vectors (see renyi)."""
+def _cgf(pw: np.ndarray, qw: np.ndarray, s: float) -> float:
+    """K(s) = ln sum_x p(x) e^(s r(x)) with r = ln(p/q), over the atoms p charges.
+
+    K is the cumulant generating function of the log-likelihood ratio under
+    p, so it is convex with K(0) = 0, and K(alpha - 1) = (alpha - 1) D_alpha.
+    It is summed in log space over x = ln p + s r, so no power of p or q is
+    formed.  Where some x exceeds 0 it is the log-sum-exp shifted by max x.
+    Otherwise every p e^(s r) is at most 1 and K = log1p(sum_x p (e^(s r) - 1)),
+    each term taken as p expm1(s r) or, where s r > 0, as e^x (1 - e^(-s r)):
+    then no term overflows, and near s = 0 the rounding of K shrinks with s.
+    An atom with p(x) > 0 = q(x) gives +inf.
+    """
     mask = pw > 0.0
     if np.any(qw[mask] == 0.0):
         return math.inf
-    s = float(np.sum(pw[mask] ** alpha * qw[mask] ** (1.0 - alpha)))
-    return math.log(s) / (alpha - 1.0)
+    p = pw[mask]
+    logp = np.log(p)
+    sr = s * (logp - np.log(qw[mask]))
+    x = logp + sr
+    shift = float(x.max())
+    if shift > 0.0:
+        return shift + math.log(float(np.sum(np.exp(x - shift))))
+    terms = p * np.expm1(np.minimum(sr, 0.0)) - np.exp(x) * np.expm1(-np.maximum(sr, 0.0))
+    return math.log1p(float(np.sum(terms)))
+
+
+def _renyi_weights(pw: np.ndarray, qw: np.ndarray, alpha: float) -> float:
+    """D_alpha = K(alpha - 1) / (alpha - 1) between two aligned weight vectors
+    (see renyi and _cgf)."""
+    return _cgf(pw, qw, alpha - 1.0) / (alpha - 1.0)
 
 
 @dataclass(frozen=True)

@@ -276,9 +276,11 @@ def _grid(outer, ns, outer_name: str):
 def _cell(model, n, c, mechanism, risk, stderr, trials, lower, branch, analytic, extras, *further,
           reference=False):
     """One CellResult, flagged when its risk undercuts the lower bound or a
-    further bound by more than three standard errors.  A reference row is
-    never flagged: its lower_bound is its own expected risk, not a bound."""
-    violation = not reference and any(risk < b - 3.0 * stderr for b in (lower, *further))
+    further bound by more than three standard errors.  In a reference row
+    lower_bound is not a certified bound (an expected risk, or a rate with no
+    constant), so the row is flagged only against the further bounds."""
+    bounds = further if reference else (lower, *further)
+    violation = any(risk < b - 3.0 * stderr for b in bounds)
     return CellResult(
         model=model, n=n, constraint=c, mechanism=mechanism, risk=risk, stderr=stderr,
         trials=trials, lower_bound=lower, branch=branch, analytic_risk=analytic,
@@ -486,8 +488,11 @@ def run_dpsgml(
     """DP-SGML risk over an (n, rho) grid, with MLE baseline and lower bounds.
 
     The lower bound per cell is the parametric rate max{d/(2 gamma rho n^2),
-    d/(2 gamma n)}.  One MLE row per distinct n carries its nonprivate part,
-    which is the MLE's own expected risk, so that row is a reference and is
+    d/(2 gamma n)}.  It carries no constant and can exceed what the space
+    permits, so each dp_sgml row is a reference row, flagged only against
+    the packing-argument bound where kl_quadratic_bounds applies.  One MLE
+    row per distinct n carries the rate's nonprivate part, the MLE's own
+    expected risk; it is a reference row with no further bound, so it is
     never flagged.  Slopes are reported per grid axis, and each dp_sgml cell
     records its risk-to-bound ratio, the exact batch-gradient noise xi^2 of
     its first dataset at that dataset's MLE, and the packing-argument bound
@@ -529,9 +534,10 @@ def run_dpsgml(
             "packing_bound": None if packing is None else packing.value,
         }
         branch = "zcdp_parametric" if lower > nonprivate_lower else "nonprivate_parametric"
-        cells.append(
-            _cell("dpsgml", n, c, "dp_sgml", risk, stderr, trials, lower, branch, None, extras)
-        )
+        cells.append(_cell(
+            "dpsgml", n, c, "dp_sgml", risk, stderr, trials, lower, branch, None, extras,
+            *(() if packing is None else (packing.value,)), reference=True,
+        ))
         if n not in ml_done:
             ml_done.add(n)
             ml_losses = [_squared_loss(theta, theta_star) for theta in theta_ml]

@@ -5,6 +5,10 @@ explicit stochastic kernels; every dataset pair or tuple is enumerated.
 Events and tests need no enumeration: the worst event for (eps, delta)-DP
 is {o : p_o > e^eps q_o}, whose excess is the hockey-stick divergence, and
 the test with least average error picks argmax_i P(M(X_i) = o) per output.
+zCDP is certified for every alpha > 1 at once: (alpha - 1) D_alpha is convex
+in alpha, so a bisection of [1, 1 + D_infinity / rho] in which each piece's
+chord lies below rho alpha (alpha - 1) covers the whole range, and the
+max-log-ratio bound D_alpha <= D_infinity covers every larger alpha.
 The transport bound solves two small linear programs: the least worst-case
 error over randomized tests, and the optimal transport value of the
 similarity over all couplings of the marginals.  The checks are exact up to
@@ -25,7 +29,7 @@ from ._simplex import solve_min
 from .bounds import PrivacyConstraint
 from .couplings import _coupling_polytope
 from .couplings import exponential_races  # noqa: F401  (wrapped by perfbench/tracing.py)
-from .divergences import DiscreteDistribution, _kl_weights, _renyi_weights, tv
+from .divergences import DiscreteDistribution, _cgf, _kl_weights, tv
 from .errors import (
     ArityMismatch,
     DomainError,
@@ -52,8 +56,6 @@ __all__ = [
 _MAX_DATASETS = 64
 _MAX_OUTPUTS = 8
 _MAX_ADMISSIBILITY_WORK = 1_000_000
-_ALPHA_GRID = tuple(1.0 + 2.0 ** (-k) for k in range(21)) + (2.0, 4.0, 8.0, 16.0)
-_ALPHA_MAX = 16.0
 _ALPHA_BISECTIONS = 4096
 _DP_TOL = 1e-12
 _KL_TOL = 1e-10
@@ -286,44 +288,39 @@ def _max_log_ratio(p: np.ndarray, q: np.ndarray) -> float:
 def _zcdp_pair_holds(p: np.ndarray, q: np.ndarray, rho_bound: float):
     """An alpha where D_alpha > rho_bound * alpha, or None when certified.
 
-    The grid is scanned first, in its fixed order.  D_alpha is non-decreasing
-    in alpha, so D_b <= rho_bound * a certifies every alpha in [a, b]: each
-    interval between consecutive grid points, and (1, min grid] taken with
-    a = 1, is certified that way or bisected until it is.  The tail beyond
-    top = max(16, D_infinity / rho_bound) is certified by D_alpha <=
-    D_infinity <= rho_bound * alpha, and (16, top] is one more interval.  The
-    witness is a failing alpha, or an (a, b) interval still open after
-    _ALPHA_BISECTIONS bisections.
+    With s = alpha - 1 the bound reads K(s) <= g(s) = rho_bound s (s + 1) +
+    _DP_TOL s, where K(s) = (alpha - 1) D_alpha is convex with K(0) = 0 (see
+    divergences._cgf).  So K lies below its chord on any [a, b], and the
+    chord lies below g exactly when g minus the chord, a convex quadratic,
+    is non-negative at its vertex clamped to [a, b].  Beyond top = D_infinity
+    / rho_bound - 1, K(s) <= s D_infinity <= g(s).  [0, top] is bisected
+    until every piece passes; the witness is a midpoint alpha that fails, or
+    an (a, b) alpha interval still open after _ALPHA_BISECTIONS bisections.
+    An infinite D_infinity fails at alpha = 2.
     """
-    divergence = {}
+    top = _max_log_ratio(p, q) / rho_bound - 1.0
+    if math.isinf(top):
+        return 2.0
 
-    def fails(alpha):
-        divergence[alpha] = _renyi_weights(p, q, alpha)
-        return divergence[alpha] > rho_bound * alpha + _DP_TOL
+    def bound(s):
+        return rho_bound * s * (s + 1.0) + _DP_TOL * s
 
-    for alpha in _ALPHA_GRID:
-        if fails(alpha):
-            return alpha
-    # D_infinity is finite here: an infinite one makes every D_alpha infinite.
-    top = _max_log_ratio(p, q) / rho_bound
-    points = (1.0,) + tuple(sorted(_ALPHA_GRID))
-    if top > _ALPHA_MAX:
-        if fails(top):
-            return top
-        points += (top,)
-    open_intervals = list(zip(points, points[1:]))
+    pieces = [(0.0, 0.0, top, _cgf(p, q, top))] if top > 0.0 else []
     bisections = 0
-    while open_intervals:
-        a, b = open_intervals.pop()
-        if divergence[b] <= rho_bound * a + _DP_TOL:
+    while pieces:
+        a, ka, b, kb = pieces.pop()
+        slope = (kb - ka) / (b - a)
+        s = min(max((slope - rho_bound - _DP_TOL) / (2.0 * rho_bound), a), b)
+        if ka + slope * (s - a) <= bound(s):
             continue
         if bisections == _ALPHA_BISECTIONS:
-            return (a, b)
+            return (1.0 + a, 1.0 + b)
         bisections += 1
         mid = 0.5 * (a + b)
-        if fails(mid):
-            return mid
-        open_intervals += [(a, mid), (mid, b)]
+        kmid = _cgf(p, q, mid)
+        if kmid > bound(mid):
+            return 1.0 + mid
+        pieces += [(a, ka, mid, kmid), (mid, kmid, b, kb)]
     return None
 
 
@@ -350,10 +347,10 @@ def verify_privacy(m: FiniteMechanism, c: PrivacyConstraint) -> PrivacyCheck:
     """Check the privacy constraint over all neighboring datasets.
 
     DP checks the worst event of each pair in closed form; zCDP certifies
-    D_alpha <= rho * alpha for every alpha > 1 from an alpha grid, bisection
-    between grid points and up to D_infinity / rho, and the max-log-ratio
-    tail beyond it.  Returns a violating witness (dataset pair plus worst
-    event, or alpha or alpha interval) when the check fails.
+    D_alpha <= rho * alpha for every alpha > 1 from chords of the convex
+    (alpha - 1) D_alpha on a bisection of [1, 1 + D_infinity / rho], and from
+    D_alpha <= D_infinity beyond it.  Returns a violating witness (dataset
+    pair plus worst event, or alpha or alpha interval) when the check fails.
     """
     _check_caps(m)
     if c.kind == "none":

@@ -214,6 +214,40 @@ def test_usage_errors_exit_2(argv, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "lecam", "--n", "2", "--tv", "0.5", "--eps", "0.5"],
+        ["bounds", "lecam", "--n", "2", "--tv", "0.5", "--delta", "0.1"],
+        ["bounds", "lecam", "--n", "2", "--tv", "0.5", "--rho", "0.5"],
+        ["bounds", "lecam", "--n", "2", "--tv", "0.5", "--dp", "--eps", "0.5", "--rho", "0.5"],
+        ["bounds", "lecam", "--n", "2", "--tv", "0.5", "--zcdp", "--rho", "0.5", "--eps", "0.5"],
+        ["bounds", "lecam", "--n", "2", "--tv", "0.5", "--zcdp", "--rho", "0.5", "--delta", "0.1"],
+        ["bounds", "fano", "--n", "2", "--N", "3", "--tv-all", "0.5", "--kl-q", "0.1,0.1,0.1", "--eps", "0.5"],
+        ["bounds", "fano", "--n", "2", "--N", "3", "--tv-all", "0.5", "--kl-q", "0.1,0.1,0.1", "--rho", "0.5"],
+        ["verify", "privacy", "--mechanism", "rr", "--delta", "0.1", "--rho", "0.2"],
+        ["verify", "suite", "--mechanism", "rr", "--delta", "0.1", "--rho", "0.2"],
+    ],
+)
+def test_constraint_flags_the_command_ignores_exit_2(argv, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_experiment_dpsgml_rate_above_the_space_is_not_a_violation(capsys):
+    # radius^2 = 0.01 < d/(2 gamma n) = 0.025: the rate carries no constant
+    # and is not a bound on this ball.
+    rc = main([
+        "experiment", "dpsgml", "--d", "5", "--radius", "0.1", "--theta", "0.02", "--ns", "200",
+        "--rho", "0.5", "--trials", "100", "--seed", "7",
+    ])
+    assert rc == 0
+    assert "VIOLATION" not in capsys.readouterr().out
+
+
 def test_argparse_rejects_unknown_command():
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])

@@ -34,6 +34,7 @@ from dpminimax import (
     run_uniform,
 )
 from dpminimax import _rng
+from dpminimax import experiments as experiments_mod
 from dpminimax._rng import trial_rngs
 from dpminimax.experiments import _cell, _uniform_sampler
 
@@ -409,6 +410,32 @@ def test_cell_flags_a_further_bound_the_lower_bound_misses():
     assert not cell(1.375).violation  # risk 1.0 == 1.375 - 3 * 0.125 does not undercut
     assert cell(0.25, 1.5).violation
     assert cell(0.25, 1.5).lower_bound == 0.5
+
+
+
+def test_reference_cell_is_flagged_only_against_its_further_bounds():
+    def cell(lower, *further):
+        return _cell("m", 10, PrivacyConstraint.none(), "est", 1.0, 0.125, 100, lower, "b", None, {},
+                     *further, reference=True)
+
+    assert not cell(2.0).violation  # below its lower_bound only
+    assert cell(2.0, 1.5).violation  # below a further bound
+    assert not cell(0.5, 1.375).violation
+    assert cell(2.0, 1.5).lower_bound == 2.0
+
+
+def test_dpsgml_row_is_flagged_against_its_packing_bound_only(monkeypatch):
+    # radius^2 = 0.01 lies below the rate d/(2 gamma n) = 0.025, so the rate
+    # is no bound here; a packing bound above the risk is one.
+    model = gaussian_mean_model(5, sigma=1.0, radius=0.1)
+    run = lambda: run_dpsgml(model, np.full(5, 0.02), [200], [0.5], m=64, trials=100, seed=7)
+    sgml, mle = run().cells
+    assert sgml.risk < sgml.lower_bound - 3.0 * sgml.stderr
+    assert not sgml.violation and not mle.violation
+    monkeypatch.setattr(experiments_mod, "_packing_bound", lambda *args: SimpleNamespace(value=1.0))
+    sgml, mle = run().cells
+    assert sgml.violation and not mle.violation
+    assert sgml.lower_bound == 0.025 and sgml.extras["packing_bound"] == 1.0
 
 
 # ---------------------------------------------------------------- cell streams

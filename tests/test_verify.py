@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -753,3 +754,84 @@ def test_verifiers_at_large_eps_report_instead_of_overflowing(capsys):
             rc = cli.main(["verify", sub, "--mechanism", "rr", "--n", "2", "--eps", "800"] + extra)
             assert rc in (0, 1)
             assert capsys.readouterr().out.rstrip().endswith(("all checks hold", "violations found"))
+
+
+# --------------------------------------------- zCDP from the convexity of K
+
+
+def _scan_cgf(p, q, s):
+    """K(s) = ln sum_o p_o e^(s ln(p_o/q_o)) on an array of s > 0, by a
+    max-shifted log-sum-exp; its rounding is about 1e-16 (1 + |K|)."""
+    logp = np.log(p)
+    x = logp + np.multiply.outer(s, logp - np.log(q))
+    top = x.max(axis=1)
+    return top + np.log(np.exp(x - top[:, None]).sum(axis=1))
+
+
+def _scan_sup(p, q, s):
+    """max over the scan of D_alpha / alpha = K(s) / (s (s + 1))."""
+    return float(np.max(_scan_cgf(p, q, s) / (s * (s + 1.0))))
+
+
+@pytest.mark.parametrize("eps, rho", [
+    (0.001, 0.001**2 / 2.0), (0.01, 0.01**2 / 2.0), (0.02, 0.02**2 / 2.0), (0.5, 0.125),
+    (50.0, 1250.0), (700.0, 245000.0), (1e-300, 1e-300),
+])
+def test_randomized_response_is_certified_eps_squared_over_two_zcdp(eps, rho, capsys):
+    # eps-DP implies eps^2/2-zCDP (Bun and Steinke 2016).  At eps = 1e-300
+    # both rows are (1/2, 1/2), so D_infinity = 0 <= rho.
+    assert verify_privacy(rr_kernel(eps, 1), PrivacyConstraint.zcdp(rho)).holds
+    argv = ["verify", "privacy", "--mechanism", "rr", "--eps", repr(eps), "--rho", repr(rho)]
+    assert cli.main(argv) == 0
+    assert "all checks hold" in capsys.readouterr().out
+
+
+def test_zcdp_certificate_at_large_alpha_forms_no_power_of_p_or_q():
+    # top = D_infinity / rho - 1 is about 9855 here, where p^alpha underflows
+    # and q^(1 - alpha) overflows.
+    p, q = np.array([0.5, 0.5]), np.array([0.5001, 0.4999])
+    sup = _scan_sup(p, q, np.geomspace(1e-6, 1e5, 4000))
+    assert verify_mod._zcdp_pair_holds(p, q, 1.01 * sup) is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = divergences_mod.renyi(
+            1e4, DiscreteDistribution.from_weights(p), DiscreteDistribution.from_weights(q),
+        )
+    assert math.isfinite(value)
+    assert value == pytest.approx(float(_scan_cgf(p, q, np.array([1e4 - 1.0]))[0]) / (1e4 - 1.0))
+
+
+# Close two-point pair whose alpha range runs to 1 + D_infinity / rho ~ 1080.
+# It holds at rho = 1.04 sup, but a direct p^alpha q^(1 - alpha) overflows
+# near alpha = 1000 and reads D_alpha = inf there.
+_ZCDP_NEAR = (np.array([0.49109780236142925, 0.5089021976385707]),
+              np.array([0.4901942823059775, 0.5098057176940224]), 1.04)
+
+
+def test_zcdp_certificates_hold_on_a_log_alpha_scan_to_the_top():
+    rng = derived_rng(605)
+    pairs = [_ZCDP_NEAR]
+    for _ in range(200):
+        k = int(rng.integers(2, 6))
+        concentration = math.exp(rng.uniform(math.log(0.3), math.log(50.0)))
+        p, q = rng.dirichlet(np.full(k, concentration), size=2)
+        pairs.append((p, q, float(rng.uniform(0.95, 1.05))))
+    certified = refuted = 0
+    for p, q, ratio in pairs:
+        d_inf = float(np.max(np.log(p / q)))
+        # D_alpha / alpha <= D_infinity / alpha, so the sup lies below
+        # alpha = D_infinity / sup, and a coarse scan gives sup from below.
+        coarse = _scan_sup(p, q, np.geomspace(1e-6, 1e6, 400))
+        rho = ratio * _scan_sup(p, q, np.geomspace(1e-6, 2.0 * d_inf / coarse, 2000))
+        s = np.geomspace(1e-6, max(d_inf / rho - 1.0, 1.0), 2000)
+        k_scan = _scan_cgf(p, q, s)
+        witness = verify_mod._zcdp_pair_holds(p, q, rho)
+        if witness is None:
+            certified += 1
+            allowed = rho * s * (s + 1.0) + verify_mod._DP_TOL * s + 1e-15 * (1.0 + np.abs(k_scan))
+            assert np.all(k_scan <= allowed)
+        elif isinstance(witness, float):
+            refuted += 1
+            w = witness - 1.0
+            assert float(_scan_cgf(p, q, np.array([w]))[0]) > rho * w * (w + 1.0)
+    assert certified >= 40 and refuted >= 40
