@@ -14,6 +14,9 @@ from .errors import DomainError
 
 __all__ = ["solve_min"]
 
+_TOL = 1e-9
+_MAX_ITER = 200000
+
 
 def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
     T[row] /= T[row, col]
@@ -23,16 +26,16 @@ def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
     basis[row] = col
 
 
-def _run(T: np.ndarray, basis: list[int], cost: np.ndarray, tol: float, max_iter: int) -> None:
+def _run(T: np.ndarray, basis: list[int], cost: np.ndarray) -> None:
     """Iterate Bland pivots on tableau T (m rows, rhs in last column)."""
     m, width = T.shape
     ncols = width - 1
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         cb = cost[basis]
         reduced = cost[:ncols] - cb @ T[:, :ncols]
         entering = -1
         for j in range(ncols):
-            if reduced[j] < -tol:
+            if reduced[j] < -_TOL:
                 entering = j
                 break
         if entering < 0:
@@ -41,10 +44,10 @@ def _run(T: np.ndarray, basis: list[int], cost: np.ndarray, tol: float, max_iter
         best_row = -1
         best_ratio = np.inf
         for r in range(m):
-            if col[r] > tol:
+            if col[r] > _TOL:
                 ratio = T[r, -1] / col[r]
-                if ratio < best_ratio - tol or (
-                    abs(ratio - best_ratio) <= tol
+                if ratio < best_ratio - _TOL or (
+                    abs(ratio - best_ratio) <= _TOL
                     and (best_row < 0 or basis[r] < basis[best_row])
                 ):
                     best_ratio = ratio
@@ -55,7 +58,7 @@ def _run(T: np.ndarray, basis: list[int], cost: np.ndarray, tol: float, max_iter
     raise DomainError("simplex iteration limit reached")
 
 
-def solve_min(c, A, b, tol: float = 1e-9, max_iter: int = 200000):
+def solve_min(c, A, b):
     """Return (optimal value, optimal x) for min c.x s.t. A x = b, x >= 0."""
     A = np.asarray(A, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64).copy()
@@ -73,7 +76,7 @@ def solve_min(c, A, b, tol: float = 1e-9, max_iter: int = 200000):
     T = np.hstack([A, np.eye(m), b[:, None]])
     basis = list(range(n, n + m))
     cost1 = np.concatenate([np.zeros(n), np.ones(m)])
-    _run(T, basis, cost1, tol, max_iter)
+    _run(T, basis, cost1)
     if float(cost1[basis] @ T[:, -1]) > 1e-7:
         raise DomainError("LP is infeasible")
 
@@ -83,7 +86,7 @@ def solve_min(c, A, b, tol: float = 1e-9, max_iter: int = 200000):
         if basis[r] >= n:
             pivot_col = -1
             for j in range(n):
-                if abs(T[r, j]) > tol:
+                if abs(T[r, j]) > _TOL:
                     pivot_col = j
                     break
             if pivot_col >= 0:
@@ -97,7 +100,7 @@ def solve_min(c, A, b, tol: float = 1e-9, max_iter: int = 200000):
     T = np.hstack([T[:, :n], T[:, -1:]])
 
     # phase 2
-    _run(T, basis, c, tol, max_iter)
+    _run(T, basis, c)
     x = np.zeros(n)
     for r, bv in enumerate(basis):
         x[bv] = T[r, -1]

@@ -19,7 +19,7 @@ from . import _kernels
 # tracer (perfbench/tracing.py) wraps it in this module by name.
 from ._rng import derived_rng, thread_safe, trial_rngs  # noqa: F401
 from .errors import DomainError, InsufficientBudget, NonFinite
-from .verify import FiniteMechanism
+from .verify import FiniteMechanism, _word_distances
 
 __all__ = [
     "Ball",
@@ -171,11 +171,6 @@ def _rr_keep_flip(epsilon: float) -> tuple[float, float]:
     return 1.0 / (1.0 + tail), tail / (1.0 + tail)
 
 
-def _word_bits(n: int) -> np.ndarray:
-    """The bits of the 2^n words of n bits, one row per word."""
-    return (np.arange(2**n)[:, None] >> np.arange(n)) & 1
-
-
 def randomized_response(bit: int, epsilon: float, rng: np.random.Generator) -> int:
     """Return the true bit with probability e^eps / (1 + e^eps)."""
     if bit not in (0, 1):
@@ -195,8 +190,7 @@ def rr_kernel(epsilon: float, n: int = 1) -> FiniteMechanism:
     if n < 1:
         raise DomainError("n must be >= 1")
     keep, flip = _rr_keep_flip(epsilon)
-    bits = _word_bits(n)
-    h = np.sum(bits[:, None, :] != bits[None, :, :], axis=2)
+    h = _word_distances(2, n)
     kernel = keep ** (n - h) * flip**h
     return FiniteMechanism(alphabet_size=2, n=n, outputs=tuple(range(2**n)), kernel=kernel)
 
@@ -205,7 +199,7 @@ def rr_sum_kernel(epsilon: float, n: int = 2) -> FiniteMechanism:
     """Sum of per-bit randomized responses; epsilon-DP with n + 1 outputs:
     rr_kernel's columns summed by the weight of their output word."""
     full = rr_kernel(epsilon, n)
-    weight = np.sum(_word_bits(n), axis=1)
+    weight = _word_distances(2, n)[0]
     kernel = full.kernel @ (weight[:, None] == np.arange(n + 1))
     return FiniteMechanism(alphabet_size=2, n=n, outputs=tuple(range(n + 1)), kernel=kernel)
 

@@ -1,7 +1,8 @@
 """Exact verification on tiny finite mechanisms.
 
 Datasets are vectors over a small integer alphabet and mechanisms are
-explicit stochastic kernels; every dataset pair or tuple is enumerated.
+explicit stochastic kernels; every dataset pair or tuple is enumerated by
+index, and pair distances are read from one Hamming table.
 Events and tests need no enumeration: the worst event for (eps, delta)-DP
 is {o : p_o > e^eps q_o}, whose excess is the hockey-stick divergence, and
 the test with least average error picks argmax_i P(M(X_i) = o) per output.
@@ -86,6 +87,13 @@ def hamming(a: Dataset, b: Dataset) -> int:
     if a.n != b.n:
         raise LengthMismatch(f"datasets of length {a.n} and {b.n}")
     return sum(1 for x, y in zip(a.entries, b.entries) if x != y)
+
+
+def _word_distances(alphabet_size: int, n: int) -> np.ndarray:
+    """(D, D) Hamming distances of the words of n letters, in FiniteMechanism's
+    mixed-radix order (first letter most significant)."""
+    words = np.array(list(itertools.product(range(alphabet_size), repeat=n)))
+    return np.sum(words[:, None, :] != words[None, :, :], axis=2)
 
 
 def midpoint_anchor(a: Dataset, b: Dataset) -> Dataset:
@@ -324,13 +332,21 @@ def _zcdp_pair_holds(p: np.ndarray, q: np.ndarray, rho_bound: float):
     return None
 
 
-def _pair_violation(m: FiniteMechanism, a: Dataset, b: Dataset, c: PrivacyConstraint, k: int):
-    """Worst event (DP) or alpha (zCDP) where c fails from a to b at distance k.
+def _pairs(m: FiniteMechanism, max_distance: int):
+    """(i, j, k) for every pair of dataset indices at Hamming distance
+    0 < k <= max_distance, in row-major order."""
+    h = _word_distances(m.alphabet_size, m.n)
+    for i, j in zip(*np.nonzero((h > 0) & (h <= max_distance))):
+        yield int(i), int(j), int(h[i, j])
+
+
+def _pair_violation(m: FiniteMechanism, i: int, j: int, c: PrivacyConstraint, k: int):
+    """Worst event (DP) or alpha (zCDP) where c fails from row i to row j at distance k.
 
     Returns None when the k-fold group form of c holds for the pair; at k = 1
     the group bounds are exactly eps, delta and rho.
     """
-    p, q = m.row(a), m.row(b)
+    p, q = m.kernel[i], m.kernel[j]
     if c.is_dp:
         eps, delta = c.eps_delta()
         group_delta = delta * k * _exp(eps * (k - 1)) if delta > 0.0 else 0.0
@@ -338,9 +354,7 @@ def _pair_violation(m: FiniteMechanism, a: Dataset, b: Dataset, c: PrivacyConstr
         if mask is None:
             return None
         return tuple(o for o, keep in zip(m.outputs, mask) if keep)
-    if c.kind == "zcdp":
-        return _zcdp_pair_holds(p, q, c.rho * k * k)
-    raise KindConstraintMismatch("group privacy needs DP or zCDP")
+    return _zcdp_pair_holds(p, q, c.rho * k * k)
 
 
 def verify_privacy(m: FiniteMechanism, c: PrivacyConstraint) -> PrivacyCheck:
@@ -355,14 +369,11 @@ def verify_privacy(m: FiniteMechanism, c: PrivacyConstraint) -> PrivacyCheck:
     _check_caps(m)
     if c.kind == "none":
         return PrivacyCheck(holds=True)
-    datasets = m.datasets()
-    for a in datasets:
-        for b in datasets:
-            if hamming(a, b) != 1:
-                continue
-            bad = _pair_violation(m, a, b, c, 1)
-            if bad is not None:
-                return PrivacyCheck(holds=False, witness=(a, b, bad))
+    for i, j, k in _pairs(m, 1):
+        bad = _pair_violation(m, i, j, c, k)
+        if bad is not None:
+            datasets = m.datasets()
+            return PrivacyCheck(holds=False, witness=(datasets[i], datasets[j], bad))
     return PrivacyCheck(holds=True)
 
 
@@ -373,13 +384,9 @@ def verify_group_privacy(m: FiniteMechanism, c: PrivacyConstraint) -> bool:
     zCDP at distance k: D_alpha <= rho k^2 alpha.
     """
     _check_caps(m)
-    datasets = m.datasets()
-    for a in datasets:
-        for b in datasets:
-            k = hamming(a, b)
-            if k != 0 and _pair_violation(m, a, b, c, k) is not None:
-                return False
-    return True
+    if not (c.is_dp or c.kind == "zcdp"):
+        raise KindConstraintMismatch("group privacy needs DP or zCDP")
+    return all(_pair_violation(m, i, j, c, k) is None for i, j, k in _pairs(m, m.n))
 
 
 def verify_kl_dp(m: FiniteMechanism, epsilon: float) -> bool:
@@ -390,26 +397,25 @@ def verify_kl_dp(m: FiniteMechanism, epsilon: float) -> bool:
     _check_caps(m)
     if not 0.0 < epsilon < math.inf:
         raise DomainError("epsilon must be positive and finite")
-    datasets = m.datasets()
-    for a in datasets:
-        for b in datasets:
-            h = hamming(a, b)
-            if h == 0:
-                continue
-            kl = _kl_weights(m.row(a), m.row(b))
-            if math.isinf(kl) or kl > epsilon * h + _KL_TOL:
-                return False
+    for i, j, k in _pairs(m, m.n):
+        kl = _kl_weights(m.kernel[i], m.kernel[j])
+        if math.isinf(kl) or kl > epsilon * k + _KL_TOL:
+            return False
     return True
 
 
-def _resolve_anchor(kind, anchors, tup, j):
-    if kind != "global_anchor":
-        return None
-    if anchors is not None:
-        return anchors(tup)
-    if len(tup) == 2:
-        return midpoint_anchor(tup[0], tup[1])
-    raise DomainError("global_anchor with N > 2 needs an anchors callable")
+def _similarity_at(c: PrivacyConstraint, kind: str, tup: tuple, anchors=None, j: int = 0) -> float:
+    """similarity on a dataset tuple under the one anchor rule: global_anchor
+    takes anchors(tup), or the midpoint of a pair; projection_anchor takes j."""
+    anchor = None
+    if kind == "global_anchor":
+        if anchors is not None:
+            anchor = anchors(tup)
+        elif len(tup) == 2:
+            anchor = midpoint_anchor(*tup)
+        else:
+            raise DomainError("global_anchor has a default anchor only for N = 2")
+    return similarity(c, kind, tup, anchor=anchor, j=j if kind == "projection_anchor" else None)
 
 
 def verify_admissibility(
@@ -437,10 +443,10 @@ def verify_admissibility(
     datasets = m.datasets()
     worst_gap = math.inf
     witness = None
-    for tup in itertools.product(datasets, repeat=N):
-        anchor = _resolve_anchor(kind, anchors, tup, j)
-        s = similarity(c, kind, tup, anchor=anchor, j=j if kind == "projection_anchor" else None)
-        rows = np.stack([m.row(x) for x in tup])
+    for idx in itertools.product(range(m.n_datasets), repeat=N):
+        tup = tuple(datasets[i] for i in idx)
+        s = _similarity_at(c, kind, tup, anchors, j)
+        rows = m.kernel[list(idx)]
         psi = tuple(int(i) for i in rows.argmax(axis=0))
         # A plain loop, not np.sum: pairwise summation would change the last bit.
         correct = 0.0
@@ -482,13 +488,10 @@ def _max_expected_similarity(m: FiniteMechanism, c: PrivacyConstraint, kind: str
     anchor is the midpoint of the pair; projection_anchor projects on j = 0.
     """
     datasets = m.datasets()
-    N = len(marginals)
     combos, A, b = _coupling_polytope(marginals)
     values = np.empty(combos.shape[0])
     for row, indices in enumerate(combos):
-        tup = tuple(datasets[i] for i in indices)
-        anchor = midpoint_anchor(tup[0], tup[1]) if kind == "global_anchor" and N == 2 else None
-        values[row] = similarity(c, kind, tup, anchor=anchor, j=0 if kind == "projection_anchor" else None)
+        values[row] = _similarity_at(c, kind, tuple(datasets[i] for i in indices))
     neg_max, _ = solve_min(-values, A, b)
     return -neg_max
 

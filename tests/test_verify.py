@@ -1,8 +1,10 @@
 """Tests for exact verification of finite mechanisms."""
 
+import importlib.util
 import itertools
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from scipy.optimize import linprog
 from dpminimax import cli
 from dpminimax import couplings as couplings_mod
 from dpminimax import divergences as divergences_mod
+from dpminimax import mechanisms as mechanisms_mod
 from dpminimax import verify as verify_mod
 from dpminimax import (
     ArityMismatch,
@@ -214,6 +217,28 @@ def test_dataset_index_is_mixed_radix():
         mech.dataset_index(Dataset((1,), alphabet_size=3))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("alphabet_size", [1, 2, 3])
+def test_word_distances_are_hamming_over_the_datasets(alphabet_size, n):
+    listing = identity_kernel(alphabet_size, n).datasets()
+    expected = [[hamming(a, b) for b in listing] for a in listing]
+    assert verify_mod._word_distances(alphabet_size, n).tolist() == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_rr_kernel_entries_are_keep_and_flip_powers_of_the_hamming_distance(n):
+    eps = 0.7
+    keep, flip = mechanisms_mod._rr_keep_flip(eps)
+    words = identity_kernel(2, n).datasets()
+    weight = [hamming(o, words[0]) for o in words]
+    full, summed = rr_kernel(eps, n).kernel, rr_sum_kernel(eps, n).kernel
+    for x, a in enumerate(words):
+        entries = [keep ** (n - hamming(a, o)) * flip ** hamming(a, o) for o in words]
+        assert full[x].tolist() == pytest.approx(entries, rel=1e-15)
+        sums = [sum(e for e, w in zip(entries, weight) if w == total) for total in range(n + 1)]
+        assert summed[x].tolist() == pytest.approx(sums, rel=1e-14)
+
+
 # ---------------------------------------------------------- privacy checking
 
 
@@ -283,6 +308,14 @@ def test_verify_group_privacy():
     assert not verify_group_privacy(identity_kernel(2, 1), PrivacyConstraint.pure(2.0))
     with pytest.raises(KindConstraintMismatch):
         verify_group_privacy(mech, PrivacyConstraint.none())
+
+
+@pytest.mark.parametrize("alphabet_size, n", [(2, 1), (1, 3)], ids=["pairs", "one_dataset"])
+def test_group_privacy_rejects_a_none_constraint_with_or_without_pairs(alphabet_size, n):
+    # The constraint kind is checked before the walk, so a domain with a
+    # single dataset (no pair to check) raises as well.
+    with pytest.raises(KindConstraintMismatch):
+        verify_group_privacy(identity_kernel(alphabet_size, n), PrivacyConstraint.none())
 
 
 def test_verify_kl_dp():
@@ -369,6 +402,28 @@ def test_admissibility_validation_and_caps():
     assert res.holds
 
 
+def _load_tracing():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("kind", ["fano_match", "pairwise_anchor"])
+def test_a_traced_admissibility_run_evaluates_similarity_once_per_tuple(kind, tmp_path):
+    # The benchmark's tracer counts verify.similarity by module attribute:
+    # rr on n = 2 bits has 4 datasets, so N = 3 enumerates 4^3 tuples.
+    tracing = _load_tracing()
+    argv = ["verify", "admissibility", "--mechanism", "rr", "--n", "2", "--N", "3", "--kind", kind]
+    assert cli.main([*argv, "--out", str(tmp_path / "untraced.json")]) == 0
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        assert cli.main([*argv, "--out", str(tmp_path / "traced.json")]) == 0
+    assert tracer.counters["verify.similarity.calls"] == 64
+    assert (tmp_path / "traced.json").read_bytes() == (tmp_path / "untraced.json").read_bytes()
+
+
 # --------------------------------------------------------- transport bound
 
 
@@ -443,6 +498,7 @@ def _max_event_excess(p, q, eps):
 
 
 def _privacy_reference(m, eps, delta, group):
+    """The first violating Dataset pair in a-major order, or None."""
     datasets = m.datasets()
     for a in datasets:
         for b in datasets:
@@ -451,8 +507,24 @@ def _privacy_reference(m, eps, delta, group):
                 continue
             group_delta = delta * k * math.exp(eps * (k - 1))
             if _dp_violation_reference(m.row(a), m.row(b), k * eps, group_delta) is not None:
-                return False
-    return True
+                return a, b
+    return None
+
+
+def _kl_ratio_reference(m):
+    """max over Dataset pairs at distance h > 0 of KL(M(a) || M(b)) / h."""
+    worst = 0.0
+    for a in m.datasets():
+        for b in m.datasets():
+            h = hamming(a, b)
+            if h == 0:
+                continue
+            p, q = m.row(a), m.row(b)
+            if np.any((p > 0.0) & (q <= 0.0)):
+                return math.inf
+            live = p > 0.0
+            worst = max(worst, float(np.sum(p[live] * np.log(p[live] / q[live]))) / h)
+    return worst
 
 
 def _admissibility_reference(m, c, kind, N):
@@ -474,18 +546,18 @@ def _admissibility_reference(m, c, kind, N):
     return witness is None, worst_gap, witness
 
 
-def _random_mechanism(rng):
+def _random_mechanism(rng, alphabet_size=2):
     """Rows mixed between a shared law and per-row laws, with some zero entries."""
     n = int(rng.integers(1, 3))
     k = int(rng.integers(2, 9))
-    rows = rng.dirichlet(np.ones(k), size=2**n + 1)
+    rows = rng.dirichlet(np.ones(k), size=alphabet_size**n + 1)
     rows[rng.random(rows.shape) < 0.2] = 0.0
     rows[:, int(rng.integers(0, k))] += 0.1
     rows /= rows.sum(axis=1, keepdims=True)
     t = rng.random()
     kernel = (1.0 - t) * rows[0] + t * rows[1:]
     kernel /= kernel.sum(axis=1, keepdims=True)
-    return FiniteMechanism(alphabet_size=2, n=n, outputs=tuple(range(k)), kernel=kernel)
+    return FiniteMechanism(alphabet_size=alphabet_size, n=n, outputs=tuple(range(k)), kernel=kernel)
 
 
 def _random_dp_constraint(rng):
@@ -496,25 +568,63 @@ def _random_dp_constraint(rng):
     return PrivacyConstraint.approx(eps, delta)
 
 
+def _privacy_parity(mech, c):
+    """Check the privacy, group and KL verifiers against the Dataset-pair
+    enumerations; returns whether privacy holds."""
+    eps, delta = c.eps_delta()
+    res = verify_privacy(mech, c)
+    first = _privacy_reference(mech, eps, delta, group=False)
+    assert res.holds == (first is None)
+    assert verify_group_privacy(mech, c) == (_privacy_reference(mech, eps, delta, group=True) is None)
+    ratio = _kl_ratio_reference(mech)
+    assert verify_kl_dp(mech, eps) == (ratio <= eps)
+    if 0.0 < ratio < math.inf:
+        assert verify_kl_dp(mech, 1.001 * ratio) and not verify_kl_dp(mech, 0.999 * ratio)
+    if not res.holds:
+        a, b, event = res.witness
+        assert (a, b) == first
+        p, q = mech.row(a), mech.row(b)
+        mask = np.isin(mech.outputs, event)
+        excess = p[mask].sum() - math.exp(eps) * q[mask].sum()
+        assert excess == pytest.approx(_max_event_excess(p, q, eps), abs=1e-15)
+        assert excess > delta
+    return res.holds
+
+
 def test_privacy_closed_form_matches_event_enumeration():
     rng = derived_rng(501)
     refuted = 0
     for _ in range(150):
         mech = _random_mechanism(rng)
-        c = _random_dp_constraint(rng)
-        eps, delta = c.eps_delta()
-        res = verify_privacy(mech, c)
-        assert res.holds == _privacy_reference(mech, eps, delta, group=False)
-        assert verify_group_privacy(mech, c) == _privacy_reference(mech, eps, delta, group=True)
-        if not res.holds:
-            refuted += 1
-            a, b, event = res.witness
-            p, q = mech.row(a), mech.row(b)
-            mask = np.isin(mech.outputs, event)
-            excess = p[mask].sum() - math.exp(eps) * q[mask].sum()
-            assert excess == pytest.approx(_max_event_excess(p, q, eps), abs=1e-15)
-            assert excess > delta
+        refuted += not _privacy_parity(mech, _random_dp_constraint(rng))
     assert 30 <= refuted <= 120
+
+
+def test_privacy_closed_form_matches_event_enumeration_on_a_ternary_alphabet():
+    rng = derived_rng(503)
+    refuted = 0
+    for _ in range(100):
+        mech = _random_mechanism(rng, alphabet_size=3)
+        refuted += not _privacy_parity(mech, _random_dp_constraint(rng))
+    assert 40 <= refuted <= 95
+
+
+def _admissibility_parity(mech, c, kind, N):
+    """Check verify_admissibility against the test-map enumeration; returns
+    whether admissibility holds."""
+    res = verify_admissibility(mech, c, kind, N)
+    holds, worst_gap, witness = _admissibility_reference(mech, c, kind, N)
+    assert res.holds == holds
+    assert res.worst_gap == worst_gap
+    assert res.witness == witness
+    return holds
+
+
+def _random_kind(rng, c):
+    kinds = ["lecam_match", "pairwise_anchor"]
+    if c.kind == "pure":
+        kinds.append("fano_match")
+    return kinds[int(rng.integers(0, len(kinds)))]
 
 
 def test_admissibility_closed_form_matches_test_map_enumeration():
@@ -523,18 +633,24 @@ def test_admissibility_closed_form_matches_test_map_enumeration():
     for _ in range(60):
         mech = _random_mechanism(rng)
         c = _random_dp_constraint(rng)
-        kinds = ["lecam_match", "pairwise_anchor"]
-        if c.kind == "pure":
-            kinds.append("fano_match")
-        kind = kinds[int(rng.integers(0, len(kinds)))]
+        kind = _random_kind(rng, c)
         N = 2 if kind == "lecam_match" or mech.n_outputs > 6 else int(rng.integers(2, 4))
-        res = verify_admissibility(mech, c, kind, N)
-        holds, worst_gap, witness = _admissibility_reference(mech, c, kind, N)
-        assert res.holds == holds
-        assert res.worst_gap == worst_gap
-        assert res.witness == witness
-        refuted += not holds
+        refuted += not _admissibility_parity(mech, c, kind, N)
     assert 5 <= refuted <= 55
+
+
+def test_admissibility_closed_form_matches_test_map_enumeration_on_a_ternary_alphabet():
+    # N = 3 only where the reference's D^3 tuples times 3^k test maps stay small.
+    rng = derived_rng(504)
+    refuted = 0
+    for _ in range(80):
+        mech = _random_mechanism(rng, alphabet_size=3)
+        c = _random_dp_constraint(rng)
+        kind = _random_kind(rng, c)
+        small = mech.n_datasets**3 * 3**mech.n_outputs <= 20_000
+        N = 3 if kind != "lecam_match" and small else 2
+        refuted += not _admissibility_parity(mech, c, kind, N)
+    assert 5 <= refuted <= 60
 
 
 # ------------------------------------------- transport LPs against references
@@ -708,16 +824,16 @@ def test_zcdp_open_interval_after_the_bisection_cap_is_not_certified(monkeypatch
 
 
 @pytest.mark.parametrize("eps", [0.05, 0.1, 0.12])
-def test_zcdp_tail_beyond_16_is_certified_from_the_max_log_ratio(eps, capsys):
-    # Randomized response is eps^2/2-zCDP, and its D_infinity = eps exceeds
-    # 16 rho for eps < 1/8: alpha in (16, eps / rho] is bisected, and
-    # D_alpha <= eps <= rho alpha certifies every larger alpha.
+def test_zcdp_beyond_the_bisected_range_is_certified_from_the_max_log_ratio(eps, capsys):
+    # Randomized response is eps^2/2-zCDP with D_infinity = eps, so the
+    # bisected range [1, 1 + eps / rho] reaches past alpha = 16 for eps < 1/8,
+    # and D_alpha <= eps <= rho alpha certifies every alpha beyond it.
     rho = eps**2 / 2.0
     assert verify_privacy(rr_kernel(eps, 1), PrivacyConstraint.zcdp(rho)).holds
     argv = ["verify", "privacy", "--mechanism", "rr", "--eps", repr(eps), "--rho", repr(rho)]
     assert cli.main(argv) == 0
     assert "all checks hold" in capsys.readouterr().out
-    # A grid witness is found before the tail is looked at.
+    # An infinite D_infinity fails at alpha = 2 before any bisection.
     res = verify_privacy(identity_kernel(2, 1), PrivacyConstraint.zcdp(0.5))
     assert res.witness[2] == 2.0
 
