@@ -443,13 +443,20 @@ def _default_transport_marginals(m) -> list[DiscreteDistribution]:
     ]
 
 
-def _suite_kinds(c: PrivacyConstraint) -> list[str]:
+def _suite_kinds(c: PrivacyConstraint, N: int = 2) -> list[str]:
+    """The similarity kinds a suite checks under c with N datasets.
+
+    global_anchor (whose default anchor is a pair's midpoint) and lecam_match
+    are defined for two datasets only, so a suite at any other N leaves them
+    out.
+    """
     if c.kind == "zcdp":
-        return ["lecam_match", "fano_match"]
-    kinds = ["global_anchor", "projection_anchor", "lecam_match", "pairwise_anchor"]
-    if c.eps_delta()[1] == 0.0:
-        kinds.append("fano_match")
-    return kinds
+        kinds = ["lecam_match", "fano_match"]
+    else:
+        kinds = ["global_anchor", "projection_anchor", "lecam_match", "pairwise_anchor"]
+        if c.eps_delta()[1] == 0.0:
+            kinds.append("fano_match")
+    return kinds if N == 2 else [k for k in kinds if k not in ("global_anchor", "lecam_match")]
 
 
 def _cmd_verify(args) -> int:
@@ -475,7 +482,7 @@ def _cmd_verify(args) -> int:
         elif which == "kldp":
             raise KindConstraintMismatch("the KL check applies to DP constraints")
     if which in ("admissibility", "suite"):
-        kinds = [args.kind] if which == "admissibility" else _suite_kinds(c)
+        kinds = [args.kind] if which == "admissibility" else _suite_kinds(c, args.N)
         for kind in kinds:
             res = verify_admissibility(mech, c, kind, args.N)
             detail = {"worst_gap": float(res.worst_gap)}

@@ -22,17 +22,30 @@ by the counter (see _rng).  The MLE row of each distinct n reuses the first
 min(trials, 100) datasets of that n's first cell.  Every study rejects an n
 below 1.
 
+The Bernoulli and uniform cells take monte_carlo_risk's block path: their
+sampler is a _SamplerModel, a transform of rng.random(n), and their
+estimator a _BlockEstimator, which reduces each dataset to one number and
+adds at most one noise scalar per trial.  Each trial's rewound generator
+fills its row of a block of at most _BLOCK_VALUES uniforms and then draws
+its noise; the block is transformed, checked, reduced and scored at once,
+with the floating-point operations of trial-by-trial evaluation, so the
+reports are the same bytes.  Gaussian and DP-SGML cells stay per trial:
+their datasets are (n, d) normal draws, one of which can outgrow a block,
+and DP-SGML adds noise at every step of an iterative solve.
+
 A Gaussian cell whose datasets hold at least _rng._THREAD_MIN_VALUES values
 (n d) splits its trials into one contiguous range per CPU through
 _rng.trial_ranges: its sampler and its mean are marked by _rng.thread_safe.
 Trial t still reads only its own stream and writes only its own loss, and
 the losses are reduced in trial order after the join, so every report is
-the same bytes at any CPU count.  Every other cell, and every cell whose
-sampler or mechanism is wrapped or supplied unmarked, runs serially.
+the same bytes at any CPU count.  Every other per-trial cell, and every
+cell whose sampler or mechanism is wrapped or supplied unmarked, runs
+serially.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import asdict, dataclass, field
@@ -61,14 +74,16 @@ from .divergences import (
     pinsker_tv_upper,
 )
 from .errors import DegenerateInput, DomainError, NonFinite, RegimeError
+from .mechanisms import gaussian_mean, laplace_mean  # noqa: F401  (wrapped by perfbench/tracing.py)
 from .mechanisms import (
     ParametricModel,
+    _check_unit_range,
+    _gaussian_noise,
+    _laplace_noise,
     dp_sgml_batch,
     dp_sgml_config,
     estimate_xi2,
-    gaussian_mean,
     gaussian_mean_model,
-    laplace_mean,
     mle_pga,
 )
 
@@ -86,6 +101,10 @@ __all__ = [
 
 _MIN_TRIALS = 100
 _DOMINANCE_TOL = 1e-9
+
+# Most values one block of the block path holds (128 KiB of float64); a
+# dataset of more values is a block of its own.
+_BLOCK_VALUES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -187,8 +206,16 @@ def monte_carlo_risk(
     its own trial.  The trials run in one range per CPU when model.sample
     and mechanism are both marked by _rng.thread_safe and a dataset holds at
     least _rng._THREAD_MIN_VALUES values (n times the model's dim, if it has
-    one); otherwise they run in order on the calling thread.  A non-finite
-    loss raises NonFinite.
+    one); otherwise they run in order on the calling thread.
+
+    A mechanism that is a _BlockEstimator (the Bernoulli and uniform
+    studies' estimators, on a _SamplerModel) takes the block path instead:
+    trial t's rewound generator fills row t of a block of uniforms and then
+    draws its noise scalar, the draws model.sample and the per-trial
+    mechanism make, and each block is transformed, checked, reduced and
+    scored at once, so the losses are the same bits.  Any other mechanism,
+    a user's own callable included, runs per trial.  A non-finite loss
+    raises NonFinite.
     """
     if trials < _MIN_TRIALS:
         raise DomainError(f"trials must be >= {_MIN_TRIALS}")
@@ -205,15 +232,60 @@ def monte_carlo_risk(
             data = model.sample(theta_star, n, rng)
             losses[t] = _squared_loss(mechanism(data, rng), theta_star)
 
-    values = n * getattr(model, "dim", 1)
-    threaded = values >= _THREAD_MIN_VALUES and is_thread_safe(model.sample, mechanism)
-    trial_ranges(seed, tags, trials, run, threaded)
+    if isinstance(mechanism, _BlockEstimator):
+        _block_losses(model, theta_star, mechanism, n, seed, tags, losses)
+    else:
+        values = n * getattr(model, "dim", 1)
+        threaded = values >= _THREAD_MIN_VALUES and is_thread_safe(model.sample, mechanism)
+        trial_ranges(seed, tags, trials, run, threaded)
     if not np.all(np.isfinite(losses)):
         raise NonFinite("a trial's squared loss is non-finite")
     risk, stderr = _mean_stderr(losses)
     return RiskEstimate(
         risk=risk, stderr=stderr, trials=trials, seed=seed, n=n, constraint=constraint,
     )
+
+
+@dataclass(frozen=True)
+class _BlockEstimator:
+    """An estimator of a _SamplerModel's theta that monte_carlo_risk
+    evaluates a block of trials at a time.
+
+    reduce maps a (rows, n) block of datasets to the rows' estimates.  A
+    private mean also has noise(n, rng), the per-trial noise draw of
+    laplace_mean or gaussian_mean, and like them requires data in [0, 1].
+    """
+
+    reduce: Callable
+    noise: Optional[Callable] = None
+
+
+def _block_losses(model, theta_star, estimator: _BlockEstimator, n, seed, tags, losses) -> None:
+    """Fill losses with estimator's squared loss on model's data, trial t
+    reading stream (seed, *tags, t) as model.sample and the per-trial
+    mechanism would: its uniforms first, then its noise scalar.
+
+    The trials run in blocks of at most _BLOCK_VALUES uniforms held in one
+    buffer; each block is transformed, checked, reduced and scored at once.
+    """
+    trials, draw = losses.shape[0], estimator.noise
+    rows = max(1, min(trials, _BLOCK_VALUES // n))
+    uniforms, noise = np.empty((rows, n)), np.empty(rows)
+    rngs = trial_rngs(seed, tags, trials)
+    for lo in range(0, trials, rows):
+        count = min(rows, trials - lo)
+        block = uniforms[:count]
+        for row, (uniform, rng) in enumerate(zip(block, rngs)):
+            rng.random(out=uniform)
+            if draw is not None:
+                noise[row] = draw(n, rng)
+        data = model.transform(theta_star, block)
+        estimates = estimator.reduce(data)
+        if draw is not None:
+            _check_unit_range(data)
+            estimates += noise[:count]
+        gap = estimates - theta_star
+        losses[lo:lo + count] = gap * gap
 
 
 def _mean_stderr(losses: np.ndarray) -> tuple[float, float]:
@@ -238,18 +310,25 @@ def rate_slope(points) -> float:
 
 @dataclass(frozen=True)
 class _SamplerModel:
-    name: str
-    sample: Callable = field(compare=False)
+    """A model whose n values are transform(theta, u) of u = rng.random(n);
+    transform acts elementwise, so it also maps a block of such u."""
+
+    transform: Callable
+
+    def sample(self, theta, n, rng):
+        return self.transform(theta, rng.random(n))
 
 
 def _bernoulli_sampler() -> _SamplerModel:
-    return _SamplerModel(
-        "bernoulli", lambda theta, n, rng: (rng.random(n) < theta).astype(np.float64)
-    )
+    return _SamplerModel(lambda theta, u: (u < theta).astype(np.float64))
 
 
 def _uniform_sampler() -> _SamplerModel:
-    return _SamplerModel("uniform", lambda theta, n, rng: theta * rng.random(n))
+    return _SamplerModel(lambda theta, u: theta * u)
+
+
+_ROW_MEANS = functools.partial(np.mean, axis=1)
+_ROW_MAXIMA = functools.partial(np.max, axis=1)
 
 
 def _slopes(points: dict) -> dict:
@@ -347,7 +426,7 @@ def _bernoulli_cell(c: PrivacyConstraint, n: int, theta_star: float):
         kl_n = closed_form(Bernoulli(theta_star), Bernoulli(theta_star + gap), "kl", n)
         evaluated_test = le_cam_private(None, n, pinsker_tv_upper(kl_n))
         lower = 1.0 / (160.0 * n)
-        mechanism = lambda data, rng: float(data.mean())
+        mechanism = _BlockEstimator(_ROW_MEANS)
         name, analytic = "empirical_mean", theta_star * (1.0 - theta_star) / n
     elif c.kind == "pure":
         eps, _ = c.eps_delta()
@@ -356,7 +435,7 @@ def _bernoulli_cell(c: PrivacyConstraint, n: int, theta_star: float):
         gap = 1.0 / (n * eps)
         evaluated_test = le_cam_private(c, n, gap, form="product")
         lower = 1.0 / (80.0 * (n * eps) ** 2)
-        mechanism = lambda data, rng: laplace_mean(data, eps, rng)
+        mechanism = _BlockEstimator(_ROW_MEANS, _laplace_noise(eps))
         name = "laplace"
         analytic = theta_star * (1.0 - theta_star) / n + 2.0 / (n * eps) ** 2
     elif c.kind == "zcdp":
@@ -366,7 +445,7 @@ def _bernoulli_cell(c: PrivacyConstraint, n: int, theta_star: float):
         gap = 1.0 / (n * math.sqrt(rho))
         evaluated_test = le_cam_private(c, n, gap, form="product")
         lower = 1.0 / (64.0 * n * n * rho)
-        mechanism = lambda data, rng: gaussian_mean(data, rho, rng)
+        mechanism = _BlockEstimator(_ROW_MEANS, _gaussian_noise(rho))
         name = "gaussian"
         analytic = theta_star * (1.0 - theta_star) / n + 4.0 / (n * n * rho)
     else:
@@ -418,7 +497,7 @@ def run_uniform(ns, constraints, trials: int, seed: int) -> ExperimentReport:
     privacy (smaller eps or rho) degrades the bound systematically.
     """
     theta_star = 1.0
-    mechanism = lambda data, rng: float(data.max())
+    mechanism = _BlockEstimator(_ROW_MAXIMA)
 
     def cell(c, n):
         lower, evaluated = _uniform_bounds(c, n, theta_star)

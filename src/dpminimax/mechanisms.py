@@ -128,6 +128,11 @@ def project(space, point) -> np.ndarray:
 def _check_unit_data(data: np.ndarray) -> None:
     if data.ndim != 1 or data.shape[0] < 1:
         raise DomainError("data must be a non-empty 1-D array")
+    _check_unit_range(data)
+
+
+def _check_unit_range(data: np.ndarray) -> None:
+    """Require every value of data, of any shape, to lie in [0, 1]."""
     # Written so that nan, which fails every comparison, is rejected too.
     if not (data.min() >= 0.0 and data.max() <= 1.0):
         raise DomainError("data must lie in [0, 1]")
@@ -139,6 +144,20 @@ def _check_positive(name: str, value: float) -> None:
         raise DomainError(f"{name} must be positive and finite")
 
 
+def _laplace_noise(epsilon: float) -> Callable:
+    """laplace_mean's noise: noise(n, rng) draws Laplace(1/(n epsilon)), which
+    makes the mean of n values in [0, 1] epsilon-DP."""
+    _check_positive("epsilon", epsilon)
+    return lambda n, rng: rng.laplace(0.0, 1.0 / (n * epsilon))
+
+
+def _gaussian_noise(rho: float) -> Callable:
+    """gaussian_mean's noise: noise(n, rng) draws (2/(n sqrt(rho))) times a
+    standard normal, which makes the mean of n values in [0, 1] rho-zCDP."""
+    _check_positive("rho", rho)
+    return lambda n, rng: (2.0 / (n * math.sqrt(rho))) * rng.standard_normal()
+
+
 def laplace_mean(data, epsilon: float, rng: np.random.Generator, clamp: bool = False) -> float:
     """Sample mean plus Laplace(1/(n epsilon)) noise; epsilon-DP on [0,1] data.
 
@@ -147,9 +166,7 @@ def laplace_mean(data, epsilon: float, rng: np.random.Generator, clamp: bool = F
     """
     data = np.asarray(data, dtype=float)
     _check_unit_data(data)
-    _check_positive("epsilon", epsilon)
-    n = data.shape[0]
-    out = float(data.mean() + rng.laplace(0.0, 1.0 / (n * epsilon)))
+    out = float(data.mean() + _laplace_noise(epsilon)(data.shape[0], rng))
     return min(1.0, max(0.0, out)) if clamp else out
 
 
@@ -157,9 +174,7 @@ def gaussian_mean(data, rho: float, rng: np.random.Generator, clamp: bool = Fals
     """Sample mean plus (2/(n sqrt(rho))) standard-normal noise; rho-zCDP."""
     data = np.asarray(data, dtype=float)
     _check_unit_data(data)
-    _check_positive("rho", rho)
-    n = data.shape[0]
-    out = float(data.mean() + (2.0 / (n * math.sqrt(rho))) * rng.standard_normal())
+    out = float(data.mean() + _gaussian_noise(rho)(data.shape[0], rng))
     return min(1.0, max(0.0, out)) if clamp else out
 
 

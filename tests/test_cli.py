@@ -112,6 +112,22 @@ def test_verify_suite_rr_passes(capsys):
     assert "all checks hold" in out
 
 
+def test_verify_suite_over_three_datasets_leaves_out_the_two_dataset_kinds(capsys, tmp_path):
+    path = tmp_path / "suite.json"
+    rc = main(["verify", "suite", "--mechanism", "rr", "--n", "2", "--N", "3", "--eps", "0.5",
+               "--out", str(path)])
+    assert rc == 0
+    names = [check["check"] for check in json.loads(path.read_text())["report"]["checks"]]
+    assert names == [
+        "privacy", "group_privacy", "kl_dp",
+        "admissibility[projection_anchor]", "admissibility[pairwise_anchor]",
+        "admissibility[fano_match]",
+        "transport[global_anchor]", "transport[projection_anchor]", "transport[lecam_match]",
+        "transport[pairwise_anchor]", "transport[fano_match]",
+    ]
+    assert "all checks hold" in capsys.readouterr().out
+
+
 def test_verify_suite_zcdp_constraint(capsys):
     rho = (math.log(3.0)) ** 2 / 2.0
     rc = main(["verify", "suite", "--mechanism", "rr", "--n", "1", "--rho", repr(rho)])

@@ -36,7 +36,8 @@ from dpminimax import (
 from dpminimax import _rng
 from dpminimax import experiments as experiments_mod
 from dpminimax._rng import trial_rngs
-from dpminimax.experiments import _cell, _uniform_sampler
+from dpminimax.experiments import _ROW_MAXIMA, _ROW_MEANS, _BlockEstimator, _cell, _uniform_sampler
+from dpminimax.mechanisms import _gaussian_noise, _laplace_noise
 
 CSV_COLUMNS = [
     "model", "n", "constraint_kind", "eps", "delta", "rho",
@@ -88,6 +89,28 @@ def test_monte_carlo_risk_rejects_a_non_finite_loss():
     with pytest.raises(NonFinite):
         monte_carlo_risk(_uniform_sampler(), math.nan, lambda d, r: float(d.max()), n=10,
                          trials=100, seed=0)
+
+
+def test_block_path_rejects_a_non_finite_loss():
+    with pytest.raises(NonFinite):
+        monte_carlo_risk(_uniform_sampler(), math.nan, _BlockEstimator(_ROW_MAXIMA), n=10,
+                         trials=100, seed=0)
+
+
+@pytest.mark.parametrize("mechanism, noise", [(laplace_mean, _laplace_noise),
+                                              (gaussian_mean, _gaussian_noise)])
+def test_block_path_keeps_the_private_means_input_checks(mechanism, noise):
+    with pytest.raises(DomainError) as expected:
+        mechanism(np.full(10, 2.0), 0.5, derived_rng(0))
+    with pytest.raises(DomainError) as caught:
+        monte_carlo_risk(_uniform_sampler(), 2.0, _BlockEstimator(_ROW_MEANS, noise(0.5)), n=10,
+                         trials=100, seed=0)
+    assert str(caught.value) == str(expected.value)
+    with pytest.raises(DomainError) as expected:
+        mechanism(np.full(10, 0.5), 0.0, derived_rng(0))
+    with pytest.raises(DomainError) as caught:
+        noise(0.0)
+    assert str(caught.value) == str(expected.value)
 
 
 # ------------------------------------------------------------------ rate_slope

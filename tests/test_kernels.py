@@ -5,13 +5,20 @@ import sys
 import numpy as np
 import pytest
 
-from dpminimax import _rng, derived_rng, spawn_keys
+from dpminimax import _rng, derived_rng, experiments, spawn_keys
 from dpminimax._kernels import backend, clipped_mean, dpsgml_trials, pair_assignments, races_winners
 from dpminimax._rng import trial_ranges, trial_rngs
 from dpminimax.couplings import maximal_pair
 from dpminimax.divergences import DiscreteDistribution
-from dpminimax.experiments import _bernoulli_sampler, _uniform_sampler, monte_carlo_risk
-from dpminimax.mechanisms import Ball, laplace_mean
+from dpminimax.experiments import (
+    _ROW_MAXIMA,
+    _ROW_MEANS,
+    _BlockEstimator,
+    _bernoulli_sampler,
+    _uniform_sampler,
+    monte_carlo_risk,
+)
+from dpminimax.mechanisms import Ball, _gaussian_noise, _laplace_noise, gaussian_mean, laplace_mean
 
 
 def test_backend_reports_known_name():
@@ -374,3 +381,25 @@ def _reference_risk(model, theta_star, mechanism, n, trials, seed, tags):
 def test_monte_carlo_risk_matches_per_trial_streams(model, theta_star, mechanism, n):
     est = monte_carlo_risk(model, theta_star, mechanism, n, 300, 11, tags=(4,))
     assert (est.risk, est.stderr) == _reference_risk(model, theta_star, mechanism, n, 300, 11, (4,))
+
+
+@pytest.mark.parametrize(
+    "model, theta_star, estimator, mechanism",
+    [
+        (_uniform_sampler(), 1.0, _BlockEstimator(_ROW_MAXIMA), lambda data, rng: float(data.max())),
+        (_bernoulli_sampler(), 0.5, _BlockEstimator(_ROW_MEANS), lambda data, rng: float(data.mean())),
+        (_bernoulli_sampler(), 0.3, _BlockEstimator(_ROW_MEANS, _laplace_noise(0.8)),
+         lambda data, rng: laplace_mean(data, 0.8, rng)),
+        (_bernoulli_sampler(), 0.6, _BlockEstimator(_ROW_MEANS, _gaussian_noise(0.05)),
+         lambda data, rng: gaussian_mean(data, 0.05, rng)),
+    ],
+    ids=["uniform_max", "bernoulli_mean", "bernoulli_laplace", "bernoulli_gaussian"],
+)
+def test_block_path_matches_per_trial_streams_across_block_boundaries(
+    model, theta_star, estimator, mechanism
+):
+    n, trials = 400, 101
+    rows = experiments._BLOCK_VALUES // n
+    assert 2 * rows < trials < 3 * rows  # two full blocks and a remainder
+    est = monte_carlo_risk(model, theta_star, estimator, n, trials, 13, tags=(2, 5))
+    assert (est.risk, est.stderr) == _reference_risk(model, theta_star, mechanism, n, trials, 13, (2, 5))
