@@ -226,11 +226,15 @@ def fano_private(
 ) -> BoundResult:
     """Multi-hypothesis testing bound under a privacy constraint.
 
-    ``tvs`` is the N x N matrix of single-sample total variation distances
-    between the hypothesis distributions; the coupled disagreement terms use
-    t_ij = 2 tv_ij / (1 + tv_ij).  ``kls_to_q`` (optional, length N) enables
-    the classical Fano branch; supply the KLs of the laws the mechanism
-    actually sees (n-sample laws for the joint form).
+    ``tvs`` is the N x N matrix of total variation distances between the
+    hypotheses; the coupled disagreement terms use t_ij = 2 tv_ij / (1 + tv_ij).
+    The joint form reads them as n-sample TVs, between the laws of all n
+    records (as le_cam_private's joint form reads its tv): its branches
+    scale the t_ij by 1 - e^{-n eps} (dp_pairwise), n eps (dp_fano_matching)
+    and n^2 rho (zcdp_fano_matching).  The product form reads single-sample
+    TVs and tensorizes them over the n records.  ``kls_to_q`` (optional,
+    length N) enables the classical Fano branch; supply the KLs of the laws
+    the mechanism actually sees (n-sample laws for the joint form).
 
     Pairwise-anchoring branches average over ordered pairs i != j; for N = 2
     the product branch reduces exactly to the private Le Cam product bound

@@ -65,7 +65,7 @@ from .verify import (
 
 __all__ = ["main"]
 
-_SCHEMA = "dpminimax.report/2"
+_SCHEMA = "dpminimax.report/3"
 
 _USAGE_ERRORS = (
     DomainError,
@@ -624,8 +624,10 @@ def build_parser() -> argparse.ArgumentParser:
     fano = bsub.add_parser("fano", help="multi-hypothesis bound")
     fano.add_argument("--n", type=int, required=True)
     fano.add_argument("--N", type=int, required=True, help="number of hypotheses")
-    fano.add_argument("--tv-all", type=float, help="use this tv for every pair")
-    fano.add_argument("--tv", type=_float_list, help="upper-triangle tv entries (comma list)")
+    fano.add_argument("--tv-all", type=float, help="use this tv for every pair (n-sample TV with "
+                      "--form joint, single-sample TV with --form product)")
+    fano.add_argument("--tv", type=_float_list, help="upper-triangle tv entries (comma list), "
+                      "n-sample or single-sample TVs as for --tv-all")
     fano.add_argument("--kl-q", type=_float_list, help="KLs to a reference law (classical branch)")
     fano.add_argument("--form", choices=("joint", "product"), default="joint")
     _add_constraint_flags(fano)

@@ -11,36 +11,24 @@ fail loudly downstream.  A reference row, whose "lower bound" is its own
 expected risk (run_dpsgml's MLE rows), is never flagged.  An empty grid
 axis is a DomainError.
 
-The three worked examples (Bernoulli, Gaussian, uniform) differ only in
-their per-cell estimator and bounds, so they share one cell loop, _run_grid:
-it walks the cells constraint-major, and cell k draws trial t's data and
-noise from the stream (seed, k, t).  run_dpsgml walks its (rho, n) cells
-rho-major: cell k draws trial t's data from (seed, k, 0, t) and its DP-SGML
-noise from (seed, k, 1, t); its xi^2 is exact and draws nothing.  The
-trials of each of these cells share a Philox key, and trial t is addressed
-by the counter (see _rng).  The MLE row of each distinct n reuses the first
-min(trials, 100) datasets of that n's first cell.  Every study rejects an n
-below 1.
+The three worked examples (Bernoulli, Gaussian, uniform) score estimators
+that read one statistic of the n records, and that statistic has an exact
+law: Binomial(n, theta)/n for the Bernoulli mean, theta U^(1/n) for the
+uniform maximum and theta + (sigma/sqrt(n)) Z, Z ~ N(0, I_d), for the
+Gaussian mean.  So they share one cell loop, _run_grid, which walks the
+cells constraint-major: cell k draws its vector of per-trial statistics,
+then its vector of noise (the private Bernoulli means), from the one stream
+derived_rng(seed, k), and scores the trials at once.  No record is drawn.
+run_dpsgml walks its (rho, n) cells rho-major: its records feed an
+iterative solve, so cell k draws trial t's data from (seed, k, 0, t) and its
+DP-SGML noise from (seed, k, 1, t); its xi^2 is exact and draws nothing.
+The trials of such a stream share a Philox key, and trial t is addressed
+by the counter (see _rng).  The MLE row of each distinct n reuses
+the first min(trials, 100) datasets of that n's first cell.  Every study
+rejects an n below 1.
 
-The Bernoulli and uniform cells take monte_carlo_risk's block path: their
-sampler is a _SamplerModel, a transform of rng.random(n), and their
-estimator a _BlockEstimator, which reduces each dataset to one number and
-adds at most one noise scalar per trial.  Each trial's rewound generator
-fills its row of a block of at most _BLOCK_VALUES uniforms and then draws
-its noise; the block is transformed, checked, reduced and scored at once,
-with the floating-point operations of trial-by-trial evaluation, so the
-reports are the same bytes.  Gaussian and DP-SGML cells stay per trial:
-their datasets are (n, d) normal draws, one of which can outgrow a block,
-and DP-SGML adds noise at every step of an iterative solve.
-
-A Gaussian cell whose datasets hold at least _rng._THREAD_MIN_VALUES values
-(n d) splits its trials into one contiguous range per CPU through
-_rng.trial_ranges: its sampler and its mean are marked by _rng.thread_safe.
-Trial t still reads only its own stream and writes only its own loss, and
-the losses are reduced in trial order after the join, so every report is
-the same bytes at any CPU count.  Every other per-trial cell, and every
-cell whose sampler or mechanism is wrapped or supplied unmarked, runs
-serially.
+monte_carlo_risk scores any user's sampler and mechanism trial by trial,
+serially: trial t reads the stream (seed, *tags, t).
 """
 
 from __future__ import annotations
@@ -53,14 +41,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._rng import derived_rng  # noqa: F401  (wrapped by perfbench/tracing.py)
-from ._rng import (
-    _THREAD_MIN_VALUES,
-    is_thread_safe,
-    thread_safe,
-    trial_ranges,
-    trial_rngs,
-)
+# Looked up at call time, so perfbench/tracing.py can wrap derived_rng by name.
+from ._rng import derived_rng, trial_rngs
 from .bounds import (
     PrivacyConstraint,
     kl_quadratic_bounds,
@@ -77,7 +59,6 @@ from .errors import DegenerateInput, DomainError, NonFinite, RegimeError
 from .mechanisms import gaussian_mean, laplace_mean  # noqa: F401  (wrapped by perfbench/tracing.py)
 from .mechanisms import (
     ParametricModel,
-    _check_unit_range,
     _gaussian_noise,
     _laplace_noise,
     dp_sgml_batch,
@@ -101,10 +82,6 @@ __all__ = [
 
 _MIN_TRIALS = 100
 _DOMINANCE_TOL = 1e-9
-
-# Most values one block of the block path holds (128 KiB of float64); a
-# dataset of more values is a block of its own.
-_BLOCK_VALUES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -200,96 +177,39 @@ def monte_carlo_risk(
 
     Trial t draws its data and mechanism noise from the stream
     (seed, *tags, t), so the estimate is independent of trial scheduling.
-    trial_ranges derives the cell's Philox key once and rewinds a Generator
-    to trial t's counter, which gives derived_rng(seed, *tags, t) bit for
-    bit; the rng passed to the sampler and the mechanism is valid only for
-    its own trial.  The trials run in one range per CPU when model.sample
-    and mechanism are both marked by _rng.thread_safe and a dataset holds at
-    least _rng._THREAD_MIN_VALUES values (n times the model's dim, if it has
-    one); otherwise they run in order on the calling thread.
-
-    A mechanism that is a _BlockEstimator (the Bernoulli and uniform
-    studies' estimators, on a _SamplerModel) takes the block path instead:
-    trial t's rewound generator fills row t of a block of uniforms and then
-    draws its noise scalar, the draws model.sample and the per-trial
-    mechanism make, and each block is transformed, checked, reduced and
-    scored at once, so the losses are the same bits.  Any other mechanism,
-    a user's own callable included, runs per trial.  A non-finite loss
-    raises NonFinite.
+    The trials run in order on the calling thread; trial_rngs derives the
+    cell's Philox key once and rewinds one Generator to trial t's counter,
+    which gives derived_rng(seed, *tags, t) bit for bit, so the rng passed to
+    the sampler and the mechanism is valid only for its own trial.  A
+    non-finite loss raises NonFinite.
     """
-    if trials < _MIN_TRIALS:
-        raise DomainError(f"trials must be >= {_MIN_TRIALS}")
+    _check_trials(trials)
     if n < 1:
         raise DomainError("n must be >= 1")
     space = getattr(model, "space", None)
     if space is not None and not space.contains(np.atleast_1d(np.asarray(theta_star, dtype=float))):
         raise DomainError("theta_star lies outside the parameter space")
-    constraint = constraint or PrivacyConstraint.none()
     losses = np.empty(trials)
-
-    def run(lo, hi, rngs):
-        for t, rng in zip(range(lo, hi), rngs):
-            data = model.sample(theta_star, n, rng)
-            losses[t] = _squared_loss(mechanism(data, rng), theta_star)
-
-    if isinstance(mechanism, _BlockEstimator):
-        _block_losses(model, theta_star, mechanism, n, seed, tags, losses)
-    else:
-        values = n * getattr(model, "dim", 1)
-        threaded = values >= _THREAD_MIN_VALUES and is_thread_safe(model.sample, mechanism)
-        trial_ranges(seed, tags, trials, run, threaded)
-    if not np.all(np.isfinite(losses)):
-        raise NonFinite("a trial's squared loss is non-finite")
-    risk, stderr = _mean_stderr(losses)
+    for t, rng in enumerate(trial_rngs(seed, tags, trials)):
+        data = model.sample(theta_star, n, rng)
+        losses[t] = _squared_loss(mechanism(data, rng), theta_star)
+    risk, stderr = _risk_stderr(losses)
     return RiskEstimate(
-        risk=risk, stderr=stderr, trials=trials, seed=seed, n=n, constraint=constraint,
+        risk=risk, stderr=stderr, trials=trials, seed=seed, n=n,
+        constraint=constraint or PrivacyConstraint.none(),
     )
 
 
-@dataclass(frozen=True)
-class _BlockEstimator:
-    """An estimator of a _SamplerModel's theta that monte_carlo_risk
-    evaluates a block of trials at a time.
-
-    reduce maps a (rows, n) block of datasets to the rows' estimates.  A
-    private mean also has noise(n, rng), the per-trial noise draw of
-    laplace_mean or gaussian_mean, and like them requires data in [0, 1].
-    """
-
-    reduce: Callable
-    noise: Optional[Callable] = None
+def _check_trials(trials: int) -> None:
+    if trials < _MIN_TRIALS:
+        raise DomainError(f"trials must be >= {_MIN_TRIALS}")
 
 
-def _block_losses(model, theta_star, estimator: _BlockEstimator, n, seed, tags, losses) -> None:
-    """Fill losses with estimator's squared loss on model's data, trial t
-    reading stream (seed, *tags, t) as model.sample and the per-trial
-    mechanism would: its uniforms first, then its noise scalar.
-
-    The trials run in blocks of at most _BLOCK_VALUES uniforms held in one
-    buffer; each block is transformed, checked, reduced and scored at once.
-    """
-    trials, draw = losses.shape[0], estimator.noise
-    rows = max(1, min(trials, _BLOCK_VALUES // n))
-    uniforms, noise = np.empty((rows, n)), np.empty(rows)
-    rngs = trial_rngs(seed, tags, trials)
-    for lo in range(0, trials, rows):
-        count = min(rows, trials - lo)
-        block = uniforms[:count]
-        for row, (uniform, rng) in enumerate(zip(block, rngs)):
-            rng.random(out=uniform)
-            if draw is not None:
-                noise[row] = draw(n, rng)
-        data = model.transform(theta_star, block)
-        estimates = estimator.reduce(data)
-        if draw is not None:
-            _check_unit_range(data)
-            estimates += noise[:count]
-        gap = estimates - theta_star
-        losses[lo:lo + count] = gap * gap
-
-
-def _mean_stderr(losses: np.ndarray) -> tuple[float, float]:
-    """The mean of a cell's trial losses and its standard error."""
+def _risk_stderr(losses: np.ndarray) -> tuple[float, float]:
+    """The mean of a cell's trial losses and its standard error; a
+    non-finite loss raises NonFinite."""
+    if not np.all(np.isfinite(losses)):
+        raise NonFinite("a trial's squared loss is non-finite")
     return float(losses.mean()), float(losses.std(ddof=1) / math.sqrt(len(losses)))
 
 
@@ -306,29 +226,6 @@ def rate_slope(points) -> float:
     x = np.log([n for n, _ in pts])
     y = np.log([r for _, r in pts])
     return float(np.polyfit(x, y, 1)[0])
-
-
-@dataclass(frozen=True)
-class _SamplerModel:
-    """A model whose n values are transform(theta, u) of u = rng.random(n);
-    transform acts elementwise, so it also maps a block of such u."""
-
-    transform: Callable
-
-    def sample(self, theta, n, rng):
-        return self.transform(theta, rng.random(n))
-
-
-def _bernoulli_sampler() -> _SamplerModel:
-    return _SamplerModel(lambda theta, u: (u < theta).astype(np.float64))
-
-
-def _uniform_sampler() -> _SamplerModel:
-    return _SamplerModel(lambda theta, u: theta * u)
-
-
-_ROW_MEANS = functools.partial(np.mean, axis=1)
-_ROW_MAXIMA = functools.partial(np.max, axis=1)
 
 
 def _slopes(points: dict) -> dict:
@@ -367,22 +264,40 @@ def _cell(model, n, c, mechanism, risk, stderr, trials, lower, branch, analytic,
     )
 
 
-def _run_grid(name, sampler, theta_star, ns, constraints, trials, seed, cell) -> tuple:
+def _bernoulli_means(theta, n, rng, trials) -> np.ndarray:
+    """trials draws of the mean of n Bernoulli(theta) records: Binomial(n, theta) / n."""
+    return rng.binomial(n, theta, trials) / n
+
+
+def _uniform_maxima(theta, n, rng, trials) -> np.ndarray:
+    """trials draws of the maximum of n Uniform[0, theta] records: theta U^(1/n)."""
+    return theta * rng.random(trials) ** (1.0 / n)
+
+
+def _gaussian_means(theta, sigma, n, rng, trials) -> np.ndarray:
+    """trials draws, one a row, of the mean of n N(theta, sigma^2 I_d)
+    records: theta + (sigma / sqrt(n)) Z with Z ~ N(0, I_d)."""
+    theta = np.asarray(theta, dtype=float)
+    return theta + (sigma / math.sqrt(n)) * rng.standard_normal((trials, theta.shape[0]))
+
+
+def _run_grid(name, theta_star, ns, constraints, trials, seed, cell) -> tuple:
     """The Monte-Carlo cells of one study, constraint-major.
 
-    cell(c, n) returns (mechanism name, estimator, lower bound, branch,
-    analytic risk, extras, further bounds), the arguments _cell needs beside
-    the risk.  Cell k draws trial t from the stream (seed, k, t).
+    cell(c, n) returns (mechanism name, draw, lower bound, branch, analytic
+    risk, extras, further bounds): draw(rng, trials) returns the estimates
+    of trials trials, one an entry or a row, and the rest are the arguments
+    _cell needs beside the risk.  Cell k draws from the stream
+    derived_rng(seed, k).
     """
+    _check_trials(trials)
     cells = []
     for k, (c, n) in _grid(constraints, ns, "constraints"):
-        mechanism, estimator, lower, branch, analytic, extras, further = cell(c, n)
-        est = monte_carlo_risk(
-            sampler, theta_star, estimator, n, trials, seed, constraint=c, tags=(k,),
-        )
+        mechanism, draw, lower, branch, analytic, extras, further = cell(c, n)
+        gap = (draw(derived_rng(seed, k), trials) - theta_star).reshape(trials, -1)
+        risk, stderr = _risk_stderr(np.sum(gap * gap, axis=1))
         cells.append(_cell(
-            name, n, c, mechanism, est.risk, est.stderr, trials, lower, branch, analytic,
-            extras, *further,
+            name, n, c, mechanism, risk, stderr, trials, lower, branch, analytic, extras, *further,
         ))
     return tuple(cells)
 
@@ -403,7 +318,7 @@ def run_bernoulli(ns, constraints, trials: int, seed: int) -> ExperimentReport:
     """
     theta_star = 0.5
     cells = _run_grid(
-        "bernoulli", _bernoulli_sampler(), theta_star, ns, constraints, trials, seed,
+        "bernoulli", theta_star, ns, constraints, trials, seed,
         lambda c, n: _bernoulli_cell(c, n, theta_star),
     )
     points: dict[str, list] = {}
@@ -426,7 +341,7 @@ def _bernoulli_cell(c: PrivacyConstraint, n: int, theta_star: float):
         kl_n = closed_form(Bernoulli(theta_star), Bernoulli(theta_star + gap), "kl", n)
         evaluated_test = le_cam_private(None, n, pinsker_tv_upper(kl_n))
         lower = 1.0 / (160.0 * n)
-        mechanism = _BlockEstimator(_ROW_MEANS)
+        noise = None
         name, analytic = "empirical_mean", theta_star * (1.0 - theta_star) / n
     elif c.kind == "pure":
         eps, _ = c.eps_delta()
@@ -435,7 +350,7 @@ def _bernoulli_cell(c: PrivacyConstraint, n: int, theta_star: float):
         gap = 1.0 / (n * eps)
         evaluated_test = le_cam_private(c, n, gap, form="product")
         lower = 1.0 / (80.0 * (n * eps) ** 2)
-        mechanism = _BlockEstimator(_ROW_MEANS, _laplace_noise(eps))
+        noise = _laplace_noise(eps)
         name = "laplace"
         analytic = theta_star * (1.0 - theta_star) / n + 2.0 / (n * eps) ** 2
     elif c.kind == "zcdp":
@@ -445,14 +360,19 @@ def _bernoulli_cell(c: PrivacyConstraint, n: int, theta_star: float):
         gap = 1.0 / (n * math.sqrt(rho))
         evaluated_test = le_cam_private(c, n, gap, form="product")
         lower = 1.0 / (64.0 * n * n * rho)
-        mechanism = _BlockEstimator(_ROW_MEANS, _gaussian_noise(rho))
+        noise = _gaussian_noise(rho)
         name = "gaussian"
         analytic = theta_star * (1.0 - theta_star) / n + 4.0 / (n * n * rho)
     else:
         raise RegimeError("the closed-form constants cover none, pure and zcdp only")
     value = minimax_from_packing((gap / 2.0) ** 2, evaluated_test)
     extras = {"bound_eval": value, "theta_star": theta_star}
-    return name, mechanism, lower, evaluated_test.branch, analytic, extras, (value,)
+
+    def draw(rng, trials):
+        means = _bernoulli_means(theta_star, n, rng, trials)
+        return means if noise is None else means + noise(n, rng, trials)
+
+    return name, draw, lower, evaluated_test.branch, analytic, extras, (value,)
 
 
 def _packing_bound(d: int, n: int, gamma: float, radius: float, c: PrivacyConstraint):
@@ -472,16 +392,17 @@ def run_gaussian(d: int, sigma: float, ns, constraints, trials: int, seed: int) 
     or rho >= 1) reads lower bound 0.0 and branch "unavailable".
     """
     model = gaussian_mean_model(d, sigma=sigma, radius=1.0)
-    mechanism = thread_safe(lambda data, rng: data.mean(axis=0))
+    theta_star = np.zeros(d)
 
     def cell(c, n):
+        draw = functools.partial(_gaussian_means, theta_star, sigma, n)
         bound = _packing_bound(d, n, model.gamma, 1.0, c)
         lower, branch = (0.0, "unavailable") if bound is None else (bound.value, bound.branch)
         analytic = sigma * sigma * d / n
         extras = {"d": d, "sigma": sigma, "gamma": model.gamma}
-        return "empirical_mean", mechanism, lower, branch, analytic, extras, ()
+        return "empirical_mean", draw, lower, branch, analytic, extras, ()
 
-    cells = _run_grid("gaussian", model, np.zeros(d), ns, constraints, trials, seed, cell)
+    cells = _run_grid("gaussian", theta_star, ns, constraints, trials, seed, cell)
     return ExperimentReport(
         model="gaussian", seed=seed, trials=trials, cells=cells,
         slopes=_slopes({"empirical_mean": _nonprivate_points(cells)}),
@@ -497,14 +418,14 @@ def run_uniform(ns, constraints, trials: int, seed: int) -> ExperimentReport:
     privacy (smaller eps or rho) degrades the bound systematically.
     """
     theta_star = 1.0
-    mechanism = _BlockEstimator(_ROW_MAXIMA)
 
     def cell(c, n):
+        draw = functools.partial(_uniform_maxima, theta_star, n)
         lower, evaluated = _uniform_bounds(c, n, theta_star)
         analytic = 2.0 * theta_star**2 / ((n + 1) * (n + 2))
-        return "max_estimator", mechanism, lower, evaluated["branch"], analytic, evaluated, ()
+        return "max_estimator", draw, lower, evaluated["branch"], analytic, evaluated, ()
 
-    cells = _run_grid("uniform", _uniform_sampler(), theta_star, ns, constraints, trials, seed, cell)
+    cells = _run_grid("uniform", theta_star, ns, constraints, trials, seed, cell)
     notes = (
         "for fixed n the private lower bounds grow as eps or rho shrink: "
         "stricter privacy degrades the achievable n^-2 rate systematically",
@@ -583,8 +504,7 @@ def run_dpsgml(
         raise DomainError(f"theta_star must have shape ({d},)")
     if not model.space.contains(theta_star):
         raise DomainError("theta_star lies outside the parameter space")
-    if trials < _MIN_TRIALS:
-        raise DomainError(f"trials must be >= {_MIN_TRIALS}")
+    _check_trials(trials)
     beta_kl = 2.0 * model.gamma
     cells = []
     sgml_points: dict[tuple, list] = {}
@@ -597,7 +517,7 @@ def run_dpsgml(
         for t, rng in enumerate(trial_rngs(seed, (k, 0), trials)):
             data[t] = model.sample(theta_star, n, rng)
         outputs = dp_sgml_batch(data, model, cfg, seed, k, 1)
-        risk, stderr = _mean_stderr(np.sum((outputs - theta_star[None, :]) ** 2, axis=1))
+        risk, stderr = _risk_stderr(np.sum((outputs - theta_star[None, :]) ** 2, axis=1))
 
         theta_ml = mle_pga(data[:ml_trials], model)
         nonprivate_lower = d / (beta_kl * n)
@@ -620,7 +540,7 @@ def run_dpsgml(
         if n not in ml_done:
             ml_done.add(n)
             ml_losses = [_squared_loss(theta, theta_star) for theta in theta_ml]
-            ml_risk, ml_stderr = _mean_stderr(np.array(ml_losses))
+            ml_risk, ml_stderr = _risk_stderr(np.array(ml_losses))
             cells.append(_cell(
                 "dpsgml", n, PrivacyConstraint.none(), "mle", ml_risk, ml_stderr, ml_trials,
                 nonprivate_lower, "nonprivate_parametric", None, {}, reference=True,

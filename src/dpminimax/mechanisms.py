@@ -17,7 +17,7 @@ import numpy as np
 from . import _kernels
 # derived_rng is unused here but stays a module attribute: the benchmark's
 # tracer (perfbench/tracing.py) wraps it in this module by name.
-from ._rng import derived_rng, thread_safe, trial_rngs  # noqa: F401
+from ._rng import derived_rng, trial_rngs  # noqa: F401
 from .errors import DomainError, InsufficientBudget, NonFinite
 from .verify import FiniteMechanism, _word_distances
 
@@ -128,11 +128,6 @@ def project(space, point) -> np.ndarray:
 def _check_unit_data(data: np.ndarray) -> None:
     if data.ndim != 1 or data.shape[0] < 1:
         raise DomainError("data must be a non-empty 1-D array")
-    _check_unit_range(data)
-
-
-def _check_unit_range(data: np.ndarray) -> None:
-    """Require every value of data, of any shape, to lie in [0, 1]."""
     # Written so that nan, which fails every comparison, is rejected too.
     if not (data.min() >= 0.0 and data.max() <= 1.0):
         raise DomainError("data must lie in [0, 1]")
@@ -145,17 +140,19 @@ def _check_positive(name: str, value: float) -> None:
 
 
 def _laplace_noise(epsilon: float) -> Callable:
-    """laplace_mean's noise: noise(n, rng) draws Laplace(1/(n epsilon)), which
-    makes the mean of n values in [0, 1] epsilon-DP."""
+    """laplace_mean's noise: noise(n, rng, size=None) draws Laplace(1/(n epsilon))
+    (size of them, if given), which makes the mean of n values in [0, 1]
+    epsilon-DP."""
     _check_positive("epsilon", epsilon)
-    return lambda n, rng: rng.laplace(0.0, 1.0 / (n * epsilon))
+    return lambda n, rng, size=None: rng.laplace(0.0, 1.0 / (n * epsilon), size)
 
 
 def _gaussian_noise(rho: float) -> Callable:
-    """gaussian_mean's noise: noise(n, rng) draws (2/(n sqrt(rho))) times a
-    standard normal, which makes the mean of n values in [0, 1] rho-zCDP."""
+    """gaussian_mean's noise: noise(n, rng, size=None) draws (2/(n sqrt(rho)))
+    times a standard normal (size of them, if given), which makes the mean of
+    n values in [0, 1] rho-zCDP."""
     _check_positive("rho", rho)
-    return lambda n, rng: (2.0 / (n * math.sqrt(rho))) * rng.standard_normal()
+    return lambda n, rng, size=None: (2.0 / (n * math.sqrt(rho))) * rng.standard_normal(size)
 
 
 def laplace_mean(data, epsilon: float, rng: np.random.Generator, clamp: bool = False) -> float:
@@ -292,7 +289,6 @@ def gaussian_mean_model(
         raise DomainError("declared smoothness below the true curvature")
     inv_var = curvature
 
-    @thread_safe  # reads only its arguments
     def sample(theta, n, rng):
         theta = np.asarray(theta, dtype=float)
         return theta[None, :] + sigma * rng.standard_normal((n, d))

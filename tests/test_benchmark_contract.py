@@ -9,22 +9,18 @@ import json
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dpminimax import (
-    PrivacyConstraint,
     _kernels,
-    _rng,
     cli,
     derived_rng,
     dp_sgml_batch,
     dp_sgml_config,
     gaussian_mean_model,
-    run_gaussian,
 )
 from dpminimax.mechanisms import _BATCH_CHUNK
 
@@ -106,35 +102,23 @@ def test_a_traced_dpsgml_run_computes_xi2_once_per_cell_from_no_stream(tmp_path)
     assert tracer.calls["rng.derived_rng"] == 0
 
 
-def test_a_traced_gaussian_run_stays_serial_and_matches_an_untraced_run(monkeypatch):
-    # The tracer keeps one span stack for all threads, and its span around
-    # model.sample is a new callable that _rng.thread_safe never marked: the
-    # traced trials run on the calling thread, so spans nest, and the report
-    # is the one the threaded untraced run writes.
-    monkeypatch.setattr(_rng, "_cpu_count", lambda: 2)
-    starts = []
-    original_start = threading.Thread.start
-
-    def start(self):
-        starts.append(self)
-        original_start(self)
-
-    monkeypatch.setattr(threading.Thread, "start", start)
+def test_a_traced_gaussian_run_draws_one_stream_per_cell_and_no_record(tmp_path):
+    # Each cell draws its sample means from one stream: the traced model's
+    # sample is never called, and the report is the untraced bytes.
     tracing = _load_tracing()
-    run = lambda: run_gaussian(66, 1.0, [100], [PrivacyConstraint.none()], trials=101, seed=5)
-    untraced = run().to_dict()
-    assert len(starts) == 1
+    argv = ["experiment", "gaussian", "--d", "66", "--ns", "100,200", "--eps", "0.1", "--rho", "0.01",
+            "--trials", "101"]
+    assert cli.main([*argv, "--out", str(tmp_path / "untraced.json")]) == 0
     tracer = tracing.Tracer()
     with tracing.instrument(tracer):
-        traced = run().to_dict()
-    assert traced == untraced
-    assert len(starts) == 1
-    assert tracer.calls["mechanisms.sample"] == 101
-    spans = list(tracer.spans())
-    for name, start, end, parent in spans:
-        if parent >= 0:
-            _, parent_start, parent_end, _ = spans[parent]
-            assert parent_start <= start and end <= parent_end, name
+        assert cli.main([*argv, "--out", str(tmp_path / "traced.json")]) == 0
+    for suffix in ("json", "csv"):
+        traced = (tmp_path / f"traced.{suffix}").read_bytes()
+        assert traced == (tmp_path / f"untraced.{suffix}").read_bytes()
+    cells = json.loads((tmp_path / "traced.json").read_text())["report"]["cells"]
+    assert tracer.calls["mechanisms.gaussian_mean_model"] == 1
+    assert tracer.calls["mechanisms.sample"] == 0
+    assert tracer.calls["rng.derived_rng"] == len(cells) == 6
 
 
 def test_tracer_counts_one_dpsgml_kernel_call_per_chunk():
@@ -151,7 +135,7 @@ def test_tracer_counts_one_dpsgml_kernel_call_per_chunk():
 
 
 def test_import_starts_no_thread_and_no_executor():
-    # setup_s times a fresh-interpreter import; threads start only inside a run.
+    # setup_s times a fresh-interpreter import, which must start no thread or executor.
     probe = (
         "import sys, threading\n"
         "import dpminimax\n"

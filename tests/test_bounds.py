@@ -204,6 +204,24 @@ def test_fano_zcdp_joint_hand_value():
     assert abs(res.value - 0.029078158264706833) <= 1e-12
 
 
+def test_fano_dp_forms_at_n_4_hand_values():
+    # N = 3, tv 0.5 at every pair: t = 2/3 and sum_{i != j} t_ij = 4 over 6
+    # ordered pairs.  The joint form reads the tvs as 4-sample TVs:
+    # 1/2 - (1 - e^{-0.4}) 4 / 12.  The product form reads single-sample TVs:
+    # (1/2) (1 - (1 - e^{-0.1}) 2/3)^4.  dp_fano_matching is
+    # 1 - (1 + (0.4 / 9) 4) / ln 3 < 0 in both.
+    c = PrivacyConstraint.pure(0.1)
+    joint = fano_private(c, 4, 3, _tv_all(3, 0.5), form="joint")
+    assert abs(joint.value - 0.39010668201187976) <= 1e-12
+    assert abs(joint.value - (0.5 - (1.0 - math.exp(-0.4)) / 3.0)) <= 1e-12
+    product = fano_private(c, 4, 3, _tv_all(3, 0.5), form="product")
+    assert abs(product.value - 0.38468852602805204) <= 1e-12
+    assert abs(product.value - 0.5 * (1.0 - (2.0 / 3.0) * (1.0 - math.exp(-0.1))) ** 4) <= 1e-12
+    for res in (joint, product):
+        assert res.branch == "dp_pairwise"
+        assert abs(res.extras["dp_fano_matching"] - (1.0 - (1.0 + 1.6 / 9.0) / math.log(3.0))) <= 1e-12
+
+
 def test_fano_classical_branch_via_kls():
     res = fano_private(None, 1, 3, _tv_all(3, 0.0), kls_to_q=np.zeros(3))
     assert abs(res.value - (1.0 - 1.0 / math.log(3.0))) <= 1e-12

@@ -68,7 +68,7 @@ def test_couple_lp_example2(tmp_path, capsys):
     assert rc == 0
     payload = json.loads(path.read_text())
     assert set(payload) == {"schema", "version", "config", "seed", "report"}
-    assert payload["schema"] == "dpminimax.report/2"
+    assert payload["schema"] == "dpminimax.report/3"
     report = payload["report"]
     assert abs(report["lp_value"] - 2.0) <= 1e-9
     assert abs(report["sum_pairwise_tv"] - 1.5) <= 1e-12

@@ -2,12 +2,12 @@
 
 import dataclasses
 import math
-import threading
 import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from dpminimax import (
     Box,
@@ -33,10 +33,9 @@ from dpminimax import (
     run_gaussian,
     run_uniform,
 )
-from dpminimax import _rng
 from dpminimax import experiments as experiments_mod
 from dpminimax._rng import trial_rngs
-from dpminimax.experiments import _ROW_MAXIMA, _ROW_MEANS, _BlockEstimator, _cell, _uniform_sampler
+from dpminimax.experiments import _bernoulli_means, _cell, _gaussian_means, _uniform_maxima
 from dpminimax.mechanisms import _gaussian_noise, _laplace_noise
 
 CSV_COLUMNS = [
@@ -48,6 +47,11 @@ CSV_COLUMNS = [
 class _Coin:
     def sample(self, theta, n, rng):
         return (rng.random(n) < theta).astype(np.float64)
+
+
+class _Uniform:
+    def sample(self, theta, n, rng):
+        return theta * rng.random(n)
 
 
 def _mean_mech(data, rng):
@@ -87,30 +91,7 @@ def test_monte_carlo_risk_validation():
 
 def test_monte_carlo_risk_rejects_a_non_finite_loss():
     with pytest.raises(NonFinite):
-        monte_carlo_risk(_uniform_sampler(), math.nan, lambda d, r: float(d.max()), n=10,
-                         trials=100, seed=0)
-
-
-def test_block_path_rejects_a_non_finite_loss():
-    with pytest.raises(NonFinite):
-        monte_carlo_risk(_uniform_sampler(), math.nan, _BlockEstimator(_ROW_MAXIMA), n=10,
-                         trials=100, seed=0)
-
-
-@pytest.mark.parametrize("mechanism, noise", [(laplace_mean, _laplace_noise),
-                                              (gaussian_mean, _gaussian_noise)])
-def test_block_path_keeps_the_private_means_input_checks(mechanism, noise):
-    with pytest.raises(DomainError) as expected:
-        mechanism(np.full(10, 2.0), 0.5, derived_rng(0))
-    with pytest.raises(DomainError) as caught:
-        monte_carlo_risk(_uniform_sampler(), 2.0, _BlockEstimator(_ROW_MEANS, noise(0.5)), n=10,
-                         trials=100, seed=0)
-    assert str(caught.value) == str(expected.value)
-    with pytest.raises(DomainError) as expected:
-        mechanism(np.full(10, 0.5), 0.0, derived_rng(0))
-    with pytest.raises(DomainError) as caught:
-        noise(0.0)
-    assert str(caught.value) == str(expected.value)
+        monte_carlo_risk(_Uniform(), math.nan, lambda d, r: float(d.max()), n=10, trials=100, seed=0)
 
 
 # ------------------------------------------------------------------ rate_slope
@@ -464,34 +445,28 @@ def test_dpsgml_row_is_flagged_against_its_packing_bound_only(monkeypatch):
 # ---------------------------------------------------------------- cell streams
 
 
-class _Uniform:
-    def sample(self, theta, n, rng):
-        return theta * rng.random(n)
-
-
-def _bernoulli_estimator(c):
+def _bernoulli_draw(c, n, rng, trials):
+    means = _bernoulli_means(0.5, n, rng, trials)
     if c.kind == "pure":
-        return lambda data, rng: laplace_mean(data, c.epsilon, rng)
+        return means + _laplace_noise(c.epsilon)(n, rng, trials)
     if c.kind == "zcdp":
-        return lambda data, rng: gaussian_mean(data, c.rho, rng)
-    return _mean_mech
+        return means + _gaussian_noise(c.rho)(n, rng, trials)
+    return means
 
 
-_GAUSSIAN_D3 = gaussian_mean_model(3, sigma=1.0, radius=1.0)
 _STUDIES = {
     "bernoulli": (
-        lambda ns, cs: run_bernoulli(ns, cs, trials=150, seed=31),
-        _Coin(), 0.5, _bernoulli_estimator,
+        lambda ns, cs: run_bernoulli(ns, cs, trials=150, seed=31), 0.5, _bernoulli_draw,
         [PrivacyConstraint.pure(0.5), PrivacyConstraint.zcdp(0.1)],
     ),
     "gaussian": (
-        lambda ns, cs: run_gaussian(3, 1.0, ns, cs, trials=150, seed=31),
-        _GAUSSIAN_D3, np.zeros(3), lambda c: (lambda data, rng: data.mean(axis=0)),
+        lambda ns, cs: run_gaussian(3, 1.0, ns, cs, trials=150, seed=31), np.zeros(3),
+        lambda c, n, rng, trials: _gaussian_means(np.zeros(3), 1.0, n, rng, trials),
         [PrivacyConstraint.none(), PrivacyConstraint.zcdp(0.1)],
     ),
     "uniform": (
-        lambda ns, cs: run_uniform(ns, cs, trials=150, seed=31),
-        _Uniform(), 1.0, lambda c: (lambda data, rng: float(data.max())),
+        lambda ns, cs: run_uniform(ns, cs, trials=150, seed=31), 1.0,
+        lambda c, n, rng, trials: _uniform_maxima(1.0, n, rng, trials),
         [PrivacyConstraint.none(), PrivacyConstraint.pure(0.5)],
     ),
 }
@@ -499,14 +474,17 @@ _STUDIES = {
 
 @pytest.mark.parametrize("study", sorted(_STUDIES))
 def test_cell_k_draws_from_stream_k_constraint_major(study):
-    run, model, theta_star, estimator, constraints = _STUDIES[study]
+    # Cell k's risk and stderr are those of its statistics, and noise, drawn
+    # at once from derived_rng(seed, k).
+    run, theta_star, draw, constraints = _STUDIES[study]
     ns = [20, 40, 80]
     report = run(ns, constraints)
     grid = [(c, n) for c in constraints for n in ns]
     assert [(cell.constraint, cell.n) for cell in report.cells] == grid
     for k, (cell, (c, n)) in enumerate(zip(report.cells, grid)):
-        est = monte_carlo_risk(model, theta_star, estimator(c), n, 150, 31, constraint=c, tags=(k,))
-        assert (cell.risk, cell.stderr) == (est.risk, est.stderr)
+        gap = draw(c, n, derived_rng(31, k), 150) - theta_star
+        losses = np.sum(np.reshape(gap * gap, (150, -1)), axis=1)
+        assert (cell.risk, cell.stderr) == (losses.mean(), losses.std(ddof=1) / math.sqrt(150))
 
 
 # ----------------------------------------------------------------- reporting
@@ -525,96 +503,108 @@ def test_report_to_dict_round_trips_cells(bernoulli_report):
     assert set(cell["constraint"]) == {"kind", "epsilon", "delta", "rho"}
 
 
-# ------------------------------------------------------- threaded trial ranges
+# -------------------------------------------------------------- statistic laws
 
-# The forced CPU counts; 3 and 7 split 101, 103 and 200 trials into unequal ranges.
-_CPU_COUNTS = [1, 2, 3, 7]
-
-
-@pytest.fixture
-def thread_starts(monkeypatch):
-    """The threads started while the test runs."""
-    starts = []
-    original = threading.Thread.start
-
-    def start(self):
-        starts.append(self)
-        original(self)
-
-    monkeypatch.setattr(threading.Thread, "start", start)
-    return starts
+# Each study draws the one statistic its estimator reads.  These tests hold
+# that draw to the record path (the model's records, reduced by the
+# estimator) with a two-sample Kolmogorov-Smirnov test at a pinned level, and
+# to its closed-form mean and mean squared error about theta.
+_LAW_DRAWS = 100_000
+_KS_LEVEL = 1e-3
+_LAW_Z = 4.0
 
 
-def _serial(monkeypatch, run):
-    monkeypatch.setattr(_rng, "_cpu_count", lambda: 1)
-    return run()
+def _bernoulli_law(theta, n):
+    draw = lambda rng: _bernoulli_means(theta, n, rng, _LAW_DRAWS)
+    reduce = lambda records: records.mean(axis=1)
+    return draw, _Coin().sample, reduce, theta, n, theta, theta * (1.0 - theta) / n
 
 
-@pytest.mark.parametrize("cpus", _CPU_COUNTS)
-def test_threaded_gaussian_cells_match_the_serial_run(monkeypatch, thread_starts, cpus):
-    # n * d >= 64 * 66 values per trial, so every cell is threaded.
-    def run():
-        c = [PrivacyConstraint.none(), PrivacyConstraint.pure(0.5)]
-        return run_gaussian(66, 1.0, [64, 101], c, trials=103, seed=17).to_dict()
-
-    serial = _serial(monkeypatch, run)
-    assert thread_starts == []
-    monkeypatch.setattr(_rng, "_cpu_count", lambda: cpus)
-    assert run() == serial
-    assert len(thread_starts) == 4 * (cpus - 1)
+def _uniform_law(theta, n):
+    draw = lambda rng: _uniform_maxima(theta, n, rng, _LAW_DRAWS)
+    reduce = lambda records: records.max(axis=1)
+    return draw, _Uniform().sample, reduce, theta, n, theta * n / (n + 1), 2.0 * theta**2 / ((n + 1) * (n + 2))
 
 
-def _failing_sampler(seed, failing):
-    """A model whose marked sampler raises on the given trials of the
-    streams (seed, t); each trial draws dim * n values, enough to be threaded.
-
-    The streams of a cell share one key, and trial t starts at counter
-    t * 2**128, which is where the sampler, the first to draw, finds it."""
-
-    def stream(rng):
-        state = rng.bit_generator.state["state"]
-        low, high = state["counter"][2:].tolist()
-        return tuple(state["key"].tolist()), low | high << 64
-
-    failing = {stream(derived_rng(seed, t)) for t in failing}
-
-    @_rng.thread_safe
-    def sample(theta, n, rng):
-        key, t = stream(rng)
-        if (key, t) in failing:
-            raise DegenerateInput(f"trial {t} failed")
-        return np.zeros(n)
-
-    return SimpleNamespace(dim=_rng._THREAD_MIN_VALUES, sample=sample)
+def _gaussian_law(theta, sigma, n):
+    theta = np.asarray(theta, dtype=float)
+    model = gaussian_mean_model(theta.shape[0], sigma=sigma, radius=10.0)
+    draw = lambda rng: _gaussian_means(theta, sigma, n, rng, _LAW_DRAWS)
+    reduce = lambda records: records.mean(axis=1)
+    return draw, model.sample, reduce, theta, n, theta, sigma**2 * theta.shape[0] / n
 
 
-_thread_safe_mean = _rng.thread_safe(lambda data, rng: float(data.mean()))
+# id: (statistic draw, record sampler, reduction, theta, n, mean, mean squared error)
+_LAWS = {
+    "bernoulli-0.3-20": _bernoulli_law(0.3, 20),
+    "bernoulli-0.5-1": _bernoulli_law(0.5, 1),
+    "bernoulli-0.9-7": _bernoulli_law(0.9, 7),
+    "uniform-2-10": _uniform_law(2.0, 10),
+    "uniform-1-1": _uniform_law(1.0, 1),
+    "uniform-0.5-30": _uniform_law(0.5, 30),
+    "gaussian-d3-2-10": _gaussian_law([0.5, -0.2, 0.1], 2.0, 10),
+    "gaussian-d1-0.5-1": _gaussian_law([0.3], 0.5, 1),
+    "gaussian-d2-1-15": _gaussian_law([0.0, 1.0], 1.0, 15),
+}
 
 
-@pytest.mark.parametrize("cpus", _CPU_COUNTS)
-def test_threaded_trials_raise_the_lowest_failing_trial(monkeypatch, thread_starts, cpus):
-    monkeypatch.setattr(_rng, "_cpu_count", lambda: cpus)
-    for failing, first in (((7, 150), 7), ((150,), 150)):
-        with pytest.raises(DegenerateInput, match=f"trial {first} failed"):
-            monte_carlo_risk(_failing_sampler(3, failing), 0.0, _thread_safe_mean, n=1, trials=200,
-                             seed=3)
-    assert len(thread_starts) == 2 * (cpus - 1)
+def _direct_draws(law, seed):
+    """The statistic drawn directly, one (draws, d) row a trial."""
+    return np.reshape(law[0](derived_rng(seed, 0)), (_LAW_DRAWS, -1))
 
 
-@pytest.mark.parametrize("cpus", _CPU_COUNTS)
-def test_unmarked_callables_and_other_studies_start_no_thread(monkeypatch, thread_starts, cpus):
-    # Each of these trials draws at least _rng._THREAD_MIN_VALUES values; only
-    # a sampler and a mechanism both marked by _rng.thread_safe are threaded.
-    monkeypatch.setattr(_rng, "_cpu_count", lambda: cpus)
-    constraints = [PrivacyConstraint.none(), PrivacyConstraint.pure(1.0)]
-    run_uniform([10, 5000], constraints, trials=101, seed=5)
-    run_bernoulli([50, 5000], constraints, trials=101, seed=5)
-    model = gaussian_mean_model(5, radius=10.0)
-    run_dpsgml(model, np.full(5, 0.3), [1000], [0.5], m=16, trials=101, seed=19)
-    mean = lambda data, rng: data.mean(axis=0)
-    monte_carlo_risk(model, np.zeros(5), mean, n=1000, trials=101, seed=5)
-    wrapped = dataclasses.replace(model, sample=lambda *args: model.sample(*args))
-    monte_carlo_risk(wrapped, np.zeros(5), _thread_safe_mean, n=1000, trials=101, seed=5)
-    assert thread_starts == []
-    monte_carlo_risk(model, np.zeros(5), _rng.thread_safe(mean), n=1000, trials=101, seed=5)
-    assert len(thread_starts) == cpus - 1
+@pytest.mark.parametrize("name", sorted(_LAWS))
+def test_the_drawn_statistic_has_the_record_paths_law(name):
+    law = _LAWS[name]
+    _, sample, reduce, theta, n, _, _ = law
+    direct = _direct_draws(law, 41)
+    recorded = reduce(sample(theta, n * _LAW_DRAWS, derived_rng(41, 1)).reshape(_LAW_DRAWS, n, -1))
+    assert direct.shape == recorded.shape
+    # Each coordinate, and the squared loss the study scores.
+    for a, b in [*zip(direct.T, recorded.T), (np.sum((direct - theta) ** 2, axis=1),
+                                              np.sum((recorded - theta) ** 2, axis=1))]:
+        assert ks_2samp(a, b).pvalue > _KS_LEVEL
+
+
+@pytest.mark.parametrize("name", sorted(_LAWS))
+def test_the_drawn_statistic_has_the_closed_form_moments(name):
+    law = _LAWS[name]
+    *_, theta, _, mean, mse = law
+    direct = _direct_draws(law, 43)
+    se = direct.std(axis=0, ddof=1) / math.sqrt(_LAW_DRAWS)
+    assert np.all(np.abs(direct.mean(axis=0) - mean) <= _LAW_Z * se)
+    losses = np.sum((direct - theta) ** 2, axis=1)
+    assert abs(losses.mean() - mse) <= _LAW_Z * losses.std(ddof=1) / math.sqrt(_LAW_DRAWS)
+
+
+@pytest.mark.parametrize("noise", [_laplace_noise, _gaussian_noise])
+def test_a_noise_vector_is_the_private_means_scalar_draws_in_order(noise):
+    draw = noise(0.5)
+    vector = draw(40, derived_rng(3, 1), 51)
+    rng = derived_rng(3, 1)
+    assert vector.tolist() == [draw(40, rng) for _ in range(51)]
+
+
+@pytest.mark.parametrize("mechanism, noise", [(laplace_mean, _laplace_noise),
+                                              (gaussian_mean, _gaussian_noise)])
+def test_noise_helpers_keep_the_private_means_budget_checks(mechanism, noise):
+    with pytest.raises(DomainError) as expected:
+        mechanism(np.full(10, 0.5), 0.0, derived_rng(0))
+    with pytest.raises(DomainError) as caught:
+        noise(0.0)
+    assert str(caught.value) == str(expected.value)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda trials: run_bernoulli([50], [PrivacyConstraint.pure(0.1)], trials=trials, seed=0),
+        lambda trials: run_gaussian(3, 1.0, [10], [PrivacyConstraint.none()], trials=trials, seed=0),
+        lambda trials: run_uniform([10], [PrivacyConstraint.none()], trials=trials, seed=0),
+    ],
+    ids=["bernoulli", "gaussian", "uniform"],
+)
+def test_studies_need_at_least_100_trials(run):
+    with pytest.raises(DomainError, match="trials must be >= 100"):
+        run(99)
+    assert run(100).trials == 100

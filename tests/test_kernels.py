@@ -1,24 +1,15 @@
 """Reference and stream-derivation tests for the numerical kernels."""
 
-import sys
-
 import numpy as np
 import pytest
 
-from dpminimax import _rng, derived_rng, experiments, spawn_keys
+from dpminimax import derived_rng, spawn_keys
 from dpminimax._kernels import backend, clipped_mean, dpsgml_trials, pair_assignments, races_winners
-from dpminimax._rng import trial_ranges, trial_rngs
+from dpminimax._rng import trial_rngs
 from dpminimax.couplings import maximal_pair
 from dpminimax.divergences import DiscreteDistribution
-from dpminimax.experiments import (
-    _ROW_MAXIMA,
-    _ROW_MEANS,
-    _BlockEstimator,
-    _bernoulli_sampler,
-    _uniform_sampler,
-    monte_carlo_risk,
-)
-from dpminimax.mechanisms import Ball, _gaussian_noise, _laplace_noise, gaussian_mean, laplace_mean
+from dpminimax.experiments import monte_carlo_risk
+from dpminimax.mechanisms import Ball, laplace_mean
 
 
 def test_backend_reports_known_name():
@@ -291,13 +282,10 @@ def test_trial_index_and_count_must_be_below_2_to_the_128():
     last = np.random.Philox(key=int(low) | int(high) << 64, counter=(2**128 - 1) << 128)
     assert _draws(derived_rng(3, 1, 2**128 - 1)) == _draws(np.random.Generator(last))
     trial_rngs(3, (1,), 2**128 - 1)
-    body = lambda lo, hi, rngs: None
     with pytest.raises(ValueError, match="2\\*\\*128"):
         derived_rng(3, 1, 2**128)
     with pytest.raises(ValueError, match="2\\*\\*128"):
         trial_rngs(3, (1,), 2**128)
-    with pytest.raises(ValueError, match="2\\*\\*128"):
-        trial_ranges(3, (1,), 2**128, body, threaded=False)
 
 
 @pytest.mark.parametrize("seed", _SEEDS)
@@ -315,50 +303,14 @@ def test_trial_rngs_match_derived_rng(seed, tags):
         assert seen == count
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 3, 7])
-def test_trial_ranges_cover_each_trial_once_with_its_stream(monkeypatch, cpus):
-    monkeypatch.setattr(_rng, "_cpu_count", lambda: cpus)
-    for count in (0, 1, 5, 129):
-        seen = []
-
-        def body(lo, hi, rngs):
-            draws = [rng.standard_normal(2).tolist() for rng in rngs]
-            seen.append((lo, hi, draws))
-
-        trial_ranges(9, (4, 1), count, body, threaded=True)
-        seen.sort()
-        # Contiguous ranges, one per CPU at most, covering [0, count).
-        assert len(seen) == max(1, min(cpus, count))
-        assert [lo for lo, _, _ in seen] == [0] + [hi for _, hi, _ in seen[:-1]]
-        assert seen[-1][1] == count
-        draws = [d for _, _, ds in seen for d in ds]
-        assert draws == [derived_rng(9, 4, 1, t).standard_normal(2).tolist() for t in range(count)]
-    # Unthreaded, the trials run as one range on the calling thread.
-    seen = []
-    trial_ranges(9, (4, 1), 129, body, threaded=False)
-    assert [(lo, hi) for lo, hi, _ in seen] == [(0, 129)]
-    with pytest.raises(ValueError, match="non-negative"):
-        trial_ranges(9, (-1,), 5, body, threaded=True)
+class _Coin:
+    def sample(self, theta, n, rng):
+        return (rng.random(n) < theta).astype(np.float64)
 
 
-def test_trial_ranges_under_frequent_thread_switches(monkeypatch):
-    # More ranges than cores and a tiny switch interval: a lost or misplaced
-    # write would show as a row that differs from its own stream's draws.
-    monkeypatch.setattr(_rng, "_cpu_count", lambda: 16)
-    count = 1000
-    out = np.zeros((count, 8))
-
-    def body(lo, hi, rngs):
-        for t, rng in zip(range(lo, hi), rngs):
-            out[t] = rng.standard_normal(8)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        trial_ranges(12, (3,), count, body, threaded=True)
-    finally:
-        sys.setswitchinterval(interval)
-    assert out.tolist() == [rng.standard_normal(8).tolist() for rng in trial_rngs(12, (3,), count)]
+class _Uniform:
+    def sample(self, theta, n, rng):
+        return theta * rng.random(n)
 
 
 def _reference_risk(model, theta_star, mechanism, n, trials, seed, tags):
@@ -373,33 +325,11 @@ def _reference_risk(model, theta_star, mechanism, n, trials, seed, tags):
 @pytest.mark.parametrize(
     "model, theta_star, mechanism, n",
     [
-        (_uniform_sampler(), 1.0, lambda data, rng: float(data.max()), 10),
-        (_bernoulli_sampler(), 0.3, lambda data, rng: laplace_mean(data, 0.8, rng), 50),
+        (_Uniform(), 1.0, lambda data, rng: float(data.max()), 10),
+        (_Coin(), 0.3, lambda data, rng: laplace_mean(data, 0.8, rng), 50),
     ],
     ids=["uniform_max", "bernoulli_laplace"],
 )
 def test_monte_carlo_risk_matches_per_trial_streams(model, theta_star, mechanism, n):
     est = monte_carlo_risk(model, theta_star, mechanism, n, 300, 11, tags=(4,))
     assert (est.risk, est.stderr) == _reference_risk(model, theta_star, mechanism, n, 300, 11, (4,))
-
-
-@pytest.mark.parametrize(
-    "model, theta_star, estimator, mechanism",
-    [
-        (_uniform_sampler(), 1.0, _BlockEstimator(_ROW_MAXIMA), lambda data, rng: float(data.max())),
-        (_bernoulli_sampler(), 0.5, _BlockEstimator(_ROW_MEANS), lambda data, rng: float(data.mean())),
-        (_bernoulli_sampler(), 0.3, _BlockEstimator(_ROW_MEANS, _laplace_noise(0.8)),
-         lambda data, rng: laplace_mean(data, 0.8, rng)),
-        (_bernoulli_sampler(), 0.6, _BlockEstimator(_ROW_MEANS, _gaussian_noise(0.05)),
-         lambda data, rng: gaussian_mean(data, 0.05, rng)),
-    ],
-    ids=["uniform_max", "bernoulli_mean", "bernoulli_laplace", "bernoulli_gaussian"],
-)
-def test_block_path_matches_per_trial_streams_across_block_boundaries(
-    model, theta_star, estimator, mechanism
-):
-    n, trials = 400, 101
-    rows = experiments._BLOCK_VALUES // n
-    assert 2 * rows < trials < 3 * rows  # two full blocks and a remainder
-    est = monte_carlo_risk(model, theta_star, estimator, n, trials, 13, tags=(2, 5))
-    assert (est.risk, est.stderr) == _reference_risk(model, theta_star, mechanism, n, trials, 13, (2, 5))
