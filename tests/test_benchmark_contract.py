@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -102,9 +103,18 @@ def test_a_traced_dpsgml_run_computes_xi2_once_per_cell_from_no_stream(tmp_path)
     assert tracer.calls["rng.derived_rng"] == 0
 
 
-def test_a_traced_gaussian_run_draws_one_stream_per_cell_and_no_record(tmp_path):
-    # Each cell draws its sample means from one stream: the traced model's
-    # sample is never called, and the report is the untraced bytes.
+def test_a_traced_gaussian_run_stays_serial_and_matches_an_untraced_run(tmp_path, monkeypatch):
+    # Each cell draws its sample means from one stream on the calling thread:
+    # the traced model's sample is never called, no thread starts, and the
+    # report is the untraced bytes.
+    starts = []
+    original_start = threading.Thread.start
+
+    def start(self):
+        starts.append(self)
+        original_start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
     tracing = _load_tracing()
     argv = ["experiment", "gaussian", "--d", "66", "--ns", "100,200", "--eps", "0.1", "--rho", "0.01",
             "--trials", "101"]
@@ -119,6 +129,7 @@ def test_a_traced_gaussian_run_draws_one_stream_per_cell_and_no_record(tmp_path)
     assert tracer.calls["mechanisms.gaussian_mean_model"] == 1
     assert tracer.calls["mechanisms.sample"] == 0
     assert tracer.calls["rng.derived_rng"] == len(cells) == 6
+    assert starts == []
 
 
 def test_tracer_counts_one_dpsgml_kernel_call_per_chunk():

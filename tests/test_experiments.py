@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import os
+import threading
 import warnings
 from types import SimpleNamespace
 
@@ -92,6 +94,19 @@ def test_monte_carlo_risk_validation():
 def test_monte_carlo_risk_rejects_a_non_finite_loss():
     with pytest.raises(NonFinite):
         monte_carlo_risk(_Uniform(), math.nan, lambda d, r: float(d.max()), n=10, trials=100, seed=0)
+
+
+def test_block_path_rejects_a_non_finite_loss(monkeypatch):
+    # A study scores each cell's drawn block of trial statistics at once; a
+    # non-finite entry in the block raises NonFinite.
+    def maxima(theta, n, rng, trials):
+        block = _uniform_maxima(theta, n, rng, trials)
+        block[trials // 2] = math.nan
+        return block
+
+    monkeypatch.setattr(experiments_mod, "_uniform_maxima", maxima)
+    with pytest.raises(NonFinite):
+        run_uniform([10], [PrivacyConstraint.none()], trials=100, seed=0)
 
 
 # ------------------------------------------------------------------ rate_slope
@@ -587,7 +602,9 @@ def test_a_noise_vector_is_the_private_means_scalar_draws_in_order(noise):
 
 @pytest.mark.parametrize("mechanism, noise", [(laplace_mean, _laplace_noise),
                                               (gaussian_mean, _gaussian_noise)])
-def test_noise_helpers_keep_the_private_means_budget_checks(mechanism, noise):
+def test_block_path_keeps_the_private_means_input_checks(mechanism, noise):
+    # The studies draw each cell's noise block through these helpers, which
+    # keep the budget checks of laplace_mean and gaussian_mean.
     with pytest.raises(DomainError) as expected:
         mechanism(np.full(10, 0.5), 0.0, derived_rng(0))
     with pytest.raises(DomainError) as caught:
@@ -608,3 +625,72 @@ def test_studies_need_at_least_100_trials(run):
     with pytest.raises(DomainError, match="trials must be >= 100"):
         run(99)
     assert run(100).trials == 100
+
+
+# ------------------------------------------------------------- serial trials
+
+# The core counts the machine is made to report: no study and no
+# monte_carlo_risk call starts a thread, whatever the count.
+_CPU_COUNTS = [1, 2, 3, 7]
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """The threads started while the test runs."""
+    starts = []
+    original = threading.Thread.start
+
+    def start(self):
+        starts.append(self)
+        original(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return starts
+
+
+def _failing_sampler(seed, failing):
+    """A model whose sampler raises on the given trials of the streams
+    (seed, t).
+
+    The streams of a cell share one key, and trial t starts at counter
+    t * 2**128, which is where the sampler, the first to draw, finds it."""
+
+    def stream(rng):
+        state = rng.bit_generator.state["state"]
+        low, high = state["counter"][2:].tolist()
+        return tuple(state["key"].tolist()), low | high << 64
+
+    failing = {stream(derived_rng(seed, t)) for t in failing}
+
+    def sample(theta, n, rng):
+        key, t = stream(rng)
+        if (key, t) in failing:
+            raise DegenerateInput(f"trial {t} failed")
+        return np.zeros(n)
+
+    return SimpleNamespace(sample=sample)
+
+
+@pytest.mark.parametrize("cpus", _CPU_COUNTS)
+def test_threaded_trials_raise_the_lowest_failing_trial(monkeypatch, thread_starts, cpus):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    for failing, first in (((7, 150), 7), ((150,), 150)):
+        with pytest.raises(DegenerateInput, match=f"trial {first} failed"):
+            monte_carlo_risk(_failing_sampler(3, failing), 0.0, _mean_mech, n=1, trials=200, seed=3)
+    assert thread_starts == []
+
+
+@pytest.mark.parametrize("cpus", _CPU_COUNTS)
+def test_unmarked_callables_and_other_studies_start_no_thread(monkeypatch, thread_starts, cpus):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    constraints = [PrivacyConstraint.none(), PrivacyConstraint.pure(1.0)]
+    run_uniform([10, 5000], constraints, trials=101, seed=5)
+    run_bernoulli([50, 5000], constraints, trials=101, seed=5)
+    run_gaussian(66, 1.0, [64, 101], constraints, trials=103, seed=17)
+    model = gaussian_mean_model(5, radius=10.0)
+    run_dpsgml(model, np.full(5, 0.3), [1000], [0.5], m=16, trials=101, seed=19)
+    mean = lambda data, rng: data.mean(axis=0)
+    monte_carlo_risk(model, np.zeros(5), mean, n=1000, trials=101, seed=5)
+    wrapped = dataclasses.replace(model, sample=lambda *args: model.sample(*args))
+    monte_carlo_risk(wrapped, np.zeros(5), mean, n=1000, trials=101, seed=5)
+    assert thread_starts == []
