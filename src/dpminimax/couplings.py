@@ -180,7 +180,10 @@ def estimate_disagreement(sampler: CouplingSampler, trials: int, seed: int) -> D
     est = np.zeros((N, N))
     for i in range(N):
         for j in range(i + 1, N):
-            dis = np.any(draws[:, i] != draws[:, j], axis=1)
+            # One column of the short lift axis at a time: faster than any(axis=1).
+            dis = draws[:, i, 0] != draws[:, j, 0]
+            for c in range(1, draws.shape[2]):
+                dis |= draws[:, i, c] != draws[:, j, c]
             est[i, j] = est[j, i] = float(np.mean(dis))
     stderr = np.sqrt(est * (1.0 - est) / trials)
     return DisagreementMatrix(estimates=est, stderr=stderr, trials=trials, seed=seed)

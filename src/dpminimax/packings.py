@@ -27,6 +27,26 @@ __all__ = [
 _GREEDY_BUDGET = 1_000_000
 _GREEDY_RESTARTS = 10
 _BLOCK = 1024
+# Candidates scored per product, and kept words per product: a candidate chunk
+# against a kept chunk stays under a few MB of float64 at any target.
+_CANDIDATE_CHUNK = 64
+_KEPT_CHUNK = 2048
+
+
+def _hamming(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) Hamming distances between the rows of 0/1 arrays, as
+    float64.
+
+    |x - y| = x + y - 2xy for bits, so one float64 product gives them all;
+    every value is an integer no larger than the word length, hence exact.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    dist = a @ b.T
+    dist *= -2.0
+    dist += a.sum(axis=1)[:, None]
+    dist += b.sum(axis=1)[None, :]
+    return dist
 
 
 @dataclass(frozen=True)
@@ -56,12 +76,16 @@ class BinaryCode:
         """Smallest pairwise Hamming distance; min_distance when only one word."""
         if self.size < 2:
             return self.min_distance
-        w = self.words.astype(np.int64)
-        gram = w @ w.T
-        sums = w.sum(axis=1)
-        dist = sums[:, None] + sums[None, :] - 2 * gram
-        np.fill_diagonal(dist, self.d + 1)
-        return int(dist.min())
+        # Converted once; a block holding every word is then words @ words.T,
+        # which BLAS computes as one triangle.
+        words = self.words.astype(np.float64)
+        best = self.d
+        for start in range(0, self.size, _KEPT_CHUNK):
+            dist = _hamming(words[start:start + _KEPT_CHUNK], words)
+            rows = np.arange(dist.shape[0])
+            dist[rows, start + rows] = self.d + 1
+            best = min(best, int(dist.min()))
+        return best
 
 
 @dataclass(frozen=True)
@@ -105,8 +129,41 @@ class Packing:
             raise DomainError("packing violates pairwise distance >= 2 * omega")
 
 
-def _target_size(d: int, zeta: float) -> int:
-    return int(math.ceil(math.exp(zeta * zeta * d / 2.0)))
+def _target_size(d: int, zeta: float) -> int | float:
+    exponent = zeta * zeta * d / 2.0
+    # Past e^700 the target is beyond any budget, and math.exp would overflow.
+    return math.ceil(math.exp(exponent)) if exponent < 700.0 else math.inf
+
+
+def _greedy_restart(rng, target: int, required: int, d: int):
+    """Words kept by one restart: candidates are drawn in blocks of 1024 rows
+    and kept in order when at Hamming distance >= required from every word
+    kept before them; stops at target words or after exactly _GREEDY_BUDGET
+    candidates.  Returns (target, d) int8 words, or None."""
+    kept = np.empty((target, d), dtype=np.int8)
+    n_kept = 0
+    drawn = 0
+    while drawn < _GREEDY_BUDGET:
+        block = rng.integers(0, 2, size=(_BLOCK, d), dtype=np.int8)[: _GREEDY_BUDGET - drawn]
+        drawn += block.shape[0]
+        for start in range(0, block.shape[0], _CANDIDATE_CHUNK):
+            chunk = block[start:start + _CANDIDATE_CHUNK]
+            # A candidate stays free while no word kept before it is closer
+            # than required: first the words kept before the chunk, then each
+            # row of the chunk as it is kept.
+            free = np.ones(chunk.shape[0], dtype=bool)
+            for k in range(0, n_kept, _KEPT_CHUNK):
+                free &= _hamming(chunk, kept[k:min(n_kept, k + _KEPT_CHUNK)]).min(axis=1) >= required
+            close = _hamming(chunk, chunk) < required
+            for i in np.flatnonzero(free):
+                if not free[i]:
+                    continue
+                kept[n_kept] = chunk[i]
+                n_kept += 1
+                if n_kept == target:
+                    return kept
+                free &= ~close[i]
+    return None
 
 
 def varshamov_gilbert(d: int, zeta: float, seed: int) -> BinaryCode:
@@ -114,7 +171,8 @@ def varshamov_gilbert(d: int, zeta: float, seed: int) -> BinaryCode:
     at pairwise Hamming distance >= ceil((1/2 - zeta) d).
 
     Deterministic given (d, zeta, seed).  Each of up to 10 restarts draws at
-    most 10^6 candidate words before giving up.
+    most 10^6 candidate words before giving up; a target above 10^6 words
+    raises at once.
     """
     if d < 1:
         raise DomainError("d must be >= 1")
@@ -122,28 +180,14 @@ def varshamov_gilbert(d: int, zeta: float, seed: int) -> BinaryCode:
         raise DomainError("zeta must lie in (0, 1/2)")
     target = _target_size(d, zeta)
     required = int(math.ceil((0.5 - zeta) * d))
-    for restart in range(_GREEDY_RESTARTS):
-        rng = derived_rng(seed, restart)
-        kept = np.empty((target, d), dtype=np.int8)
-        n_kept = 0
-        drawn = 0
-        while drawn < _GREEDY_BUDGET and n_kept < target:
-            block = rng.integers(0, 2, size=(_BLOCK, d), dtype=np.int8)
-            for row in block:
-                drawn += 1
-                if n_kept > 0:
-                    dists = np.count_nonzero(kept[:n_kept] != row[None, :], axis=1)
-                    if dists.min() < required:
-                        continue
-                kept[n_kept] = row
-                n_kept += 1
-                if n_kept == target or drawn == _GREEDY_BUDGET:
-                    break
-        if n_kept >= target:
-            return BinaryCode(d=d, zeta=zeta, min_distance=required, words=kept[:n_kept])
+    if target <= _GREEDY_BUDGET:
+        for restart in range(_GREEDY_RESTARTS):
+            words = _greedy_restart(derived_rng(seed, restart), target, required, d)
+            if words is not None:
+                return BinaryCode(d=d, zeta=zeta, min_distance=required, words=words)
     raise BudgetExhausted(
         f"greedy failed to reach {target} words at distance {required} "
-        f"after {_GREEDY_RESTARTS} restarts of {_GREEDY_BUDGET} draws"
+        f"within {_GREEDY_RESTARTS} restarts of {_GREEDY_BUDGET} draws"
     )
 
 

@@ -1,5 +1,6 @@
 """Tests for coupling samplers and the minimum-disagreement LP."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -168,6 +169,49 @@ def test_races_disagreement_within_bound():
                 t = tv(marginals[i], marginals[j])
                 bound = 2.0 * t / (1.0 + t)
                 assert matrix.estimates[i, j] <= bound + 3.0 * matrix.stderr[i, j] + 1e-9
+
+
+# p and r each give zero probability to an atom of the shared universe {0, 1, 2}.
+_RACE_MARGINALS = (
+    DiscreteDistribution.from_weights([0.5, 0.0, 0.5]),
+    DiscreteDistribution.from_weights([0.2, 0.3, 0.5]),
+    DiscreteDistribution((1, 2, 3), np.array([0.6, 0.4, 0.0])),
+)
+
+
+@pytest.mark.parametrize(
+    "seed, races_sha, lift_sha, races_counts, lift_counts",
+    [
+        (
+            5,
+            "958fa985dd9b8a4cf7576d6fe3f5961a9c4a61253fa5be8d2d78faf7f36bd1ea",
+            "e4e2aa1aa72d477e9e38ac37ccf837e81c56db002b22fc6834d5bf75bacf787c",
+            [[0, 8320, 14371], [8320, 0, 7139], [14371, 7139, 0]],
+            [[0, 4431, 4969], [4431, 0, 4126], [4969, 4126, 0]],
+        ),
+        (
+            2**31 - 1,
+            "2060790140f0dc808d17716ac0f6b0a8b4ec475056db690a87baa795dc25669d",
+            "59ea9195e7a25634678b7b44ac01a285e499076914055d71a61a13b7d798be39",
+            [[0, 8271, 14317], [8271, 0, 7220], [14317, 7220, 0]],
+            [[0, 4404, 4968], [4404, 0, 4125], [4968, 4125, 0]],
+        ),
+    ],
+)
+def test_race_and_lift_draws_are_pinned(seed, races_sha, lift_sha, races_counts, lift_counts):
+    # 20 000 race draws and 5 000 lifts of 4 span several kernel chunks; the
+    # digests and disagreement counts must not move when the kernel changes.
+    races = exponential_races(_RACE_MARGINALS)
+    lift = product_lift(races, 4)
+    draws = races.sample(20_000, seed)
+    assert draws.shape == (20_000, 3) and draws.dtype == np.int64
+    assert hashlib.sha256(draws.tobytes()).hexdigest() == races_sha
+    lifted = lift.sample(5_000, seed)
+    assert lifted.shape == (5_000, 3, 4) and lifted.dtype == np.int64
+    assert hashlib.sha256(lifted.tobytes()).hexdigest() == lift_sha
+    for sampler, trials, counts in ((races, 20_000, races_counts), (lift, 5_000, lift_counts)):
+        matrix = estimate_disagreement(sampler, trials, seed)
+        assert np.array_equal(matrix.estimates, np.array(counts) / trials)
 
 
 def test_races_needs_two_marginals():

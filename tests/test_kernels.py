@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dpminimax import derived_rng, spawn_keys
+from dpminimax import _kernels, derived_rng, spawn_keys
 from dpminimax._kernels import backend, clipped_mean, dpsgml_trials, pair_assignments, races_winners
 from dpminimax._rng import trial_rngs
 from dpminimax.couplings import maximal_pair
@@ -57,6 +57,52 @@ def test_races_winners_skips_zero_probability_atoms():
     clocks = np.array([[0.01, 5.0]])
     probs = np.array([[0.0, 1.0]])
     assert races_winners(clocks, probs)[0, 0] == 1
+
+
+def _races_argmin(clocks, probs):
+    """The argmin over every atom, with inf for atoms of zero probability."""
+    out = np.empty((clocks.shape[0], probs.shape[0]), dtype=np.int64)
+    for i, p in enumerate(probs):
+        live = p > 0.0
+        out[:, i] = np.argmin(np.where(live, clocks / np.where(live, p, 1.0), np.inf), axis=1)
+    return out
+
+
+def test_races_winners_exact_ties_go_to_the_lowest_index():
+    # Equal clocks over equal weights tie exactly; a zero clock ties every atom.
+    clocks = np.array([[1.0, 1.0, 1.0], [2.0, 0.5, 0.5], [0.0, 0.0, 0.0], [3.0, 1.5, 3.0]])
+    probs = np.array([[1 / 3, 1 / 3, 1 / 3], [0.0, 0.5, 0.5], [0.5, 0.25, 0.25]])
+    out = races_winners(clocks, probs)
+    assert np.array_equal(out, _races_argmin(clocks, probs))
+    assert out[:, 0].tolist() == [0, 1, 0, 1]
+    assert out[:, 1].tolist() == [1, 1, 1, 1]
+    assert out[:, 2].tolist() == [0, 1, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [
+        [[0.0, 0.3, 0.7], [0.0, 0.0, 1.0]],  # first live atom is not atom 0
+        [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]],  # a single live atom
+        [[1.0], [1.0]],  # k = 1
+    ],
+    ids=["first_live_not_0", "single_live", "k_1"],
+)
+def test_races_winners_sparse_marginals_match_argmin(probs):
+    probs = np.array(probs)
+    clocks = derived_rng(203).exponential(1.0, size=(500, probs.shape[1]))
+    out = races_winners(clocks, probs)
+    assert np.array_equal(out, _races_argmin(clocks, probs))
+    for i, p in enumerate(probs):
+        assert np.all(p[out[:, i]] > 0.0)
+
+
+@pytest.mark.parametrize("chunks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 1234)],
+                         ids=["1", "chunk-1", "chunk", "chunk+1", "2chunks+1234"])
+def test_races_winners_matches_argmin_at_chunk_edges(chunks, extra):
+    trials = chunks * _kernels._RACE_CHUNK + extra
+    clocks, probs = _random_race_inputs(derived_rng(204, trials), trials)
+    assert np.array_equal(races_winners(clocks, probs), _races_argmin(clocks, probs))
 
 
 # --------------------------------------------------------- pair assignments

@@ -505,6 +505,18 @@ def test_dp_sgml_batch_matches_per_trial_runs_across_chunks(monkeypatch):
     assert np.array_equal(fast, slow)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 200, 2000, 65536, 2**31 - 1])
+def test_int32_batch_indices_are_the_int64_draws(n):
+    # _run_trials draws batch indices as int32 whenever n fits: the values
+    # and the stream position after them must be those of an int64 draw.
+    wide, narrow = derived_rng(29, n), derived_rng(29, n)
+    expected = wide.integers(0, n, size=(7, 5))
+    got = narrow.integers(0, n, size=(7, 5), dtype=np.int32)
+    assert got.dtype == np.int32
+    assert np.array_equal(got, expected)
+    assert narrow.standard_normal(3).tolist() == wide.standard_normal(3).tolist()
+
+
 def test_dp_sgml_batch_per_trial_path_matches_derived_streams(monkeypatch):
     # Full-batch gradients (m=None) run the same kernel, every index in every step.
     model = gaussian_mean_model(2, sigma=1.0, radius=2.0)

@@ -1,6 +1,8 @@
 """Tests for binary-code packings and two-point packings."""
 
+import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,9 +10,12 @@ import pytest
 from dpminimax import (
     Ball,
     BinaryCode,
+    BudgetExhausted,
     DomainError,
     OutOfSpace,
     Packing,
+    derived_rng,
+    packings,
     scale_code,
     two_point,
     varshamov_gilbert,
@@ -45,6 +50,84 @@ def test_vg_validation():
         varshamov_gilbert(66, 0.0, seed=0)
     with pytest.raises(DomainError):
         varshamov_gilbert(66, 0.5, seed=0)
+
+
+_VG_WORD_SHA = {
+    (66, 0): "c91475526bbf3f0901227845aa4887f35c36ef17556d41e6742b74be37b8d6d2",
+    (66, 1): "964aab556e0a567b0955b8e64d4f1af32e686e529b10de61671cef245da7fc7f",
+    (66, 2): "bfc7a6b9323014a9cc76b4d510bcd98169ee2574c431ca26b7d26fe48fd5a03d",
+    (128, 0): "83d5a68230ae3d5ab1fd29c03c06f43e016ecfa16b305080384346fe0ab43913",
+    (128, 1): "e3b18a1a1d0623d8552206c2f4982d00f2c9c176c514d0b509f7a1fd43575872",
+    (128, 2): "10737f11df841af1d14abfd585be1b64a56641b6af99400be7261d80378d7a5b",
+    (200, 0): "5fec786a46c75ed43e358873020b6308eacfd788c2b6beba5ea2957427d445ef",
+    (200, 1): "9a8891f505896fab1c8a3e29780eaf9aa40b6a30e702c12d8eb09e4d98ec1d03",
+    (200, 2): "c6fec97b0970c12df98cf2f6c938caff35f1ce1a0ac2c8f9499720baad7a2aa1",
+}
+
+
+@pytest.mark.parametrize("d, seed", sorted(_VG_WORD_SHA))
+def test_vg_words_are_pinned(d, seed):
+    # Seeded codes are part of the reproducibility contract: the words must
+    # not move when the greedy is restructured.
+    code = varshamov_gilbert(d, 0.25, seed)
+    assert code.size == {66: 8, 128: 55, 200: 519}[d]
+    assert hashlib.sha256(code.words.tobytes()).hexdigest() == _VG_WORD_SHA[d, seed]
+
+
+def _greedy_reference(d, zeta, seed, budget):
+    """Restart 0 of the greedy, one candidate at a time, examining exactly
+    ``budget`` candidates: (words, candidates examined), words None on failure."""
+    target = math.ceil(math.exp(zeta * zeta * d / 2.0))
+    required = math.ceil((0.5 - zeta) * d)
+    rng = derived_rng(seed, 0)
+    kept, drawn = [], 0
+    while drawn < budget:
+        for row in rng.integers(0, 2, size=(1024, d), dtype=np.int8)[: budget - drawn]:
+            drawn += 1
+            if all(np.count_nonzero(row != w) >= required for w in kept):
+                kept.append(row)
+                if len(kept) == target:
+                    return np.array(kept), drawn
+    return None, drawn
+
+
+def test_vg_examines_exactly_the_budget(monkeypatch):
+    # d = 8, zeta = 0.45: three distinct words.  Candidate 3 repeats an
+    # earlier word and is rejected, and candidate 4 completes the code, so a
+    # budget of 3 must fail without looking at candidate 4.
+    words, drawn = _greedy_reference(8, 0.45, 0, budget=100)
+    assert drawn == 4
+    monkeypatch.setattr(packings, "_GREEDY_RESTARTS", 1)
+    monkeypatch.setattr(packings, "_GREEDY_BUDGET", 4)
+    assert np.array_equal(varshamov_gilbert(8, 0.45, 0).words, words)
+    monkeypatch.setattr(packings, "_GREEDY_BUDGET", 3)
+    assert _greedy_reference(8, 0.45, 0, budget=3)[0] is None
+    with pytest.raises(BudgetExhausted, match="3 draws"):
+        varshamov_gilbert(8, 0.45, 0)
+
+
+def test_vg_matches_the_one_candidate_reference():
+    for d, zeta, seed in ((20, 0.25, 1), (40, 0.3, 2), (90, 0.2, 0), (128, 0.25, 3)):
+        words, _ = _greedy_reference(d, zeta, seed, budget=10**4)
+        assert np.array_equal(varshamov_gilbert(d, zeta, seed).words, words)
+
+
+def test_vg_unreachable_target_raises_at_once():
+    # ceil(e^{0.4^2 * 200 / 2}) is about 8.9e6 words, more than one restart may draw.
+    start = time.perf_counter()
+    with pytest.raises(BudgetExhausted, match="8886111 words at distance 20"):
+        varshamov_gilbert(200, 0.4, seed=0)
+    with pytest.raises(BudgetExhausted):
+        varshamov_gilbert(10**5, 0.4, seed=0)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_hamming_matches_count_nonzero():
+    rng = derived_rng(17)
+    a = rng.integers(0, 2, size=(70, 33), dtype=np.int8)
+    b = rng.integers(0, 2, size=(5, 33), dtype=np.int8)
+    expected = np.count_nonzero(a[:, None, :] != b[None, :, :], axis=2)
+    assert np.array_equal(packings._hamming(a, b), expected)
 
 
 def test_binary_code_validation():
