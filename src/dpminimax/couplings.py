@@ -35,6 +35,10 @@ __all__ = [
 
 _LP_CAP = 10_000
 
+# Draws per chunk of uniforms: the uniforms and a helper's temporaries are
+# sized for one chunk, however many draws are asked for.
+_DRAW_CHUNK = 16_384
+
 
 @dataclass(frozen=True)
 class DisagreementMatrix:
@@ -80,21 +84,24 @@ class CouplingSampler:
         """Draw ``trials`` joint realizations.
 
         Returns (trials, N) atom labels, or (trials, N, n) for product lifts.
+        The uniforms are taken _DRAW_CHUNK draws at a time from the one
+        stream derived_rng(seed), which fills them in the order a one-shot
+        draw of all of them would: the atoms equal the one-shot draw's bit
+        for bit, and the memory used is proportional to the output.
         """
         if trials < 1:
             raise DomainError("trials must be >= 1")
         if self.kind == "product_lift":
             flat = self.base.sample(trials * self.n, seed)
             return flat.reshape(trials, self.n, -1).transpose(0, 2, 1)
-        u = derived_rng(seed).random((trials, self.draw_budget()))
-        if self.kind == "maximal_pair":
-            return _sample_maximal_pair(self.marginals, u)
-        if self.kind == "shared_uniform":
-            ps = np.array([m.prob(1) for m in self.marginals])
-            return (u[:, :1] < ps[None, :]).astype(np.int64)
-        if self.kind == "races":
-            return _sample_races(self.marginals, u)
-        raise DomainError(f"unknown coupling kind {self.kind!r}")
+        budget = self.draw_budget()  # raises DomainError for an unknown kind
+        assign = _SAMPLERS[self.kind]
+        rng = derived_rng(seed)
+        out = np.empty((trials, self.n_marginals), dtype=np.int64)
+        for start in range(0, trials, _DRAW_CHUNK):
+            stop = min(start + _DRAW_CHUNK, trials)
+            out[start:stop] = assign(self.marginals, rng.random((stop - start, budget)))
+        return out
 
 
 def _universe(marginals) -> list[int]:
@@ -120,12 +127,25 @@ def _sample_maximal_pair(marginals, u: np.ndarray) -> np.ndarray:
     return _kernels.pair_assignments(u, atoms, common_w, np.zeros_like(pw), np.zeros_like(qw), 1.0)
 
 
+def _sample_shared_uniform(marginals, u: np.ndarray) -> np.ndarray:
+    ps = np.array([m.prob(1) for m in marginals])
+    return (u[:, :1] < ps[None, :]).astype(np.int64)
+
+
 def _sample_races(marginals, u: np.ndarray) -> np.ndarray:
     atoms = _universe(marginals)
     probs = np.array([[m.prob(a) for a in atoms] for m in marginals])
     clocks = -np.log1p(-u)
     winners = _kernels.races_winners(clocks, probs)
     return np.asarray(atoms, dtype=np.int64)[winners]
+
+
+# Atoms of a chunk of draws from its (draws, draw_budget) uniforms, per kind.
+_SAMPLERS = {
+    "maximal_pair": _sample_maximal_pair,
+    "shared_uniform": _sample_shared_uniform,
+    "races": _sample_races,
+}
 
 
 def maximal_pair(p: DiscreteDistribution, q: DiscreteDistribution) -> CouplingSampler:

@@ -367,10 +367,13 @@ def _run_trials(data: np.ndarray, model: ParametricModel, cfg: DPSGMLConfig, rng
         raise DomainError(f"each trial's data must have shape (n, {model.dim})")
     trials, n, d = data.shape
     scale0 = math.sqrt(2.0 * cfg.sigma2_noise / model.lam)
-    # Indices are drawn and stored as int32, which halves the largest buffer,
-    # whenever n allows: an int32 draw below n <= 2**31 - 1 gives the int64
-    # draw's values and leaves the stream where the int64 draw does.
-    idx_dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    # Indices are drawn as int32 whenever n <= 2**31 - 1, which gives the
+    # int64 draw's values and leaves the stream where it does, but stored in
+    # the narrowest type that holds n - 1 (uint8 up to n = 256, uint16 up to
+    # 65 536): the store is a cell's largest buffer.  Past uint32 it is int64,
+    # so that the kernel's int64 row offsets never promote it to float.
+    draw_dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    idx_dtype = np.min_scalar_type(n - 1) if n <= 2**32 else np.dtype(np.int64)
     out = np.empty((trials, d))
     # One iterator across all chunks: chunk c continues at trial c * _BATCH_CHUNK.
     for start in range(0, trials, _BATCH_CHUNK):
@@ -384,7 +387,7 @@ def _run_trials(data: np.ndarray, model: ParametricModel, cfg: DPSGMLConfig, rng
         for i, r in zip(range(size), rngs):
             theta0[i] = r.standard_normal(d)
             if cfg.m is not None:
-                batch_idx[i] = r.integers(0, n, size=(cfg.K, cfg.m), dtype=idx_dtype)
+                batch_idx[i] = r.integers(0, n, size=(cfg.K, cfg.m), dtype=draw_dtype)
             step_noise[i] = r.standard_normal((cfg.K, d))
         out[start:start + size] = _kernels.dpsgml_trials(
             data[start:start + size],

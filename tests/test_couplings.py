@@ -2,11 +2,13 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from dpminimax import couplings, derived_rng
 from dpminimax import (
     DegenerateMarginal,
     DiscreteDistribution,
@@ -212,6 +214,95 @@ def test_race_and_lift_draws_are_pinned(seed, races_sha, lift_sha, races_counts,
     for sampler, trials, counts in ((races, 20_000, races_counts), (lift, 5_000, lift_counts)):
         matrix = estimate_disagreement(sampler, trials, seed)
         assert np.array_equal(matrix.estimates, np.array(counts) / trials)
+
+
+_GENERIC_PAIR = (
+    DiscreteDistribution.from_weights([0.2, 0.5, 0.3]),
+    DiscreteDistribution.from_weights([0.4, 0.1, 0.5]),
+)
+_SHARED_PS = (0.2, 0.5, 0.9)
+
+
+@pytest.mark.parametrize(
+    "seed, pair_sha, shared_sha",
+    [
+        (
+            4,
+            "d08f01851f810f1a122e27a30a82134cd06f3f787e3789f8e43d41dcd8a715db",
+            "473d15021c7cee3c038e6304c17ed926cec031c2e804e33f1b6221c12e5bb266",
+        ),
+        (
+            2**31 - 1,
+            "4074db0a7dbb50f99f49d2b0777a307a972032ef2ebb39d1e0af3a1126fc893e",
+            "638d80b30849b81796a27334718396bef65295aef193c8b7c3624d754fb438c9",
+        ),
+    ],
+)
+def test_pair_and_shared_draws_across_chunks_are_pinned(seed, pair_sha, shared_sha):
+    # Two full draw chunks and a partial one; the digests are those of one
+    # draw of all the uniforms, so chunking must not move a bit.
+    trials = 2 * 16_384 + 7
+    pair = maximal_pair(*_GENERIC_PAIR).sample(trials, seed)
+    assert pair.shape == (trials, 2) and pair.dtype == np.int64
+    assert hashlib.sha256(pair.tobytes()).hexdigest() == pair_sha
+    shared = shared_uniform_bernoulli(_SHARED_PS).sample(trials, seed)
+    assert shared.shape == (trials, 3) and shared.dtype == np.int64
+    assert hashlib.sha256(shared.tobytes()).hexdigest() == shared_sha
+
+
+_CHUNK = couplings._DRAW_CHUNK
+
+
+def _one_shot(sampler, trials, seed):
+    """The draws of sampler from all their uniforms drawn in one call."""
+    if sampler.kind == "product_lift":
+        base = sampler.base
+        u = derived_rng(seed).random((trials * sampler.n, base.draw_budget()))
+        flat = couplings._SAMPLERS[base.kind](base.marginals, u)
+        return flat.reshape(trials, sampler.n, -1).transpose(0, 2, 1)
+    u = derived_rng(seed).random((trials, sampler.draw_budget()))
+    return couplings._SAMPLERS[sampler.kind](sampler.marginals, u)
+
+
+@pytest.mark.parametrize("trials", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1])
+@pytest.mark.parametrize(
+    "sampler",
+    [
+        maximal_pair(*_GENERIC_PAIR),
+        shared_uniform_bernoulli(_SHARED_PS),
+        exponential_races(_RACE_MARGINALS),
+        product_lift(exponential_races(_RACE_MARGINALS), 3),
+        product_lift(maximal_pair(*_GENERIC_PAIR), 2),
+    ],
+    ids=["pair", "shared", "races", "lift_races", "lift_pair"],
+)
+def test_chunked_draws_equal_the_one_shot_draw(sampler, trials):
+    draws = sampler.sample(trials, 17)
+    expected = _one_shot(sampler, trials, 17)
+    assert draws.dtype == np.int64 and draws.shape == expected.shape
+    assert np.array_equal(draws, expected)
+
+
+@pytest.mark.parametrize(
+    "sampler, n",
+    [
+        (product_lift(exponential_races(_RACE_MARGINALS), 4), 4),
+        (maximal_pair(*_GENERIC_PAIR), 1),
+    ],
+    ids=["lift_races", "pair"],
+)
+def test_disagreement_estimate_memory_is_proportional_to_the_draws(sampler, n):
+    # Room for the draws and one chunk's uniforms and temporaries; holding
+    # every draw's uniforms and clocks at once takes 3.5-4x the draws.
+    trials = 100_000
+    estimate_disagreement(sampler, 1_000, 3)  # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        estimate_disagreement(sampler, trials, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * trials * sampler.n_marginals * n * 8
 
 
 def test_races_needs_two_marginals():

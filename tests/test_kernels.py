@@ -231,8 +231,9 @@ def test_dpsgml_trials_clipping_and_projection():
 
 def test_dpsgml_trials_index_dtype_does_not_change_results():
     args = _kernel_args(*_random_dpsgml_inputs(derived_rng(208), trials=5, n=40, K=8, m=6))
-    narrow = (*args[:2], args[2].astype(np.int32), *args[3:])
-    assert np.array_equal(dpsgml_trials(*args), dpsgml_trials(*narrow))
+    for dtype in (np.int32, np.uint8, np.uint16):
+        narrow = (*args[:2], args[2].astype(dtype), *args[3:])
+        assert np.array_equal(dpsgml_trials(*args), dpsgml_trials(*narrow))
 
 
 def test_dpsgml_trials_matches_reference():

@@ -500,7 +500,8 @@ def test_dp_sgml_batch_matches_per_trial_runs_across_chunks(monkeypatch):
 
     monkeypatch.setattr(mechanisms._kernels, "dpsgml_trials", spy)
     fast = dp_sgml_batch(data, model, cfg, 77, 3)
-    assert seen == [(mechanisms._BATCH_CHUNK, np.int32), (2, np.int32)]
+    # n = 1000 indices are stored as uint16, drawn as int32.
+    assert seen == [(mechanisms._BATCH_CHUNK, np.uint16), (2, np.uint16)]
     slow = np.stack([dp_sgml(data[t], model, cfg, derived_rng(77, 3, t)) for t in range(trials)])
     assert np.array_equal(fast, slow)
 
@@ -515,6 +516,33 @@ def test_int32_batch_indices_are_the_int64_draws(n):
     assert got.dtype == np.int32
     assert np.array_equal(got, expected)
     assert narrow.standard_normal(3).tolist() == wide.standard_normal(3).tolist()
+
+
+@pytest.mark.parametrize(
+    "n, store", [(256, np.uint8), (257, np.uint16), (65_536, np.uint16), (65_537, np.uint32)]
+)
+@pytest.mark.parametrize("d, m", [(1, 3), (2, None)])
+def test_dp_sgml_batch_narrow_index_store_matches_per_trial_runs(monkeypatch, n, store, d, m):
+    # Each n is the last or first of a store type; the store holds the int32
+    # draws (or the m=None broadcast), so batch and per-trial runs agree bit
+    # for bit.
+    model = gaussian_mean_model(d, sigma=1.0, radius=2.0)
+    cfg = DPSGMLConfig(sigma2_noise=0.5, K=4, eta=0.3, m=m, rho=1.0, clip=2.0)
+    trials = 3
+    data = np.stack([model.sample(np.full(d, 0.2), n, derived_rng(27, t)) for t in range(trials)])
+    seen = []
+    kernel = mechanisms._kernels.dpsgml_trials
+
+    def spy(data, theta0, batch_idx, *args):
+        seen.append(batch_idx.dtype)
+        return kernel(data, theta0, batch_idx, *args)
+
+    monkeypatch.setattr(mechanisms._kernels, "dpsgml_trials", spy)
+    batch = dp_sgml_batch(data, model, cfg, 79, 1)
+    assert seen == [store]
+    per_trial = np.stack([dp_sgml(data[t], model, cfg, derived_rng(79, 1, t)) for t in range(trials)])
+    assert seen == [store] * (1 + trials)
+    assert np.array_equal(batch, per_trial)
 
 
 def test_dp_sgml_batch_per_trial_path_matches_derived_streams(monkeypatch):
