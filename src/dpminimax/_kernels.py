@@ -3,9 +3,23 @@
 Each kernel consumes pre-generated random inputs, so its callers fix the
 random stream and the kernel is a pure function of its arguments.  The
 coupling kernels return atoms, and no kernel needs a floating-point guard.
+
+The DP-SGML kernel splits a large call into contiguous trial ranges, one
+per CPU the process may run on and never one of a single trial.  This
+process runs the first range; each other range runs in a child made by
+``os.fork()``, which writes its rows to a pipe and exits.  Every trial's
+arithmetic is the same in any range of two or more trials, so the rows are
+the same bits at any worker count.  A call stays in-process when it is
+small (fewer than ``_FORK_MIN_STEPS`` index reads), when one CPU is
+available, when ``os.fork`` does not exist, or when another thread is
+alive, because a threaded process is never forked.
 """
 
 from __future__ import annotations
+
+import gc
+import os
+import threading
 
 import numpy as np
 
@@ -97,6 +111,13 @@ def clipped_mean(grads: np.ndarray, clip: float) -> np.ndarray:
     return np.einsum("tbj,tb->tj", grads, factor) / m
 
 
+# Below this many index reads (trials * K * m) a DP-SGML call stays
+# in-process: it takes a few tens of milliseconds at most, and a fork of a
+# 60 MB process alone takes about 1 ms before the child's copy-on-write
+# faults and exit.
+_FORK_MIN_STEPS = 2**20
+
+
 def dpsgml_trials(
     data,
     theta0,
@@ -113,9 +134,121 @@ def dpsgml_trials(
     batch_idx (trials, K, m) in [0, n) of any integer dtype and standard
     normal step noise (trials, K, d).  Each step clips and averages
     grad(batch, theta), of shape (trials, m, d), and projects the iterate.
+
+    Large calls run their trial ranges in forked children (module
+    docstring); a range whose child fails is run again in this process, so
+    an error raised by grad or project reaches the caller as in a serial run.
     """
     data = np.ascontiguousarray(data, dtype=np.float64)
-    theta = np.asarray(theta0, dtype=np.float64)
+    theta0 = np.asarray(theta0, dtype=np.float64)
+    trials = data.shape[0]
+
+    def run(lo: int, hi: int) -> np.ndarray:
+        return _steps(data[lo:hi], theta0[lo:hi], batch_idx[lo:hi], step_noise[lo:hi],
+                      grad, project, clip, eta, noise_std)
+
+    bounds = _range_bounds(trials, trials * batch_idx.shape[1] * batch_idx.shape[2])
+    if len(bounds) == 2:
+        return run(0, trials)
+    return _forked(bounds, theta0.shape[1], run)
+
+
+def _range_bounds(trials: int, steps: int) -> list[int]:
+    """Bounds of the contiguous trial ranges, [0, trials] when in-process.
+
+    At most trials // 2 ranges, so that none holds a single trial: a
+    one-trial clipped_mean sums in another order at d = 1 on a long batch.
+    """
+    if steps < _FORK_MIN_STEPS or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [0, trials]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    ranges = max(1, min(cpus, trials // 2))
+    return [r * trials // ranges for r in range(ranges + 1)]
+
+
+def _forked(bounds: list[int], d: int, run) -> np.ndarray:
+    """Rows run(lo, hi) of the consecutive ranges, in order: the first here,
+    each other one in a forked child, or here again when its child could
+    not be made, exited non-zero or wrote short."""
+    ranges = list(zip(bounds[:-1], bounds[1:]))
+    pids, fds = [], []
+    try:
+        for lo, hi in ranges[1:]:
+            try:
+                pid, fd = _fork(run, lo, hi, fds)
+            except OSError:  # no pipe or no process to be had: run the rest here
+                break
+            pids.append(pid)
+            fds.append(fd)
+        rows = [run(*ranges[0])]
+        raws = [_read_all(fd) for fd in fds]
+    except BaseException:
+        # Imported here: only this path needs it, and it costs about 1 ms.
+        import signal
+
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for fd in fds:
+            os.close(fd)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    for i, (lo, hi) in enumerate(ranges[1:]):
+        if i < len(pids) and codes[i] == 0 and len(raws[i]) == (hi - lo) * d * 8:
+            rows.append(np.frombuffer(raws[i], dtype=np.float64).reshape(hi - lo, d))
+        else:
+            rows.append(run(lo, hi))
+    return np.concatenate(rows)
+
+
+def _fork(run, lo: int, hi: int, open_fds: list) -> tuple[int, int]:
+    """Fork a child that writes the float64 bytes of run(lo, hi) to a new
+    pipe and exits, with status 1 on any error; return (pid, read end).
+    The child closes every descriptor in open_fds and keeps only its own
+    pipe's write end."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            # The parent's garbage may hold finalizers that must not run twice.
+            gc.disable()
+            for fd in (*open_fds, read_fd):
+                os.close(fd)
+            rows = np.ascontiguousarray(run(lo, hi), dtype=np.float64)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(memoryview(rows).cast("B"))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _read_all(fd: int) -> bytes:
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _steps(
+    data: np.ndarray,
+    theta: np.ndarray,
+    batch_idx,
+    step_noise,
+    grad,
+    project,
+    clip: float,
+    eta: float,
+    noise_std: float,
+) -> np.ndarray:
+    """dpsgml_trials' step loop over all the trials it is given, in this process."""
     trials, n, d = data.shape
     K, m = batch_idx.shape[1], batch_idx.shape[2]
     # Row batch_idx[t, k, b] of trial t is row t * n + batch_idx[t, k, b] of flat.

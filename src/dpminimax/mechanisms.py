@@ -78,11 +78,13 @@ class Ball:
         c = np.asarray(self.center)
         offset = p - c
         dist = np.sqrt(np.sum(offset * offset, axis=-1))
-        if not np.any(dist > self.radius):
+        outside = dist > self.radius
+        if not np.any(outside):
             return p
-        # radius / dist outside the ball, exactly 1.0 inside it.
+        # A row inside keeps its own bits (c + (p - c) need not be p), so a
+        # row's projection does not depend on the other rows.
         shrink = self.radius / np.maximum(dist, self.radius)
-        return c + offset * shrink[..., None]
+        return np.where(outside[..., None], c + offset * shrink[..., None], p)
 
 
 @dataclass(frozen=True)
@@ -430,6 +432,10 @@ def dp_sgml_batch(
     Row t equals dp_sgml(data[t], ..., derived_rng(seed, *tags, t)) bit for
     bit, for any model, space and batch size: both run the same trial-batched
     kernel, and trial_rngs rewinds one Generator to each trial's counter.
+    One exception: at d = 1 with m = None and n >= 65 536, the kernel's batch
+    mean sums a one-trial batch in another order than a batch of several, so
+    the two differ in the last bits.  The rows do not depend on how many
+    worker processes the kernel runs.
     """
     return _run_trials(data, model, cfg, trial_rngs(seed, tags, len(data)))
 

@@ -1,10 +1,12 @@
 """Shared helpers for the test suite."""
 
 import itertools
+import os
 
 import numpy as np
+import pytest
 
-from dpminimax import DiscreteDistribution
+from dpminimax import DiscreteDistribution, _kernels
 
 
 def random_distribution(rng, max_atoms: int = 6, atom_range: int = 10) -> DiscreteDistribution:
@@ -38,3 +40,26 @@ def coupling_polytope_oracle(marginals):
             rows.append([1.0 if combo[i] == atom else 0.0 for combo in combos])
             rhs.append(float(w))
     return combos, np.array(rows), np.array(rhs)
+
+
+class Workers:
+    """Pretends the process may run on ``cpus`` CPUs and makes every DP-SGML
+    kernel call large enough to fork; ``forks`` counts calls to os.fork."""
+
+    def __init__(self, monkeypatch):
+        self.cpus = 1
+        self.forks = 0
+        fork = os.fork
+
+        def spy():
+            self.forks += 1
+            return fork()
+
+        monkeypatch.setattr(_kernels, "_FORK_MIN_STEPS", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(self.cpus)))
+        monkeypatch.setattr(os, "fork", spy)
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    return Workers(monkeypatch)

@@ -1,5 +1,8 @@
 """Reference and stream-derivation tests for the numerical kernels."""
 
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -250,6 +253,89 @@ def test_dpsgml_trials_matches_reference():
         projected += int(np.sum(np.isclose(np.linalg.norm(out - center, axis=1), radius)))
     # The random inputs exercise both the clip and the projection branches.
     assert clipped > 0 and projected > 0
+
+
+# ------------------------------------------------------- forked trial ranges
+
+
+def _marked_grad(X, theta):
+    if np.any(X == 1e6):
+        raise FloatingPointError("a marked record reached grad")
+    return X - theta[..., None, :]
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_trial_ranges_never_hold_a_single_trial(monkeypatch):
+    for cpus in range(1, 5):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        for trials in range(1, 21):
+            sizes = np.diff(_kernels._range_bounds(trials, _kernels._FORK_MIN_STEPS))
+            assert sizes.sum() == trials and len(sizes) == max(1, min(cpus, trials // 2))
+            assert len(sizes) == 1 or sizes.min() >= 2
+        assert _kernels._range_bounds(100, _kernels._FORK_MIN_STEPS - 1) == [0, 100]
+
+
+@pytest.mark.parametrize("marked", [0, 5], ids=["first_range", "last_range"])
+def test_dpsgml_trials_failing_range_raises_as_in_process(workers, marked):
+    # Six trials on three workers: ranges [0, 2), [2, 4) and [4, 6); the
+    # first runs in this process, the last in the second child.
+    args = list(_kernel_args(*_random_dpsgml_inputs(derived_rng(210), trials=6)))
+    args[0][marked] = 1e6
+    args[4] = _marked_grad
+    messages = []
+    for cpus in (1, 3):
+        workers.cpus = cpus
+        with pytest.raises(FloatingPointError) as info:
+            dpsgml_trials(*args)
+        messages.append(str(info.value))
+    assert messages == ["a marked record reached grad"] * 2
+    assert workers.forks == 2
+    _assert_no_child_left()
+
+
+def test_dpsgml_trials_forked_rows_match_and_leave_no_child(workers):
+    args = _kernel_args(*_random_dpsgml_inputs(derived_rng(211), trials=7))
+    serial = dpsgml_trials(*args)
+    workers.cpus = 3
+    assert dpsgml_trials(*args).tobytes() == serial.tobytes()
+    assert workers.forks == 2
+    _assert_no_child_left()
+
+
+def test_dpsgml_trials_runs_ranges_here_when_fork_fails(workers, monkeypatch):
+    args = _kernel_args(*_random_dpsgml_inputs(derived_rng(212), trials=6))
+    serial = dpsgml_trials(*args)
+
+    def no_fork():
+        raise BlockingIOError("Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    workers.cpus = 3
+    assert dpsgml_trials(*args).tobytes() == serial.tobytes()
+
+
+def test_dpsgml_trials_never_forks_with_one_cpu_or_a_live_thread(workers):
+    args = _kernel_args(*_random_dpsgml_inputs(derived_rng(213), trials=6))
+    dpsgml_trials(*args)
+    workers.cpus = 3
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        dpsgml_trials(*args)
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert workers.forks == 0
+    # With the thread gone the same call forks.
+    dpsgml_trials(*args)
+    assert workers.forks == 2
+    _assert_no_child_left()
 
 
 # ------------------------------------------------------------- stream tags

@@ -62,6 +62,14 @@ def test_ball_projects_row_by_row():
         assert np.array_equal(out[idx], ball.project(rows[idx]))
     inside = rows[:, 0]
     assert ball.project(inside) is inside
+    # Rows inside keep their bits next to rows outside, also where c + (p - c)
+    # is not p.
+    ball = Ball(center=(0.0, 3.0), radius=2.9)
+    rows = derived_rng(30).uniform(-1.0, 1.0, (200, 2)) * (1.0, 3.0) + (0.0, 1.0)
+    out = ball.project(rows)
+    assert 0 < np.sum(np.any(out != rows, axis=1)) < len(rows)
+    for row, projected in zip(rows, out):
+        assert projected.tobytes() == ball.project(row).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -504,6 +512,38 @@ def test_dp_sgml_batch_matches_per_trial_runs_across_chunks(monkeypatch):
     assert seen == [(mechanisms._BATCH_CHUNK, np.uint16), (2, np.uint16)]
     slow = np.stack([dp_sgml(data[t], model, cfg, derived_rng(77, 3, t)) for t in range(trials)])
     assert np.array_equal(fast, slow)
+
+
+@pytest.mark.parametrize(
+    "space, d, n, m, trials",
+    [
+        ("ball", 3, 40, 64, 7),
+        ("ball", 3, 40, None, 7),
+        ("box", 3, 40, 64, 7),
+        ("box", 3, 40, None, 7),
+        ("offset_ball", 3, 40, 8, 7),
+        # A one-trial range would move these bits: only three trials, no fork.
+        ("ball", 1, 65_537, None, 3),
+        ("ball", 1, 65_537, None, 5),
+    ],
+)
+def test_dp_sgml_batch_rows_are_the_same_bits_at_any_worker_count(workers, space, d, n, m, trials):
+    # A radius below ||theta_star|| and a box that cuts through the data keep
+    # the projection active.
+    model = gaussian_mean_model(d, sigma=1.0, radius=0.6)
+    if space == "box":
+        model = dataclasses.replace(model, space=Box(lo=(-0.2, 0.0, -1.0), hi=(0.2, 0.5, 1.0)))
+    if space == "offset_ball":
+        # Far from the iterates in one coordinate, so c + (p - c) is often not p.
+        model = dataclasses.replace(model, space=Ball(center=(0.5, 0.5, 3.0), radius=2.55))
+    cfg = DPSGMLConfig(sigma2_noise=0.05, K=6, eta=0.5, m=m, rho=1.0, clip=1.0)
+    data = np.stack([model.sample(np.full(d, 0.5), n, derived_rng(30, t)) for t in range(trials)])
+    rows = {}
+    for cpus in (1, 2, 3):
+        workers.cpus, workers.forks = cpus, 0
+        rows[cpus] = dp_sgml_batch(data, model, cfg, 80, 5).tobytes()
+        assert workers.forks == min(cpus, trials // 2) - 1
+    assert rows[1] == rows[2] == rows[3]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 200, 2000, 65536, 2**31 - 1])
