@@ -126,12 +126,24 @@ def renyi(alpha: float, p: DiscreteDistribution, q: DiscreteDistribution) -> flo
     return _renyi_weights(pw, qw, alpha)
 
 
+def _log_ratio(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """ln(p / q) for positive p and q.  Where q is subnormal the ratio can
+    overflow to inf; there it is ln p - ln q, and every finite ratio keeps
+    the bits of ln(p / q)."""
+    with np.errstate(over="ignore"):
+        ratio = p / q
+    out = np.log(ratio)
+    over = np.isinf(ratio)
+    out[over] = np.log(p[over]) - np.log(q[over])
+    return out
+
+
 def _kl_weights(pw: np.ndarray, qw: np.ndarray) -> float:
     """KL between two aligned non-negative weight vectors (see kl)."""
     mask = pw > 0.0
     if np.any(qw[mask] == 0.0):
         return math.inf
-    return float(np.sum(pw[mask] * np.log(pw[mask] / qw[mask])))
+    return float(np.sum(pw[mask] * _log_ratio(pw[mask], qw[mask])))
 
 
 def _cgf(pw: np.ndarray, qw: np.ndarray, s: float) -> float:

@@ -199,6 +199,10 @@ def rr_kernel(epsilon: float, n: int = 1) -> FiniteMechanism:
 
     Outputs are bit vectors encoded as integers, first bit most significant.
     Entry (x, o) is keep^(n - h) flip^h, with h the Hamming distance of x and o.
+    For eps in (709.78, 745.13] flip is subnormal and keep / flip overflows,
+    so the verifiers take ln keep - ln flip there, which is finite.  Above
+    about 745.13 flip underflows to 0: the stored kernel is then
+    deterministic, and the privacy and KL checks refute it.
     """
     _check_positive("epsilon", epsilon)
     if n < 1:

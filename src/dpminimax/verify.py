@@ -30,7 +30,7 @@ from ._simplex import solve_min
 from .bounds import PrivacyConstraint
 from .couplings import _coupling_polytope
 from .couplings import exponential_races  # noqa: F401  (wrapped by perfbench/tracing.py)
-from .divergences import DiscreteDistribution, _cgf, _kl_weights, tv
+from .divergences import DiscreteDistribution, _cgf, _kl_weights, _log_ratio, tv
 from .errors import (
     ArityMismatch,
     DomainError,
@@ -224,9 +224,7 @@ def similarity(
             if j is None or not 0 <= j < N:
                 raise DomainError("projection_anchor needs an index j in [0, N)")
             anchor = datasets[j]
-        if anchor is None:
-            raise DomainError("global_anchor needs an anchor dataset")
-        hmax = max(hamming(x, anchor) for x in datasets)
+        hmax = max(_anchor_distances(datasets, anchor))
         return (N - 1) / N * math.exp(-eps * hmax) - math.exp(-eps) * delta * hmax
     if kind == "lecam_match":
         if N != 2:
@@ -252,6 +250,14 @@ def similarity(
         total = sum(hamming(a, b) for a in datasets for b in datasets)
         return 1.0 - (1.0 + (eps / N**2) * total) / math.log(N)
     raise KindConstraintMismatch(f"unknown similarity kind {kind!r}")
+
+
+def _anchor_distances(datasets, anchor: Optional[Dataset]) -> list[int]:
+    """Hamming distance of each dataset to the anchor, the only part of a
+    tuple that global_anchor and projection_anchor read."""
+    if anchor is None:
+        raise DomainError("global_anchor needs an anchor dataset")
+    return [hamming(x, anchor) for x in datasets]
 
 
 def _check_caps(m: FiniteMechanism) -> None:
@@ -290,7 +296,7 @@ def _max_log_ratio(p: np.ndarray, q: np.ndarray) -> float:
     live = p > 0.0
     if not np.any(live):
         return 0.0
-    return float(np.max(np.log(p[live] / q[live])))
+    return float(np.max(_log_ratio(p[live], q[live])))
 
 
 def _zcdp_pair_holds(p: np.ndarray, q: np.ndarray, rho_bound: float):
@@ -418,6 +424,41 @@ def _similarity_at(c: PrivacyConstraint, kind: str, tup: tuple, anchors=None, j:
     return similarity(c, kind, tup, anchor=anchor, j=j if kind == "projection_anchor" else None)
 
 
+def _similarities(
+    m: FiniteMechanism, c: PrivacyConstraint, kind: str, idx: np.ndarray, anchors=None, j: int = 0
+) -> np.ndarray:
+    """_similarity_at on every row of idx, a (T, N) array of dataset indices.
+
+    A similarity reads its tuple only through Hamming distances: those of
+    every pair, those to x_j for projection_anchor, and those to the tuple's
+    anchor for global_anchor with an anchors callable.  Rows that share
+    these distances share the value, so similarity runs once per distinct
+    pattern, on the pattern's first row, in row order: its kind, arity and
+    j errors come from the first row, as a loop over the rows raises them.
+    """
+    datasets = m.datasets()
+    # Distances are at most n <= 6 for two or more letters, and 0 for one.
+    h = _word_distances(m.alphabet_size, m.n).astype(np.uint8)
+    N = idx.shape[1]
+    if kind == "global_anchor" and anchors is not None:
+        tuples = [tuple(datasets[i] for i in row) for row in idx.tolist()]
+        pattern = np.array([_anchor_distances(tup, anchors(tup)) for tup in tuples], dtype=np.int64)
+    elif kind == "projection_anchor" and 0 <= j < N:
+        pattern = h[idx, idx[:, j : j + 1]]
+    else:
+        upper, lower = np.array(list(itertools.combinations(range(N), 2))).T
+        pattern = h[idx[:, upper], idx[:, lower]]
+    # One void item per row: a 1-d unique, far faster than unique(axis=0).
+    rows = np.ascontiguousarray(pattern)
+    rows = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).reshape(-1)
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    values = np.empty(first.shape[0])
+    for u, row in zip(order.tolist(), idx[first[order]].tolist()):
+        values[u] = _similarity_at(c, kind, tuple(datasets[i] for i in row), anchors, j)
+    return values[inverse]
+
+
 def verify_admissibility(
     m: FiniteMechanism,
     c: PrivacyConstraint,
@@ -428,37 +469,39 @@ def verify_admissibility(
 ) -> AdmissibilityCheck:
     """Check avg_i P(psi(M(X_i)) != i) >= similarity on every instance.
 
-    Enumerates every N-tuple of datasets.  The least average error over test
-    maps psi comes from the per-output rule psi(o) = argmax_i P(M(X_i) = o),
-    ties going to the lowest label.  worst_gap is the minimal slack seen; a
-    witness (tuple, psi) is reported when some instance violates the bound.
+    Checks every N-tuple of dataset indices in one vectorized pass.  The
+    least average error over test maps psi comes from the per-output rule
+    psi(o) = argmax_i P(M(X_i) = o), ties going to the lowest label, so the
+    correct mass of a tuple is the sum over outputs of the column maxima of
+    its N kernel rows, added in output order.  similarity runs once per
+    distinct Hamming pattern (see _similarities).  worst_gap is the minimal
+    slack; a witness (tuple, psi), the first tuple in index order at that
+    slack, is reported when it violates the bound.
     """
     _check_caps(m)
     if N < 2:
         raise ArityMismatch("admissibility needs N >= 2")
-    # Each of the datasets^N tuples costs an argmax over N rows of k outputs.
-    work = (m.n_datasets**N) * N * m.n_outputs
+    D = m.n_datasets
+    # Each of the D^N tuples costs an argmax over N rows of k outputs.
+    work = (D**N) * N * m.n_outputs
     if work > _MAX_ADMISSIBILITY_WORK:
         raise TooLarge(f"enumeration size {work} exceeds cap {_MAX_ADMISSIBILITY_WORK}")
-    datasets = m.datasets()
-    worst_gap = math.inf
+    # Row t holds the N digits of t in base D: itertools.product order.
+    idx = np.arange(D**N)[:, None] // D ** np.arange(N - 1, -1, -1) % D
+    s = _similarities(m, c, kind, idx, anchors, j)
+    best = m.kernel[idx].max(axis=1)
+    # A plain loop over outputs, not np.sum: pairwise summation would change the last bit.
+    correct = np.zeros(idx.shape[0])
+    for o in range(m.n_outputs):
+        correct += best[:, o]
+    gap = 1.0 - correct / N - s
+    t = int(np.argmin(gap))
     witness = None
-    for idx in itertools.product(range(m.n_datasets), repeat=N):
-        tup = tuple(datasets[i] for i in idx)
-        s = _similarity_at(c, kind, tup, anchors, j)
-        rows = m.kernel[list(idx)]
-        psi = tuple(int(i) for i in rows.argmax(axis=0))
-        # A plain loop, not np.sum: pairwise summation would change the last bit.
-        correct = 0.0
-        for o, label in enumerate(psi):
-            correct += rows[label, o]
-        err = 1.0 - correct / N
-        gap = err - s
-        if gap < worst_gap:
-            worst_gap = gap
-            if gap < -_DP_TOL:
-                witness = (tup, psi)
-    return AdmissibilityCheck(holds=witness is None, worst_gap=worst_gap, witness=witness)
+    if gap[t] < -_DP_TOL:
+        datasets = m.datasets()
+        psi = tuple(int(i) for i in m.kernel[idx[t]].argmax(axis=0))
+        witness = (tuple(datasets[i] for i in idx[t]), psi)
+    return AdmissibilityCheck(holds=witness is None, worst_gap=gap[t], witness=witness)
 
 
 def _min_max_error(pushforwards: np.ndarray) -> float:
@@ -484,15 +527,13 @@ def _max_expected_similarity(m: FiniteMechanism, c: PrivacyConstraint, kind: str
     """max over couplings pi of the marginals of E_pi[similarity], as an LP.
 
     The variables are the masses pi puts on the joint atoms of the marginal
-    supports (TooLarge above 10^4 of them).  For global_anchor with N = 2 the
-    anchor is the midpoint of the pair; projection_anchor projects on j = 0.
+    supports (TooLarge above 10^4 of them).  The similarity at the atoms comes
+    from one call per distinct Hamming pattern (see _similarities).  For
+    global_anchor with N = 2 the anchor is the midpoint of the pair;
+    projection_anchor projects on j = 0.
     """
-    datasets = m.datasets()
     combos, A, b = _coupling_polytope(marginals)
-    values = np.empty(combos.shape[0])
-    for row, indices in enumerate(combos):
-        values[row] = _similarity_at(c, kind, tuple(datasets[i] for i in indices))
-    neg_max, _ = solve_min(-values, A, b)
+    neg_max, _ = solve_min(-_similarities(m, c, kind, combos), A, b)
     return -neg_max
 
 

@@ -410,18 +410,55 @@ def _load_tracing():
     return module
 
 
-@pytest.mark.parametrize("kind", ["fano_match", "pairwise_anchor"])
-def test_a_traced_admissibility_run_evaluates_similarity_once_per_tuple(kind, tmp_path):
-    # The benchmark's tracer counts verify.similarity by module attribute:
-    # rr on n = 2 bits has 4 datasets, so N = 3 enumerates 4^3 tuples.
+def _traced_similarity_calls(argv, tmp_path):
+    """verify.similarity calls in a traced CLI run, after checking that the
+    traced report has the untraced report's bytes."""
     tracing = _load_tracing()
-    argv = ["verify", "admissibility", "--mechanism", "rr", "--n", "2", "--N", "3", "--kind", kind]
     assert cli.main([*argv, "--out", str(tmp_path / "untraced.json")]) == 0
     tracer = tracing.Tracer()
     with tracing.instrument(tracer):
         assert cli.main([*argv, "--out", str(tmp_path / "traced.json")]) == 0
-    assert tracer.counters["verify.similarity.calls"] == 64
     assert (tmp_path / "traced.json").read_bytes() == (tmp_path / "untraced.json").read_bytes()
+    return tracer.counters["verify.similarity.calls"]
+
+
+def _distinct_distance_triangles(alphabet_size, n, N):
+    h = verify_mod._word_distances(alphabet_size, n)
+    pairs = list(itertools.combinations(range(N), 2))
+    return len({
+        tuple(h[idx[a], idx[b]] for a, b in pairs)
+        for idx in itertools.product(range(alphabet_size**n), repeat=N)
+    })
+
+
+@pytest.mark.parametrize("kind", ["fano_match", "pairwise_anchor"])
+def test_a_traced_admissibility_run_evaluates_similarity_once_per_tuple(kind, tmp_path):
+    # The benchmark's tracer counts verify.similarity by module attribute.
+    # rr on n = 2 bits has 4 datasets, so N = 3 enumerates 4^3 tuples; these
+    # kinds read every pair's distance, and the tuples show 10 distinct
+    # distance triangles, so similarity runs once per triangle.
+    argv = ["verify", "admissibility", "--mechanism", "rr", "--n", "2", "--N", "3", "--kind", kind]
+    assert _traced_similarity_calls(argv, tmp_path) == 10
+
+
+def test_a_traced_admissibility_run_evaluates_similarity_once_per_distance_pattern(tmp_path):
+    # rr-sum on n = 3 bits has 8 datasets: 8^3 tuples, 20 distinct triangles.
+    expected = _distinct_distance_triangles(2, 3, 3)
+    assert expected == 20
+    argv = ["verify", "admissibility", "--mechanism", "rr-sum", "--n", "3", "--N", "3", "--kind", "fano_match"]
+    assert _traced_similarity_calls(argv, tmp_path) == expected
+
+
+@pytest.mark.parametrize("mech, N, kind, gap_hex", [
+    (rr_sum_kernel(0.5, 5), 3, "fano_match", "0x1.27603591216a6p-1"),
+    (rr_sum_kernel(0.5, 5), 3, "projection_anchor", "-0x1.0000000000000p-53"),
+    (rr_kernel(0.5, 3), 4, "pairwise_anchor", "0x1.0000000000000p-2"),
+])
+def test_admissibility_near_the_work_cap_keeps_its_bits(mech, N, kind, gap_hex):
+    # Bits of the per-tuple loop, which is too slow at these sizes to run as the oracle.
+    res = verify_admissibility(mech, PrivacyConstraint.pure(0.5), kind, N)
+    assert res.holds and res.witness is None
+    assert res.worst_gap.hex() == gap_hex
 
 
 # --------------------------------------------------------- transport bound
@@ -653,6 +690,128 @@ def test_admissibility_closed_form_matches_test_map_enumeration_on_a_ternary_alp
     assert 5 <= refuted <= 60
 
 
+def _admissibility_loop(m, c, kind, N, anchors=None, j=0):
+    """The per-tuple admissibility check: one similarity call, argmax and
+    output loop per N-tuple of datasets, in itertools.product order."""
+    if m.n_datasets > 64:
+        raise TooLarge(f"{m.n_datasets} datasets exceeds cap 64")
+    if m.n_outputs > 8:
+        raise TooLarge(f"{m.n_outputs} outputs exceeds cap 8")
+    if N < 2:
+        raise ArityMismatch("admissibility needs N >= 2")
+    work = (m.n_datasets**N) * N * m.n_outputs
+    if work > 1_000_000:
+        raise TooLarge(f"enumeration size {work} exceeds cap 1000000")
+    datasets = m.datasets()
+    worst_gap = math.inf
+    witness = None
+    for idx in itertools.product(range(m.n_datasets), repeat=N):
+        tup = tuple(datasets[i] for i in idx)
+        anchor = None
+        if kind == "global_anchor":
+            if anchors is not None:
+                anchor = anchors(tup)
+            elif N == 2:
+                anchor = midpoint_anchor(*tup)
+            else:
+                raise DomainError("global_anchor has a default anchor only for N = 2")
+        s = similarity(c, kind, tup, anchor=anchor, j=j if kind == "projection_anchor" else None)
+        rows = m.kernel[list(idx)]
+        psi = tuple(int(i) for i in rows.argmax(axis=0))
+        correct = 0.0
+        for o, label in enumerate(psi):
+            correct += rows[label, o]
+        gap = 1.0 - correct / N - s
+        if gap < worst_gap:
+            worst_gap = gap
+            if gap < -1e-12:
+                witness = (tup, psi)
+    return AdmissibilityCheck(holds=witness is None, worst_gap=worst_gap, witness=witness)
+
+
+def _outcome(check, *args, **kwargs):
+    """(holds, worst_gap bits, witness), or (error class, message)."""
+    try:
+        res = check(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001  (the error itself is compared)
+        return type(exc), str(exc)
+    return res.holds, float(res.worst_gap).hex(), res.witness
+
+
+# Randomized response at eps = 1.5 against 1-DP and 0.5-zCDP similarities:
+# some instances hold and some are refuted.
+_BATTERY_MECHANISMS = {
+    **{f"rr-{n}": (lambda n=n: rr_kernel(1.5, n)) for n in (1, 2, 3)},
+    **{f"rr-sum-{n}": (lambda n=n: rr_sum_kernel(1.5, n)) for n in (1, 2, 3)},
+    **{f"identity-{q}-{n}": (lambda q=q, n=n: identity_kernel(q, n)) for q in (2, 3) for n in (1, 2, 3)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BATTERY_MECHANISMS))
+def test_vectorized_admissibility_matches_the_per_tuple_loop(name):
+    mech = _BATTERY_MECHANISMS[name]()
+    constraints = [
+        PrivacyConstraint.pure(1.0),
+        PrivacyConstraint.approx(1.0, 1e-3),
+        PrivacyConstraint.approx(1.0, 0.2),
+        PrivacyConstraint.zcdp(0.5),
+    ]
+    verdicts = set()
+    for c, N in itertools.product(constraints, (2, 3, 4)):
+        for kind, j in [("global_anchor", 0), ("projection_anchor", 0), ("projection_anchor", N - 1),
+                        ("lecam_match", 0), ("pairwise_anchor", 0), ("fano_match", 0)]:
+            expected = _outcome(_admissibility_loop, mech, c, kind, N, j=j)
+            assert _outcome(verify_admissibility, mech, c, kind, N, j=j) == expected, (c, kind, N, j)
+            verdicts.add(expected[0] if isinstance(expected[0], bool) else "error")
+    assert verdicts == ({"error"} if mech.n_outputs > 8 else {True, False, "error"})
+
+
+def test_global_anchor_with_a_custom_anchor_matches_the_per_tuple_loop():
+    c = PrivacyConstraint.pure(1.0)
+
+    def first_pair_midpoint(tup):
+        return midpoint_anchor(tup[0], tup[1])
+
+    def last(tup):
+        return tup[-1]
+
+    for mech in (rr_kernel(1.0, 2), rr_sum_kernel(1.0, 3), identity_kernel(2, 2)):
+        for anchors in (first_pair_midpoint, last):
+            res = _outcome(verify_admissibility, mech, c, "global_anchor", 3, anchors=anchors)
+            assert res == _outcome(_admissibility_loop, mech, c, "global_anchor", 3, anchors=anchors)
+
+    def too_short(tup):
+        return _ds(0)
+
+    for check in (verify_admissibility, _admissibility_loop):
+        with pytest.raises(LengthMismatch, match="datasets of length 2 and 1"):
+            check(rr_kernel(1.0, 2), c, "global_anchor", 3, anchors=too_short)
+
+
+def test_admissibility_with_more_hypotheses_than_array_dimensions_matches_the_per_tuple_loop():
+    # One dataset and N = 100: the single tuple has 100 entries, and
+    # projection_anchor reads its N distances to x_j, not all N(N-1)/2 pairs.
+    mech, c = identity_kernel(1, 1), PrivacyConstraint.pure(1.0)
+    for j in (0, 99):
+        res = _outcome(verify_admissibility, mech, c, "projection_anchor", 100, j=j)
+        assert res == _outcome(_admissibility_loop, mech, c, "projection_anchor", 100, j=j)
+        assert res[0] is True
+
+
+def test_transport_similarities_match_a_loop_over_the_joint_atoms():
+    mech = rr_kernel(1.0, 3)
+    rng = derived_rng(507)
+    combos = rng.integers(0, mech.n_datasets, size=(300, 3))
+    datasets = mech.datasets()
+    for c, kind in [(PrivacyConstraint.approx(1.0, 0.01), "pairwise_anchor"),
+                    (PrivacyConstraint.pure(1.0), "projection_anchor"),
+                    (PrivacyConstraint.zcdp(0.5), "fano_match")]:
+        values = verify_mod._similarities(mech, c, kind, combos)
+        for row, indices in zip(values, combos):
+            tup = tuple(datasets[i] for i in indices)
+            assert row == similarity(c, kind, tup, j=0 if kind == "projection_anchor" else None)
+
+
 # ------------------------------------------- transport LPs against references
 
 
@@ -870,6 +1029,43 @@ def test_verifiers_at_large_eps_report_instead_of_overflowing(capsys):
             rc = cli.main(["verify", sub, "--mechanism", "rr", "--n", "2", "--eps", "800"] + extra)
             assert rc in (0, 1)
             assert capsys.readouterr().out.rstrip().endswith(("all checks hold", "violations found"))
+
+
+@pytest.mark.parametrize("eps", [710.0, 720.0, 745.0])
+def test_randomized_response_with_a_subnormal_flip_chance_is_certified(eps, capsys):
+    # flip = e^-eps / (1 + e^-eps) is subnormal here, so keep / flip
+    # overflows, while ln keep - ln flip is about eps.
+    mech = rr_kernel(eps, 1)
+    keep, flip = mech.kernel[0]
+    assert keep == 1.0 and 0.0 < flip < np.finfo(float).tiny
+    value = divergences_mod.kl(*(DiscreteDistribution.from_weights(row) for row in mech.kernel))
+    assert eps - 1.0 < value <= eps + 1e-10
+    assert verify_kl_dp(mech, eps)
+    assert verify_privacy(mech, PrivacyConstraint.zcdp(eps**2 / 2.0)).holds
+    for extra in (["kldp"], ["privacy", "--rho", repr(eps**2 / 2.0)]):
+        assert cli.main(["verify", extra[0], "--mechanism", "rr", "--n", "1", "--eps", repr(eps), *extra[1:]]) == 0
+        assert capsys.readouterr().out.rstrip().endswith("all checks hold")
+
+
+def test_randomized_response_whose_flip_chance_underflows_is_refuted(capsys):
+    mech = rr_kernel(746.0, 1)
+    assert mech.kernel.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    assert math.isinf(divergences_mod.kl(*(DiscreteDistribution.from_weights(row) for row in mech.kernel)))
+    assert not verify_kl_dp(mech, 746.0)
+    assert not verify_privacy(mech, PrivacyConstraint.zcdp(746.0**2 / 2.0)).holds
+    for extra in (["kldp"], ["privacy", "--rho", repr(746.0**2 / 2.0)]):
+        assert cli.main(["verify", extra[0], "--mechanism", "rr", "--n", "1", "--eps", "746.0", *extra[1:]]) == 1
+        assert capsys.readouterr().out.rstrip().endswith("violations found")
+
+
+def test_log_ratio_keeps_every_finite_ratio_and_mends_an_overflowing_one():
+    rng = derived_rng(509)
+    p, q = rng.random(1000), rng.random(1000) ** 8
+    assert np.array_equal(divergences_mod._log_ratio(p, q), np.log(p / q))
+    tiny = np.array([5e-324, 4.47e-309, 1e-300])
+    ratio = divergences_mod._log_ratio(np.ones(3), tiny)
+    assert ratio[:2].tolist() == (-np.log(tiny[:2])).tolist()
+    assert ratio[2] == np.log(1e300)
 
 
 # --------------------------------------------- zCDP from the convexity of K
