@@ -109,7 +109,7 @@ def kl(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     the divergence +inf.
     """
     _, pw, qw = _aligned(p, q)
-    return _kl_weights(pw, qw)
+    return _kl_weights(pw, _privacy_loss(pw, qw))
 
 
 def renyi(alpha: float, p: DiscreteDistribution, q: DiscreteDistribution) -> float:
@@ -126,56 +126,57 @@ def renyi(alpha: float, p: DiscreteDistribution, q: DiscreteDistribution) -> flo
     return _renyi_weights(pw, qw, alpha)
 
 
-def _log_ratio(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """ln(p / q) for positive p and q.  Where q is subnormal the ratio can
-    overflow to inf; there it is ln p - ln q, and every finite ratio keeps
-    the bits of ln(p / q)."""
-    with np.errstate(over="ignore"):
+def _privacy_loss(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The privacy loss L = ln(p / q), elementwise on arrays of any shape: the
+    bits of ln(p / q) wherever that ratio is finite, ln p - ln q where it
+    overflows (q subnormal), +inf where p > 0 = q and -inf where p = 0.  It
+    is the only code that handles zero, subnormal or overflowing weights."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ratio = p / q
-    out = np.log(ratio)
-    over = np.isinf(ratio)
-    out[over] = np.log(p[over]) - np.log(q[over])
-    return out
+        loss = np.log(ratio)
+        over = np.isinf(ratio)
+        loss[over] = np.log(p[over]) - np.log(q[over])
+    loss[p == 0.0] = -np.inf
+    return loss
 
 
-def _kl_weights(pw: np.ndarray, qw: np.ndarray) -> float:
-    """KL between two aligned non-negative weight vectors (see kl)."""
-    mask = pw > 0.0
-    if np.any(qw[mask] == 0.0):
-        return math.inf
-    return float(np.sum(pw[mask] * _log_ratio(pw[mask], qw[mask])))
+def _kl_weights(pw: np.ndarray, loss: np.ndarray) -> float:
+    """KL = sum_x p(x) L(x) over the atoms p charges (L > -inf), for one weight
+    vector and its privacy loss (see _privacy_loss)."""
+    live = loss > -np.inf
+    return float(np.sum(pw[live] * loss[live]))
 
 
-def _cgf(pw: np.ndarray, qw: np.ndarray, s: float) -> float:
-    """K(s) = ln sum_x p(x) e^(s r(x)) with r = ln(p/q), over the atoms p charges.
+def _cgf(pw: np.ndarray, loss: np.ndarray, s: float) -> float:
+    """K(s) = ln sum_x p(x) e^(s L(x)) over the atoms p charges, for one weight
+    vector and its privacy loss L = ln(p/q) (see _privacy_loss).
 
-    K is the cumulant generating function of the log-likelihood ratio under
-    p, so it is convex with K(0) = 0, and K(alpha - 1) = (alpha - 1) D_alpha.
-    It is summed in log space over x = ln p + s r, so no power of p or q is
+    K is the cumulant generating function of the privacy loss under p, so it
+    is convex with K(0) = 0, and K(alpha - 1) = (alpha - 1) D_alpha.
+    It is summed in log space over x = ln p + s L, so no power of p or q is
     formed.  Where some x exceeds 0 it is the log-sum-exp shifted by max x.
-    Otherwise every p e^(s r) is at most 1 and K = log1p(sum_x p (e^(s r) - 1)),
-    each term taken as p expm1(s r) or, where s r > 0, as e^x (1 - e^(-s r)):
+    Otherwise every p e^(s L) is at most 1 and K = log1p(sum_x p (e^(s L) - 1)),
+    each term taken as p expm1(s L) or, where s L > 0, as e^x (1 - e^(-s L)):
     then no term overflows, and near s = 0 the rounding of K shrinks with s.
-    An atom with p(x) > 0 = q(x) gives +inf.
+    An infinite L (p(x) > 0 = q(x)) gives +inf.
     """
-    mask = pw > 0.0
-    if np.any(qw[mask] == 0.0):
-        return math.inf
-    p = pw[mask]
-    logp = np.log(p)
-    sr = s * (logp - np.log(qw[mask]))
-    x = logp + sr
+    live = loss > -np.inf
+    p = pw[live]
+    sl = s * loss[live]
+    x = np.log(p) + sl
     shift = float(x.max())
+    if shift == math.inf:
+        return math.inf
     if shift > 0.0:
         return shift + math.log(float(np.sum(np.exp(x - shift))))
-    terms = p * np.expm1(np.minimum(sr, 0.0)) - np.exp(x) * np.expm1(-np.maximum(sr, 0.0))
+    terms = p * np.expm1(np.minimum(sl, 0.0)) - np.exp(x) * np.expm1(-np.maximum(sl, 0.0))
     return math.log1p(float(np.sum(terms)))
 
 
 def _renyi_weights(pw: np.ndarray, qw: np.ndarray, alpha: float) -> float:
     """D_alpha = K(alpha - 1) / (alpha - 1) between two aligned weight vectors
     (see renyi and _cgf)."""
-    return _cgf(pw, qw, alpha - 1.0) / (alpha - 1.0)
+    return _cgf(pw, _privacy_loss(pw, qw), alpha - 1.0) / (alpha - 1.0)
 
 
 @dataclass(frozen=True)

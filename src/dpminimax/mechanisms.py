@@ -180,7 +180,9 @@ def gaussian_mean(data, rho: float, rng: np.random.Generator, clamp: bool = Fals
 def _rr_keep_flip(epsilon: float) -> tuple[float, float]:
     """keep = 1/(1 + e^-eps) and flip = e^-eps/(1 + e^-eps), the chances
     randomized response keeps and flips a bit.  Neither is one minus the
-    other, so keep / flip is e^eps to a few ulp, and no eps overflows."""
+    other, and no eps overflows.  keep / flip is e^eps to a few ulp while flip
+    is normal (eps below 708.4); a subnormal flip is rounded, and ln(keep /
+    flip) - eps is +2.96e-12 at eps = 720, -1.84e-7 at 730 and -0.56 at 745."""
     tail = math.exp(-epsilon)
     return 1.0 / (1.0 + tail), tail / (1.0 + tail)
 
@@ -200,9 +202,11 @@ def rr_kernel(epsilon: float, n: int = 1) -> FiniteMechanism:
     Outputs are bit vectors encoded as integers, first bit most significant.
     Entry (x, o) is keep^(n - h) flip^h, with h the Hamming distance of x and o.
     For eps in (709.78, 745.13] flip is subnormal and keep / flip overflows,
-    so the verifiers take ln keep - ln flip there, which is finite.  Above
-    about 745.13 flip underflows to 0: the stored kernel is then
-    deterministic, and the privacy and KL checks refute it.
+    so the verifiers take ln keep - ln flip there, which is finite but off eps
+    by the rounding of flip (see _rr_keep_flip): at eps = 720 it exceeds eps
+    by more than 1e-12, and pure eps-DP is refuted.  Above about 745.13 flip
+    underflows to 0: the stored kernel is then deterministic, and the privacy
+    and KL checks refute it.
     """
     _check_positive("epsilon", epsilon)
     if n < 1:

@@ -3,13 +3,17 @@
 Datasets are vectors over a small integer alphabet and mechanisms are
 explicit stochastic kernels; every dataset pair or tuple is enumerated by
 index, and pair distances are read from one Hamming table.
-Events and tests need no enumeration: the worst event for (eps, delta)-DP
-is {o : p_o > e^eps q_o}, whose excess is the hockey-stick divergence, and
-the test with least average error picks argmax_i P(M(X_i) = o) per output.
-zCDP is certified for every alpha > 1 at once: (alpha - 1) D_alpha is convex
-in alpha, so a bisection of [1, 1 + D_infinity / rho] in which each piece's
-chord lies below rho alpha (alpha - 1) covers the whole range, and the
-max-log-ratio bound D_alpha <= D_infinity covers every larger alpha.
+A privacy check reads one table of dataset pairs at distance k, holding
+p = M(X_i) and the privacy loss L = ln(p/q) against q = M(X_j) of each
+output (see divergences._privacy_loss), through one functional of L under p.
+(Group) DP compares the hockey-stick divergence sum_o p_o (1 - e^(k eps -
+L_o))_+, the excess of the worst event {o : L_o > k eps}, with delta_k, and
+KL-DP compares the mean loss sum_o p_o L_o with eps k.  zCDP reads max L =
+D_infinity and the convex K(s) = ln sum_o p_o e^(s L_o) = (alpha - 1) D_alpha
+at s = alpha - 1: a bisection of [1, 1 + D_infinity / rho] in which each
+piece's chord lies below rho alpha (alpha - 1) certifies the whole range,
+and D_alpha <= D_infinity every larger alpha.
+The test with least average error picks argmax_i P(M(X_i) = o) per output.
 The transport bound solves two small linear programs: the least worst-case
 error over randomized tests, and the optimal transport value of the
 similarity over all couplings of the marginals.  The checks are exact up to
@@ -30,7 +34,7 @@ from ._simplex import solve_min
 from .bounds import PrivacyConstraint
 from .couplings import _coupling_polytope
 from .couplings import exponential_races  # noqa: F401  (wrapped by perfbench/tracing.py)
-from .divergences import DiscreteDistribution, _cgf, _kl_weights, _log_ratio, tv
+from .divergences import DiscreteDistribution, _cgf, _kl_weights, _privacy_loss, tv
 from .errors import (
     ArityMismatch,
     DomainError,
@@ -275,51 +279,28 @@ def _exp(x: float) -> float:
         return math.inf
 
 
-def _dp_pair_holds(p: np.ndarray, q: np.ndarray, eps: float, delta: float):
-    """Worst event for P(S) <= e^eps Q(S) + delta, or None when all pass.
-
-    The event {o : p_o > e^eps q_o} maximises P(S) - e^eps Q(S), and that
-    maximum is the hockey-stick divergence sum_o (p_o - e^eps q_o)_+.  Where
-    e^eps overflows it is inf, and only outputs with q_o = 0 can exceed.
-    """
-    scaled = np.multiply(_exp(eps), q, out=np.zeros_like(q), where=q > 0.0)
-    excess = p - scaled
-    mask = excess > 0.0
-    if excess[mask].sum() > delta + _DP_TOL:
-        return mask
-    return None
-
-
-def _max_log_ratio(p: np.ndarray, q: np.ndarray) -> float:
-    if np.any((q <= 0.0) & (p > 0.0)):
-        return math.inf
-    live = p > 0.0
-    if not np.any(live):
-        return 0.0
-    return float(np.max(_log_ratio(p[live], q[live])))
-
-
-def _zcdp_pair_holds(p: np.ndarray, q: np.ndarray, rho_bound: float):
-    """An alpha where D_alpha > rho_bound * alpha, or None when certified.
+def _zcdp_pair_holds(p: np.ndarray, loss: np.ndarray, rho_bound: float):
+    """An alpha where D_alpha > rho_bound * alpha, or None when certified, for
+    one row p and its privacy loss L = ln(p/q) (see divergences._privacy_loss).
 
     With s = alpha - 1 the bound reads K(s) <= g(s) = rho_bound s (s + 1) +
     _DP_TOL s, where K(s) = (alpha - 1) D_alpha is convex with K(0) = 0 (see
     divergences._cgf).  So K lies below its chord on any [a, b], and the
     chord lies below g exactly when g minus the chord, a convex quadratic,
-    is non-negative at its vertex clamped to [a, b].  Beyond top = D_infinity
-    / rho_bound - 1, K(s) <= s D_infinity <= g(s).  [0, top] is bisected
+    is non-negative at its vertex clamped to [a, b].  Beyond top = max L
+    / rho_bound - 1, K(s) <= s max L <= g(s).  [0, top] is bisected
     until every piece passes; the witness is a midpoint alpha that fails, or
     an (a, b) alpha interval still open after _ALPHA_BISECTIONS bisections.
-    An infinite D_infinity fails at alpha = 2.
+    An infinite max L fails at alpha = 2.
     """
-    top = _max_log_ratio(p, q) / rho_bound - 1.0
+    top = float(loss.max()) / rho_bound - 1.0
     if math.isinf(top):
         return 2.0
 
     def bound(s):
         return rho_bound * s * (s + 1.0) + _DP_TOL * s
 
-    pieces = [(0.0, 0.0, top, _cgf(p, q, top))] if top > 0.0 else []
+    pieces = [(0.0, 0.0, top, _cgf(p, loss, top))] if top > 0.0 else []
     bisections = 0
     while pieces:
         a, ka, b, kb = pieces.pop()
@@ -331,36 +312,45 @@ def _zcdp_pair_holds(p: np.ndarray, q: np.ndarray, rho_bound: float):
             return (1.0 + a, 1.0 + b)
         bisections += 1
         mid = 0.5 * (a + b)
-        kmid = _cgf(p, q, mid)
+        kmid = _cgf(p, loss, mid)
         if kmid > bound(mid):
             return 1.0 + mid
         pieces += [(a, ka, mid, kmid), (mid, kmid, b, kb)]
     return None
 
 
-def _pairs(m: FiniteMechanism, max_distance: int):
-    """(i, j, k) for every pair of dataset indices at Hamming distance
-    0 < k <= max_distance, in row-major order."""
+def _pair_table(m: FiniteMechanism, max_distance: int):
+    """Every pair of dataset indices at Hamming distance 0 < k <= max_distance,
+    in row-major order: arrays i, j, k, the rows p = M(X_i) and the privacy
+    loss L = ln(p/q) against q = M(X_j), one (pair, output) entry each."""
     h = _word_distances(m.alphabet_size, m.n)
-    for i, j in zip(*np.nonzero((h > 0) & (h <= max_distance))):
-        yield int(i), int(j), int(h[i, j])
+    i, j = np.nonzero((h > 0) & (h <= max_distance))
+    p = m.kernel[i]
+    return i, j, h[i, j], p, _privacy_loss(p, m.kernel[j])
 
 
-def _pair_violation(m: FiniteMechanism, i: int, j: int, c: PrivacyConstraint, k: int):
-    """Worst event (DP) or alpha (zCDP) where c fails from row i to row j at distance k.
-
-    Returns None when the k-fold group form of c holds for the pair; at k = 1
-    the group bounds are exactly eps, delta and rho.
-    """
-    p, q = m.kernel[i], m.kernel[j]
+def _first_violation(m: FiniteMechanism, c: PrivacyConstraint, max_distance: int):
+    """(i, j, witness) for the first pair in row-major order where the k-fold
+    group form of c fails, or None; at k = 1 the group bounds are exactly eps,
+    delta and rho.  The DP witness is the worst event {o : L_o > k eps}, the
+    zCDP one an alpha or alpha interval (see _zcdp_pair_holds)."""
+    i, j, k, p, loss = _pair_table(m, max_distance)
     if c.is_dp:
         eps, delta = c.eps_delta()
-        group_delta = delta * k * _exp(eps * (k - 1)) if delta > 0.0 else 0.0
-        mask = _dp_pair_holds(p, q, k * eps, group_delta)
-        if mask is None:
+        group_delta = [delta * d * _exp(eps * (d - 1)) if delta > 0.0 else 0.0
+                       for d in range(max_distance + 1)]
+        k_eps = (k * eps)[:, None]
+        excess = np.sum(p * -np.expm1(np.minimum(k_eps - loss, 0.0)), axis=1)
+        bad = np.flatnonzero(excess > np.take(group_delta, k) + _DP_TOL)
+        if bad.size == 0:
             return None
-        return tuple(o for o, keep in zip(m.outputs, mask) if keep)
-    return _zcdp_pair_holds(p, q, c.rho * k * k)
+        t = bad[0]
+        return int(i[t]), int(j[t]), tuple(o for o, out in zip(m.outputs, loss[t] > k_eps[t]) if out)
+    for t, d in enumerate(k.tolist()):
+        alpha = _zcdp_pair_holds(p[t], loss[t], c.rho * d * d)
+        if alpha is not None:
+            return int(i[t]), int(j[t]), alpha
+    return None
 
 
 def verify_privacy(m: FiniteMechanism, c: PrivacyConstraint) -> PrivacyCheck:
@@ -375,12 +365,12 @@ def verify_privacy(m: FiniteMechanism, c: PrivacyConstraint) -> PrivacyCheck:
     _check_caps(m)
     if c.kind == "none":
         return PrivacyCheck(holds=True)
-    for i, j, k in _pairs(m, 1):
-        bad = _pair_violation(m, i, j, c, k)
-        if bad is not None:
-            datasets = m.datasets()
-            return PrivacyCheck(holds=False, witness=(datasets[i], datasets[j], bad))
-    return PrivacyCheck(holds=True)
+    bad = _first_violation(m, c, 1)
+    if bad is None:
+        return PrivacyCheck(holds=True)
+    i, j, witness = bad
+    datasets = m.datasets()
+    return PrivacyCheck(holds=False, witness=(datasets[i], datasets[j], witness))
 
 
 def verify_group_privacy(m: FiniteMechanism, c: PrivacyConstraint) -> bool:
@@ -392,22 +382,20 @@ def verify_group_privacy(m: FiniteMechanism, c: PrivacyConstraint) -> bool:
     _check_caps(m)
     if not (c.is_dp or c.kind == "zcdp"):
         raise KindConstraintMismatch("group privacy needs DP or zCDP")
-    return all(_pair_violation(m, i, j, c, k) is None for i, j, k in _pairs(m, m.n))
+    return _first_violation(m, c, m.n) is None
 
 
 def verify_kl_dp(m: FiniteMechanism, epsilon: float) -> bool:
     """Check KL(M(X) || M(Y)) <= epsilon * hamming(X, Y) for all pairs.
 
-    An infinite KL (an output reachable from X but not from Y) always fails.
+    KL is the mean privacy loss under M(X); an infinite KL (an output
+    reachable from X but not from Y) always fails.
     """
     _check_caps(m)
     if not 0.0 < epsilon < math.inf:
         raise DomainError("epsilon must be positive and finite")
-    for i, j, k in _pairs(m, m.n):
-        kl = _kl_weights(m.kernel[i], m.kernel[j])
-        if math.isinf(kl) or kl > epsilon * k + _KL_TOL:
-            return False
-    return True
+    _, _, k, p, loss = _pair_table(m, m.n)
+    return all(_kl_weights(pt, lt) <= epsilon * d + _KL_TOL for pt, lt, d in zip(p, loss, k.tolist()))
 
 
 def _similarity_at(c: PrivacyConstraint, kind: str, tup: tuple, anchors=None, j: int = 0) -> float:

@@ -974,10 +974,15 @@ def test_zcdp_is_certified_between_grid_points():
     assert verify_privacy(mech, PrivacyConstraint.zcdp(1.31)).holds
 
 
+def _zcdp_pair_holds(p, q, rho):
+    """verify's zCDP bisection on one pair of weight rows."""
+    return verify_mod._zcdp_pair_holds(p, divergences_mod._privacy_loss(p, q), rho)
+
+
 def test_zcdp_open_interval_after_the_bisection_cap_is_not_certified(monkeypatch):
     p, q = _ZCDP_GAP
     monkeypatch.setattr(verify_mod, "_ALPHA_BISECTIONS", 3)
-    witness = verify_mod._zcdp_pair_holds(p, q, 1.31)
+    witness = _zcdp_pair_holds(p, q, 1.31)
     a, b = witness
     assert 2.0 <= a < b <= 4.0
 
@@ -1006,7 +1011,7 @@ def test_zcdp_certificates_hold_on_a_dense_alpha_scan():
         sums = np.sum(p[:, None] ** alphas * q[:, None] ** (1.0 - alphas), axis=0)
         sup = float(np.max(np.log(sums) / (alphas - 1.0) / alphas))
         rho = sup * float(rng.uniform(0.9, 1.1))
-        witness = verify_mod._zcdp_pair_holds(p, q, rho)
+        witness = _zcdp_pair_holds(p, q, rho)
         if witness is None:
             certified += 1
             assert sup <= rho + 1e-12
@@ -1019,11 +1024,21 @@ def test_zcdp_certificates_hold_on_a_dense_alpha_scan():
 # --------------------------------------------------------------- large eps
 
 
+def _dp_pair_holds(p, q, eps, delta):
+    """The worst (eps, delta)-DP event from row p to row q as an output mask,
+    or None when the pair passes; verify_privacy checks (p, q) first."""
+    mech = FiniteMechanism(alphabet_size=2, n=1, outputs=tuple(range(len(p))), kernel=np.stack([p, q]))
+    res = verify_privacy(mech, PrivacyConstraint.approx(eps, delta))
+    if res.holds or res.witness[0] != _ds(0):
+        return None
+    return np.isin(mech.outputs, res.witness[2])
+
+
 def test_verifiers_at_large_eps_report_instead_of_overflowing(capsys):
     p = np.array([0.5, 0.5, 0.0])
     q = np.array([0.0, 0.5, 0.5])
-    assert verify_mod._dp_pair_holds(p, q, 800.0, 0.0).tolist() == [True, False, False]
-    assert verify_mod._dp_pair_holds(p, p, 800.0, 0.0) is None
+    assert _dp_pair_holds(p, q, 800.0, 0.0).tolist() == [True, False, False]
+    assert _dp_pair_holds(p, p, 800.0, 0.0) is None
     for sub in ("privacy", "group", "suite"):
         for extra in ([], ["--delta", "0.01"]):
             rc = cli.main(["verify", sub, "--mechanism", "rr", "--n", "2", "--eps", "800"] + extra)
@@ -1042,6 +1057,9 @@ def test_randomized_response_with_a_subnormal_flip_chance_is_certified(eps, caps
     assert eps - 1.0 < value <= eps + 1e-10
     assert verify_kl_dp(mech, eps)
     assert verify_privacy(mech, PrivacyConstraint.zcdp(eps**2 / 2.0)).holds
+    # The subnormal flip is rounded: ln keep - ln flip - eps is +2.96e-12 at
+    # eps = 720, above the 1e-12 tolerance of the pure DP check.
+    assert verify_privacy(mech, PrivacyConstraint.pure(eps)).holds == (eps != 720.0)
     for extra in (["kldp"], ["privacy", "--rho", repr(eps**2 / 2.0)]):
         assert cli.main(["verify", extra[0], "--mechanism", "rr", "--n", "1", "--eps", repr(eps), *extra[1:]]) == 0
         assert capsys.readouterr().out.rstrip().endswith("all checks hold")
@@ -1061,11 +1079,39 @@ def test_randomized_response_whose_flip_chance_underflows_is_refuted(capsys):
 def test_log_ratio_keeps_every_finite_ratio_and_mends_an_overflowing_one():
     rng = derived_rng(509)
     p, q = rng.random(1000), rng.random(1000) ** 8
-    assert np.array_equal(divergences_mod._log_ratio(p, q), np.log(p / q))
+    assert np.array_equal(divergences_mod._privacy_loss(p, q), np.log(p / q))
     tiny = np.array([5e-324, 4.47e-309, 1e-300])
-    ratio = divergences_mod._log_ratio(np.ones(3), tiny)
+    ratio = divergences_mod._privacy_loss(np.ones(3), tiny)
     assert ratio[:2].tolist() == (-np.log(tiny[:2])).tolist()
     assert ratio[2] == np.log(1e300)
+    # Zero weights, on a table of rows: p > 0 = q gives +inf, p = 0 gives -inf.
+    loss = divergences_mod._privacy_loss(np.array([[0.5, 0.5, 0.0, 0.0]] * 2), np.array([[0.0, 0.5, 0.5, 0.0]] * 2))
+    assert loss.tolist() == [[math.inf, 0.0, -math.inf, -math.inf]] * 2
+
+
+@pytest.mark.parametrize("eps", [709.0, 710.0, 740.0])
+def test_pure_dp_against_a_subnormal_weight_is_refuted_past_the_overflow_of_e_to_the_eps(eps):
+    # ln(0.5 / 5e-324) is about 743.7, so the event {1} has excess about 0.5
+    # under every eps here; above 709.78 e^eps overflows, and e^eps q with it.
+    mech = FiniteMechanism(alphabet_size=2, n=1, outputs=(0, 1), kernel=[[0.5, 0.5], [1 - 5e-324, 5e-324]])
+    res = verify_privacy(mech, PrivacyConstraint.pure(eps))
+    assert not res.holds
+    assert res.witness == (_ds(0), _ds(1), (1,))
+    assert verify_group_privacy(mech, PrivacyConstraint.pure(eps)) is False
+
+
+def test_witnesses_keep_python_types(tmp_path, capsys):
+    eps = math.log(2.0)
+    res = verify_privacy(rr_kernel(eps, 2), PrivacyConstraint.zcdp(eps * eps / 8))
+    assert not res.holds and type(res.witness[2]) is float
+    mech = FiniteMechanism(alphabet_size=2, n=1, outputs=("a", "b", "c"), kernel=[[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
+    res = verify_privacy(mech, PrivacyConstraint.pure(1.0))
+    assert res.witness[2] == ("a",)
+    out = tmp_path / "report.json"
+    argv = ["verify", "privacy", "--mechanism", "rr", "--n", "2", "--eps", repr(eps), "--rho", repr(eps * eps / 8)]
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    detail = capsys.readouterr().out.splitlines()[0].split("witness=")[1]
+    assert "np.float64(" not in detail and detail in out.read_text()
 
 
 # --------------------------------------------- zCDP from the convexity of K
@@ -1103,7 +1149,7 @@ def test_zcdp_certificate_at_large_alpha_forms_no_power_of_p_or_q():
     # and q^(1 - alpha) overflows.
     p, q = np.array([0.5, 0.5]), np.array([0.5001, 0.4999])
     sup = _scan_sup(p, q, np.geomspace(1e-6, 1e5, 4000))
-    assert verify_mod._zcdp_pair_holds(p, q, 1.01 * sup) is None
+    assert _zcdp_pair_holds(p, q, 1.01 * sup) is None
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         value = divergences_mod.renyi(
@@ -1137,7 +1183,7 @@ def test_zcdp_certificates_hold_on_a_log_alpha_scan_to_the_top():
         rho = ratio * _scan_sup(p, q, np.geomspace(1e-6, 2.0 * d_inf / coarse, 2000))
         s = np.geomspace(1e-6, max(d_inf / rho - 1.0, 1.0), 2000)
         k_scan = _scan_cgf(p, q, s)
-        witness = verify_mod._zcdp_pair_holds(p, q, rho)
+        witness = _zcdp_pair_holds(p, q, rho)
         if witness is None:
             certified += 1
             allowed = rho * s * (s + 1.0) + verify_mod._DP_TOL * s + 1e-15 * (1.0 + np.abs(k_scan))
