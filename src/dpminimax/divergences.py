@@ -109,7 +109,7 @@ def kl(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     the divergence +inf.
     """
     _, pw, qw = _aligned(p, q)
-    return _kl_weights(pw, _privacy_loss(pw, qw))
+    return float(_kl_weights(pw, _privacy_loss(pw, qw)))
 
 
 def renyi(alpha: float, p: DiscreteDistribution, q: DiscreteDistribution) -> float:
@@ -140,11 +140,11 @@ def _privacy_loss(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return loss
 
 
-def _kl_weights(pw: np.ndarray, loss: np.ndarray) -> float:
-    """KL = sum_x p(x) L(x) over the atoms p charges (L > -inf), for one weight
-    vector and its privacy loss (see _privacy_loss)."""
-    live = loss > -np.inf
-    return float(np.sum(pw[live] * loss[live]))
+def _kl_weights(pw: np.ndarray, loss: np.ndarray) -> np.ndarray:
+    """KL = sum_x p(x) L(x) over the atoms p charges (L > -inf), along the last
+    axis of (..., k) weight rows and their privacy loss (see _privacy_loss)."""
+    terms = np.multiply(pw, loss, out=np.zeros(loss.shape), where=loss > -np.inf)
+    return np.sum(terms, axis=-1)
 
 
 def _cgf(pw: np.ndarray, loss: np.ndarray, s: float) -> float:

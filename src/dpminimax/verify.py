@@ -2,7 +2,8 @@
 
 Datasets are vectors over a small integer alphabet and mechanisms are
 explicit stochastic kernels; every dataset pair or tuple is enumerated by
-index, and pair distances are read from one Hamming table.
+index, and pair distances are read from one Hamming table, over which each
+similarity's closed form runs as array code on all tuples at once.
 A privacy check reads one table of dataset pairs at distance k, holding
 p = M(X_i) and the privacy loss L = ln(p/q) against q = M(X_j) of each
 output (see divergences._privacy_loss), through one functional of L under p.
@@ -64,6 +65,7 @@ _MAX_ADMISSIBILITY_WORK = 1_000_000
 _ALPHA_BISECTIONS = 4096
 _DP_TOL = 1e-12
 _KL_TOL = 1e-10
+_ANCHOR_KINDS = ("global_anchor", "projection_anchor")
 
 
 @dataclass(frozen=True)
@@ -93,10 +95,16 @@ def hamming(a: Dataset, b: Dataset) -> int:
     return sum(1 for x, y in zip(a.entries, b.entries) if x != y)
 
 
+def _digits(base: int, length: int) -> np.ndarray:
+    """(base^length, length) digits of 0, ..., base^length - 1, first digit
+    most significant: the rows of itertools.product(range(base), repeat=length)."""
+    return np.arange(base**length)[:, None] // base ** np.arange(length - 1, -1, -1) % base
+
+
 def _word_distances(alphabet_size: int, n: int) -> np.ndarray:
     """(D, D) Hamming distances of the words of n letters, in FiniteMechanism's
     mixed-radix order (first letter most significant)."""
-    words = np.array(list(itertools.product(range(alphabet_size), repeat=n)))
+    words = _digits(alphabet_size, n)
     return np.sum(words[:, None, :] != words[None, :, :], axis=2)
 
 
@@ -166,10 +174,8 @@ class FiniteMechanism:
         return idx
 
     def datasets(self) -> list[Dataset]:
-        return [
-            Dataset(entries=combo, alphabet_size=self.alphabet_size)
-            for combo in itertools.product(range(self.alphabet_size), repeat=self.n)
-        ]
+        words = _digits(self.alphabet_size, self.n).tolist()
+        return [Dataset(entries=tuple(word), alphabet_size=self.alphabet_size) for word in words]
 
     def row(self, dataset: Dataset) -> np.ndarray:
         return self.kernel[self.dataset_index(dataset)]
@@ -203,57 +209,68 @@ def similarity(
     """
     datasets = tuple(datasets)
     N = len(datasets)
+
+    def dist():
+        if kind == "projection_anchor" and (j is None or not 0 <= j < N):
+            raise DomainError("projection_anchor needs an index j in [0, N)")
+        if kind in _ANCHOR_KINDS:
+            return [_anchor_distances(datasets, datasets[j] if kind == "projection_anchor" else anchor)]
+        return [[hamming(a, b) for a, b in itertools.combinations(datasets, 2)]]
+
+    return float(_similarity_values(c, kind, N, dist)[0])
+
+
+def _similarity_values(c: PrivacyConstraint, kind: str, N: int, dist) -> np.ndarray:
+    """Each similarity kind's closed form, on T tuples of N datasets at once.
+
+    dist() returns the (T, N) distances to the anchor for the anchor kinds,
+    and the (T, N(N-1)/2) pair distances in itertools.combinations order for
+    the others.  It runs after the kind, constraint and arity checks, so its
+    errors (no anchor, no j, unequal lengths) come after theirs.  Values keep
+    the scalar formula's bits: e^(-eps s) is math.exp at integer s,
+    pairwise_anchor adds in ordered-pair order, fano_match sums integers.
+    """
     if N < 1:
         raise ArityMismatch("need at least one dataset")
     if c.kind == "zcdp":
-        if kind == "lecam_match":
-            if N != 2:
-                raise ArityMismatch("lecam_match requires exactly two datasets")
-            h = hamming(datasets[0], datasets[1])
-            return 0.5 * (1.0 - math.sqrt(c.rho / 2.0) * h)
-        if kind == "fano_match":
-            if N < 2:
-                raise ArityMismatch("fano_match requires at least two datasets")
-            total = sum(
-                hamming(a, b) ** 2 for a in datasets for b in datasets
-            )
-            return 1.0 - (1.0 + (c.rho / N**2) * total) / math.log(N)
-        raise KindConstraintMismatch(f"kind {kind!r} is not defined for zCDP")
-    if not c.is_dp:
+        if kind not in ("lecam_match", "fano_match"):
+            raise KindConstraintMismatch(f"kind {kind!r} is not defined for zCDP")
+    elif not c.is_dp:
         raise KindConstraintMismatch("similarity needs a DP or zCDP constraint")
-    eps, delta = c.eps_delta()
-
-    if kind in ("global_anchor", "projection_anchor"):
-        if kind == "projection_anchor":
-            if j is None or not 0 <= j < N:
-                raise DomainError("projection_anchor needs an index j in [0, N)")
-            anchor = datasets[j]
-        hmax = max(_anchor_distances(datasets, anchor))
-        return (N - 1) / N * math.exp(-eps * hmax) - math.exp(-eps) * delta * hmax
-    if kind == "lecam_match":
-        if N != 2:
-            raise ArityMismatch("lecam_match requires exactly two datasets")
-        half = (hamming(datasets[0], datasets[1]) + 1) // 2
-        return 0.5 * math.exp(-eps * half) - math.exp(-eps) * delta * half
-    if kind == "pairwise_anchor":
-        if N < 2:
-            raise ArityMismatch("pairwise_anchor requires at least two datasets")
-        total = 0.0
-        for i in range(N):
-            for k in range(N):
-                if i == k:
-                    continue
-                half = (hamming(datasets[i], datasets[k]) + 1) // 2
-                total += math.exp(-eps * half) - 2.0 * math.exp(-eps) * delta * half
-        return total / (2 * N * (N - 1))
+    elif kind not in (*_ANCHOR_KINDS, "lecam_match", "pairwise_anchor", "fano_match"):
+        raise KindConstraintMismatch(f"unknown similarity kind {kind!r}")
+    elif kind == "fano_match" and c.eps_delta()[1] != 0.0:
+        raise KindConstraintMismatch("DP fano_match is defined for delta = 0 only")
+    if kind == "lecam_match" and N != 2:
+        raise ArityMismatch("lecam_match requires exactly two datasets")
+    if kind in ("pairwise_anchor", "fano_match") and N < 2:
+        raise ArityMismatch(f"{kind} requires at least two datasets")
+    h = np.asarray(dist(), dtype=np.int64)
     if kind == "fano_match":
-        if delta != 0.0:
-            raise KindConstraintMismatch("DP fano_match is defined for delta = 0 only")
-        if N < 2:
-            raise ArityMismatch("fano_match requires at least two datasets")
-        total = sum(hamming(a, b) for a in datasets for b in datasets)
-        return 1.0 - (1.0 + (eps / N**2) * total) / math.log(N)
-    raise KindConstraintMismatch(f"unknown similarity kind {kind!r}")
+        scale, cost = (c.rho, h * h) if c.kind == "zcdp" else (c.eps_delta()[0], h)
+        return 1.0 - (1.0 + (scale / N**2) * (2 * np.sum(cost, axis=1))) / math.log(N)
+    if c.kind == "zcdp":
+        return 0.5 * (1.0 - math.sqrt(c.rho / 2.0) * h[:, 0])
+    eps, delta = c.eps_delta()
+    # The anchor kinds read the farthest dataset, the pair kinds half of each distance.
+    s = h.max(axis=1) if kind in _ANCHOR_KINDS else (h + 1) // 2
+    e = np.array([math.exp(-eps * d) for d in range(int(h.max()) + 1)])[s]
+    if kind in _ANCHOR_KINDS:
+        return (N - 1) / N * e - math.exp(-eps) * delta * s
+    if kind == "lecam_match":
+        return 0.5 * e[:, 0] - math.exp(-eps) * delta * s[:, 0]
+    terms = np.ascontiguousarray((e - 2.0 * math.exp(-eps) * delta * s).T)
+    column = np.zeros((N, N), dtype=np.int64)
+    column[_upper(N)] = np.arange(terms.shape[0])
+    total = np.zeros(h.shape[0])
+    for t in (column + column.T)[~np.eye(N, dtype=bool)].tolist():
+        total += terms[t]
+    return total / (2 * N * (N - 1))
+
+
+def _upper(N: int) -> np.ndarray:
+    """(N, N) mask of the pairs i < j, in itertools.combinations order row-major."""
+    return np.arange(N)[:, None] < np.arange(N)
 
 
 def _anchor_distances(datasets, anchor: Optional[Dataset]) -> list[int]:
@@ -395,56 +412,39 @@ def verify_kl_dp(m: FiniteMechanism, epsilon: float) -> bool:
     if not 0.0 < epsilon < math.inf:
         raise DomainError("epsilon must be positive and finite")
     _, _, k, p, loss = _pair_table(m, m.n)
-    return all(_kl_weights(pt, lt) <= epsilon * d + _KL_TOL for pt, lt, d in zip(p, loss, k.tolist()))
-
-
-def _similarity_at(c: PrivacyConstraint, kind: str, tup: tuple, anchors=None, j: int = 0) -> float:
-    """similarity on a dataset tuple under the one anchor rule: global_anchor
-    takes anchors(tup), or the midpoint of a pair; projection_anchor takes j."""
-    anchor = None
-    if kind == "global_anchor":
-        if anchors is not None:
-            anchor = anchors(tup)
-        elif len(tup) == 2:
-            anchor = midpoint_anchor(*tup)
-        else:
-            raise DomainError("global_anchor has a default anchor only for N = 2")
-    return similarity(c, kind, tup, anchor=anchor, j=j if kind == "projection_anchor" else None)
+    return bool(np.all(_kl_weights(p, loss) <= epsilon * k + _KL_TOL))
 
 
 def _similarities(
     m: FiniteMechanism, c: PrivacyConstraint, kind: str, idx: np.ndarray, anchors=None, j: int = 0
 ) -> np.ndarray:
-    """_similarity_at on every row of idx, a (T, N) array of dataset indices.
-
-    A similarity reads its tuple only through Hamming distances: those of
-    every pair, those to x_j for projection_anchor, and those to the tuple's
-    anchor for global_anchor with an anchors callable.  Rows that share
-    these distances share the value, so similarity runs once per distinct
-    pattern, on the pattern's first row, in row order: its kind, arity and
-    j errors come from the first row, as a loop over the rows raises them.
+    """similarity on every row of idx, a (T, N) array of dataset indices, in
+    one array pass (see _similarity_values) over distances gathered from one
+    Hamming table: those of every pair, those to x_j for projection_anchor,
+    and for global_anchor those to anchors(tuple), called once per row, or to
+    the midpoint of a pair at distance h, h // 2 and (h + 1) // 2.
     """
-    datasets = m.datasets()
-    # Distances are at most n <= 6 for two or more letters, and 0 for one.
-    h = _word_distances(m.alphabet_size, m.n).astype(np.uint8)
     N = idx.shape[1]
-    if kind == "global_anchor" and anchors is not None:
-        tuples = [tuple(datasets[i] for i in row) for row in idx.tolist()]
-        pattern = np.array([_anchor_distances(tup, anchors(tup)) for tup in tuples], dtype=np.int64)
-    elif kind == "projection_anchor" and 0 <= j < N:
-        pattern = h[idx, idx[:, j : j + 1]]
-    else:
-        upper, lower = np.array(list(itertools.combinations(range(N), 2))).T
-        pattern = h[idx[:, upper], idx[:, lower]]
-    # One void item per row: a 1-d unique, far faster than unique(axis=0).
-    rows = np.ascontiguousarray(pattern)
-    rows = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).reshape(-1)
-    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    values = np.empty(first.shape[0])
-    for u, row in zip(order.tolist(), idx[first[order]].tolist()):
-        values[u] = _similarity_at(c, kind, tuple(datasets[i] for i in row), anchors, j)
-    return values[inverse]
+    if kind == "global_anchor":
+        if anchors is not None:
+            datasets = m.datasets()
+            rows = [tuple(datasets[i] for i in row) for row in idx.tolist()]
+            to_anchor = [_anchor_distances(tup, anchors(tup)) for tup in rows]
+        elif N != 2:
+            raise DomainError("global_anchor has a default anchor only for N = 2")
+
+    def dist():
+        h = _word_distances(m.alphabet_size, m.n)
+        if kind == "projection_anchor":
+            if not 0 <= j < N:
+                raise DomainError("projection_anchor needs an index j in [0, N)")
+            return h[idx, idx[:, j : j + 1]]
+        if kind == "global_anchor":
+            return to_anchor if anchors is not None else (h[idx[:, :1], idx[:, 1:]] + [0, 1]) // 2
+        upper, lower = np.nonzero(_upper(N))
+        return h[idx[:, upper], idx[:, lower]]
+
+    return _similarity_values(c, kind, N, dist)
 
 
 def verify_admissibility(
@@ -461,21 +461,21 @@ def verify_admissibility(
     least average error over test maps psi comes from the per-output rule
     psi(o) = argmax_i P(M(X_i) = o), ties going to the lowest label, so the
     correct mass of a tuple is the sum over outputs of the column maxima of
-    its N kernel rows, added in output order.  similarity runs once per
-    distinct Hamming pattern (see _similarities).  worst_gap is the minimal
-    slack; a witness (tuple, psi), the first tuple in index order at that
-    slack, is reported when it violates the bound.
+    its N kernel rows, added in output order, and the similarities come from
+    one array pass (see _similarities).  worst_gap is the minimal slack; a
+    witness (tuple, psi), the first tuple in index order at that slack, is
+    reported when it violates the bound.
     """
     _check_caps(m)
     if N < 2:
         raise ArityMismatch("admissibility needs N >= 2")
-    D = m.n_datasets
-    # Each of the D^N tuples costs an argmax over N rows of k outputs.
-    work = (D**N) * N * m.n_outputs
+    # Each of the D^N tuples costs an argmax over N rows of k outputs, and
+    # reads N distances to an anchor or the N(N-1)/2 of its pairs.
+    reads = N if kind in _ANCHOR_KINDS else N * (N - 1) // 2
+    work = m.n_datasets**N * (N * m.n_outputs + reads)
     if work > _MAX_ADMISSIBILITY_WORK:
         raise TooLarge(f"enumeration size {work} exceeds cap {_MAX_ADMISSIBILITY_WORK}")
-    # Row t holds the N digits of t in base D: itertools.product order.
-    idx = np.arange(D**N)[:, None] // D ** np.arange(N - 1, -1, -1) % D
+    idx = _digits(m.n_datasets, N)
     s = _similarities(m, c, kind, idx, anchors, j)
     best = m.kernel[idx].max(axis=1)
     # A plain loop over outputs, not np.sum: pairwise summation would change the last bit.
@@ -515,10 +515,10 @@ def _max_expected_similarity(m: FiniteMechanism, c: PrivacyConstraint, kind: str
     """max over couplings pi of the marginals of E_pi[similarity], as an LP.
 
     The variables are the masses pi puts on the joint atoms of the marginal
-    supports (TooLarge above 10^4 of them).  The similarity at the atoms comes
-    from one call per distinct Hamming pattern (see _similarities).  For
-    global_anchor with N = 2 the anchor is the midpoint of the pair;
-    projection_anchor projects on j = 0.
+    supports (TooLarge above 10^4 of them), and the similarities at the atoms
+    come from one array pass (see _similarities).  For global_anchor with
+    N = 2 the anchor is the midpoint of the pair; projection_anchor projects
+    on j = 0.
     """
     combos, A, b = _coupling_polytope(marginals)
     neg_max, _ = solve_min(-_similarities(m, c, kind, combos), A, b)

@@ -390,16 +390,32 @@ def test_identity_mechanism_is_inadmissible():
     assert len(psi) == 2
 
 
-def test_admissibility_validation_and_caps():
+def test_admissibility_validation_and_caps(monkeypatch):
     mech = rr_kernel(LN3, 1)
     with pytest.raises(ArityMismatch):
         verify_admissibility(mech, PrivacyConstraint.pure(1.0), "lecam_match", 1)
-    # The work counts datasets^N tuples times N rows of k outputs: 64^3 * 3 * 7 here.
+    # The work counts datasets^N tuples times N rows of k outputs plus the
+    # distances a tuple reads, N(N-1)/2 for the pair kinds: 64^3 * (3 * 7 + 3) here.
     with pytest.raises(TooLarge):
         verify_admissibility(rr_sum_kernel(LN3, 6), PrivacyConstraint.pure(LN3), "lecam_match", 3)
-    # 8^3 * 3 * 8 = 12,288 is within the cap.
+    # 8^3 * (3 * 8 + 3) = 13,824 is within the cap.
     res = verify_admissibility(rr_kernel(1.0, 3), PrivacyConstraint.pure(1.0), "fano_match", 3)
     assert res.holds
+    one = identity_kernel(1, 1)
+    assert verify_admissibility(one, PrivacyConstraint.pure(1.0), "fano_match", 1000).holds  # 1000 + 499 500
+    with monkeypatch.context() as patched:
+        # Raised before the tuple indices are built.
+        patched.setattr(verify_mod, "_digits", None)
+        with pytest.raises(TooLarge, match="enumeration size 1125750 exceeds"):
+            verify_admissibility(one, PrivacyConstraint.pure(1.0), "fano_match", 1500)
+    rr = rr_kernel(1.5, 1)
+    with pytest.raises(TooLarge, match="enumeration size 4423680 exceeds"):
+        verify_admissibility(rr, PrivacyConstraint.pure(1.5), "pairwise_anchor", 15)
+    # At N = 14 the pair kinds read 91 distances (2^14 * 119 is over the cap)
+    # and the anchor kinds 14 (2^14 * 42 is within it).
+    with pytest.raises(TooLarge, match="enumeration size 1949696 exceeds"):
+        verify_admissibility(rr, PrivacyConstraint.pure(1.5), "fano_match", 14)
+    assert verify_admissibility(rr, PrivacyConstraint.pure(1.5), "projection_anchor", 14).holds
 
 
 def _load_tracing():
@@ -422,41 +438,42 @@ def _traced_similarity_calls(argv, tmp_path):
     return tracer.counters["verify.similarity.calls"]
 
 
-def _distinct_distance_triangles(alphabet_size, n, N):
-    h = verify_mod._word_distances(alphabet_size, n)
-    pairs = list(itertools.combinations(range(N), 2))
-    return len({
-        tuple(h[idx[a], idx[b]] for a, b in pairs)
-        for idx in itertools.product(range(alphabet_size**n), repeat=N)
-    })
-
-
 @pytest.mark.parametrize("kind", ["fano_match", "pairwise_anchor"])
-def test_a_traced_admissibility_run_evaluates_similarity_once_per_tuple(kind, tmp_path):
+def test_a_traced_admissibility_run_makes_no_similarity_call(kind, tmp_path):
     # The benchmark's tracer counts verify.similarity by module attribute.
-    # rr on n = 2 bits has 4 datasets, so N = 3 enumerates 4^3 tuples; these
-    # kinds read every pair's distance, and the tuples show 10 distinct
-    # distance triangles, so similarity runs once per triangle.
+    # rr on n = 2 bits has 4 datasets, so N = 3 enumerates 4^3 tuples; their
+    # similarities come from one array pass, not from similarity calls.
     argv = ["verify", "admissibility", "--mechanism", "rr", "--n", "2", "--N", "3", "--kind", kind]
-    assert _traced_similarity_calls(argv, tmp_path) == 10
+    assert _traced_similarity_calls(argv, tmp_path) == 0
 
 
-def test_a_traced_admissibility_run_evaluates_similarity_once_per_distance_pattern(tmp_path):
-    # rr-sum on n = 3 bits has 8 datasets: 8^3 tuples, 20 distinct triangles.
-    expected = _distinct_distance_triangles(2, 3, 3)
-    assert expected == 20
+def test_a_traced_rr_sum_admissibility_run_makes_no_similarity_call(tmp_path):
+    # rr-sum on n = 3 bits has 8 datasets: 8^3 tuples.
     argv = ["verify", "admissibility", "--mechanism", "rr-sum", "--n", "3", "--N", "3", "--kind", "fano_match"]
-    assert _traced_similarity_calls(argv, tmp_path) == expected
+    assert _traced_similarity_calls(argv, tmp_path) == 0
 
 
-@pytest.mark.parametrize("mech, N, kind, gap_hex", [
-    (rr_sum_kernel(0.5, 5), 3, "fano_match", "0x1.27603591216a6p-1"),
-    (rr_sum_kernel(0.5, 5), 3, "projection_anchor", "-0x1.0000000000000p-53"),
-    (rr_kernel(0.5, 3), 4, "pairwise_anchor", "0x1.0000000000000p-2"),
-])
-def test_admissibility_near_the_work_cap_keeps_its_bits(mech, N, kind, gap_hex):
-    # Bits of the per-tuple loop, which is too slow at these sizes to run as the oracle.
-    res = verify_admissibility(mech, PrivacyConstraint.pure(0.5), kind, N)
+# Bits of the scalar similarity formulas; the per-tuple loop is too slow at
+# these sizes to run as the oracle.
+_NEAR_CAP = [
+    (rr_sum_kernel(0.5, 5), 0.5, 3, "fano_match", "0x1.27603591216a6p-1"),
+    (rr_sum_kernel(0.5, 5), 0.5, 3, "projection_anchor", "-0x1.0000000000000p-53"),
+    (rr_kernel(0.5, 3), 0.5, 4, "pairwise_anchor", "0x1.0000000000000p-2"),
+    (rr_kernel(1.5, 1), 1.5, 13, "fano_match", "0x1.40757c11403dcp-2"),
+    (rr_kernel(1.5, 1), 1.5, 13, "pairwise_anchor", "0x1.b13b13b13b13cp-2"),
+    (rr_kernel(1.5, 1), 1.5, 15, "fano_match", "0x1.35dd7bdeb6c5cp-2"),
+    (rr_kernel(1.5, 1), 1.5, 15, "pairwise_anchor", "0x1.bbbbbbbbbbbbcp-2"),
+]
+
+
+@pytest.mark.parametrize("mech, eps, N, kind, gap_hex", _NEAR_CAP,
+                         ids=[f"mech{t}-{N}-{kind}-{gap}" for t, (_, _, N, kind, gap) in enumerate(_NEAR_CAP)])
+def test_admissibility_near_the_work_cap_keeps_its_bits(mech, eps, N, kind, gap_hex, monkeypatch):
+    if N == 15:
+        # 2^15 tuples that read 105 pair distances each are over the cap
+        # (see test_admissibility_validation_and_caps); it is lifted to pin their values.
+        monkeypatch.setattr(verify_mod, "_MAX_ADMISSIBILITY_WORK", 2**15 * (15 * 2 + 105))
+    res = verify_admissibility(mech, PrivacyConstraint.pure(eps), kind, N)
     assert res.holds and res.witness is None
     assert res.worst_gap.hex() == gap_hex
 
@@ -628,6 +645,20 @@ def _privacy_parity(mech, c):
     return res.holds
 
 
+def test_kl_dp_reads_the_kl_of_every_pair_from_one_row_sum():
+    # verify_kl_dp sums p L along the rows of its whole pair table at once;
+    # each row keeps the bits of the one-row sum that kl makes, zero weights and all.
+    rng = derived_rng(505)
+    zeros = infinite = 0
+    for _ in range(40):
+        _, _, _, p, loss = verify_mod._pair_table(_random_mechanism(rng), 2)
+        expected = [float(divergences_mod._kl_weights(pt, lt)) for pt, lt in zip(p, loss)]
+        assert divergences_mod._kl_weights(p, loss).tolist() == expected
+        zeros += int(np.any(p == 0.0))
+        infinite += math.inf in expected
+    assert zeros > 0 and infinite > 0
+
+
 def test_privacy_closed_form_matches_event_enumeration():
     rng = derived_rng(501)
     refuted = 0
@@ -796,6 +827,53 @@ def test_admissibility_with_more_hypotheses_than_array_dimensions_matches_the_pe
         res = _outcome(verify_admissibility, mech, c, "projection_anchor", 100, j=j)
         assert res == _outcome(_admissibility_loop, mech, c, "projection_anchor", 100, j=j)
         assert res[0] is True
+
+
+def _similarity_reference(c, kind, tup, anchor=None):
+    """Each kind's formula as one scalar expression per tuple, with the terms
+    of a sum over dataset pairs added in ordered-pair order."""
+    N = len(tup)
+    pairs = [hamming(tup[i], tup[k]) for i, k in itertools.permutations(range(N), 2)]
+    if c.kind == "zcdp":
+        if kind == "lecam_match":
+            return 0.5 * (1.0 - math.sqrt(c.rho / 2.0) * pairs[0])
+        return 1.0 - (1.0 + (c.rho / N**2) * sum(h**2 for h in pairs)) / math.log(N)
+    eps, delta = c.eps_delta()
+    if kind in ("global_anchor", "projection_anchor"):
+        hmax = max(hamming(x, anchor) for x in tup)
+        return (N - 1) / N * math.exp(-eps * hmax) - math.exp(-eps) * delta * hmax
+    if kind == "lecam_match":
+        half = (pairs[0] + 1) // 2
+        return 0.5 * math.exp(-eps * half) - math.exp(-eps) * delta * half
+    if kind == "pairwise_anchor":
+        total = 0.0
+        for half in ((h + 1) // 2 for h in pairs):
+            total += math.exp(-eps * half) - 2.0 * math.exp(-eps) * delta * half
+        return total / (2 * N * (N - 1))
+    return 1.0 - (1.0 + (eps / N**2) * sum(pairs)) / math.log(N)
+
+
+@pytest.mark.parametrize("alphabet_size, n", [(2, 3), (3, 2)])
+def test_similarities_keep_the_bits_of_the_scalar_formulas(alphabet_size, n):
+    mech = identity_kernel(alphabet_size, n)
+    datasets = mech.datasets()
+    rng = derived_rng(509)
+    # At eps = 0.01 a SIMD np.exp(-0.01) can differ from math.exp in the last bit.
+    cases = [(PrivacyConstraint.pure(0.01), kind) for kind in
+             ("global_anchor", "projection_anchor", "lecam_match", "pairwise_anchor", "fano_match")]
+    cases += [(PrivacyConstraint.approx(1.3, 0.05), kind) for kind in
+              ("global_anchor", "projection_anchor", "lecam_match", "pairwise_anchor")]
+    cases += [(PrivacyConstraint.zcdp(0.3), "lecam_match"), (PrivacyConstraint.zcdp(0.3), "fano_match")]
+    for c, kind in cases:
+        for N in (2,) if kind in ("lecam_match", "global_anchor") else (2, 3, 5, 8):
+            idx = rng.integers(0, mech.n_datasets, size=(200, N))
+            values = verify_mod._similarities(mech, c, kind, idx)
+            for value, row in zip(values.tolist(), idx.tolist()):
+                tup = tuple(datasets[i] for i in row)
+                anchor = midpoint_anchor(*tup) if kind == "global_anchor" else tup[0]
+                expected = _similarity_reference(c, kind, tup, anchor)
+                assert value == expected, (c, kind, row)
+                assert similarity(c, kind, tup, anchor=anchor, j=0) == expected
 
 
 def test_transport_similarities_match_a_loop_over_the_joint_atoms():
