@@ -1,18 +1,22 @@
 """Hot numerical kernels, vectorized over trials in numpy.
 
-Each kernel consumes pre-generated random inputs, so its callers fix the
-random stream and the kernel is a pure function of its arguments.  The
-coupling kernels return atoms, and no kernel needs a floating-point guard.
+The coupling kernels consume pre-generated random inputs, so their callers
+fix the random stream and each kernel is a pure function of its arguments.
+The DP-SGML kernel may instead take unwritten input buffers and a fill
+that draws a trial range's rows into them from the range's own
+counter-addressed streams, so its rows still depend only on its arguments.  The coupling
+kernels return atoms, and no kernel needs a floating-point guard.
 
 The DP-SGML kernel splits a large call into contiguous trial ranges, one
 per CPU the process may run on and never one of a single trial.  This
-process runs the first range; each other range runs in a child made by
-``os.fork()``, which writes its rows to a pipe and exits.  Every trial's
-arithmetic is the same in any range of two or more trials, so the rows are
-the same bits at any worker count.  A call stays in-process when it is
-small (fewer than ``_FORK_MIN_STEPS`` index reads), when one CPU is
-available, when ``os.fork`` does not exist, or when another thread is
-alive, because a threaded process is never forked.
+process fills and runs the first range; each other range is filled and run
+in a child made by ``os.fork()``, which writes its rows to a pipe and
+exits, so this process never writes the other ranges' inputs.  Every
+trial's draws and arithmetic are the same in any range of two or more
+trials, so the rows are the same bits at any worker count.  A call stays
+in-process when it is small (fewer than ``_FORK_MIN_STEPS`` index reads),
+when one CPU is available, when ``os.fork`` does not exist, or when another
+thread is alive, because a threaded process is never forked.
 """
 
 from __future__ import annotations
@@ -128,6 +132,7 @@ def dpsgml_trials(
     clip: float,
     eta: float,
     noise_std: float,
+    fill=None,
 ) -> np.ndarray:
     """Run DP-SGML trials for any model on (trials, n, d) data, from the
     projected initial points theta0 (trials, d), with batch indices
@@ -135,15 +140,24 @@ def dpsgml_trials(
     normal step noise (trials, K, d).  Each step clips and averages
     grad(batch, theta), of shape (trials, m, d), and projects the iterate.
 
+    fill(lo, hi), when given, writes rows lo..hi of theta0, batch_idx and
+    step_noise in place, and is called in the process that runs those
+    trials right before their steps; theta0 must then be float64, so that
+    the rows it writes are the rows read.  Without it the inputs are read
+    as given.
+
     Large calls run their trial ranges in forked children (module
-    docstring); a range whose child fails is run again in this process, so
-    an error raised by grad or project reaches the caller as in a serial run.
+    docstring); a range whose child fails is filled and run again in this
+    process, so an error raised by fill, grad or project reaches the caller
+    as in a serial run.
     """
     data = np.ascontiguousarray(data, dtype=np.float64)
     theta0 = np.asarray(theta0, dtype=np.float64)
     trials = data.shape[0]
 
     def run(lo: int, hi: int) -> np.ndarray:
+        if fill is not None:
+            fill(lo, hi)
         return _steps(data[lo:hi], theta0[lo:hi], batch_idx[lo:hi], step_noise[lo:hi],
                       grad, project, clip, eta, noise_std)
 

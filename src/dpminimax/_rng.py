@@ -20,7 +20,7 @@ cell from one stream, derived_rng(seed, k).  A loop over a cell's trials,
 one dataset each (DP-SGML, monte_carlo_risk), walks them in order with
 trial_rngs, which derives the key once and rewinds one Generator to each
 trial's counter.  Trial t reads only its own stream, so its bits do not
-depend on the trials before it.
+depend on the trials before it, and a walk may start at any trial.
 """
 
 from __future__ import annotations
@@ -73,21 +73,26 @@ def spawn_keys(seed: int, count: int, *tags: int) -> list[tuple[int, ...]]:
     return [base + (i,) for i in range(count)]
 
 
-def trial_rngs(seed: int, tags: tuple[int, ...], count: int) -> Iterator[np.random.Generator]:
-    """Yield the streams derived_rng(seed, *tags, t) for t = 0, ..., count - 1.
+def trial_rngs(
+    seed: int, tags: tuple[int, ...], count: int, start: int = 0
+) -> Iterator[np.random.Generator]:
+    """Yield the streams derived_rng(seed, *tags, t) for t = start, ...,
+    count - 1: the trials of a walk over count trials from trial start on.
 
     The key is derived once; one Generator is reused and rewound to trial
     t's counter before it is yielded, so it is valid only until the next
     trial is requested.
     """
-    count = int(count)
+    count, start = int(count), int(start)
     key, _ = _stream(seed, (*tags, 0))
     if count >= _TRIAL_LIMIT:
         raise ValueError("count must be below 2**128")
-    return _rewound(key, count)
+    if start < 0:
+        raise ValueError("start must be non-negative")
+    return _rewound(key, range(start, count))
 
 
-def _rewound(key: list[int], count: int) -> Iterator[np.random.Generator]:
+def _rewound(key: list[int], trials: range) -> Iterator[np.random.Generator]:
     bit_generator = np.random.Philox(0)
     rng = np.random.Generator(bit_generator)
     counter = [0, 0, 0, 0]
@@ -99,7 +104,7 @@ def _rewound(key: list[int], count: int) -> Iterator[np.random.Generator]:
         "has_uint32": 0,
         "uinteger": 0,
     }
-    for t in range(count):
+    for t in trials:
         counter[2], counter[3] = t & _MASK64, t >> 64
         bit_generator.state = state
         yield rng

@@ -369,9 +369,12 @@ def dp_sgml_config(n: int, d: int, rho: float, model: ParametricModel, m: int) -
 
 
 def _run_trials(data: np.ndarray, model: ParametricModel, cfg: DPSGMLConfig, rngs) -> np.ndarray:
-    """DP-SGML on (trials, n, dim) data; trial t draws from the t-th rng its
-    initial normals, then its batch indices (when m is set), then its step
-    noise."""
+    """DP-SGML on (trials, n, dim) data.  rngs(lo, hi) yields the streams of
+    trials lo..hi - 1, and trial t draws from its stream its initial normals,
+    then its batch indices (when m is set), then its step noise.  The
+    kernel draws each trial range in the process that runs it, and draws a
+    range again when its child fails, so rngs must yield the same streams
+    when called again."""
     data = np.asarray(data, dtype=float)
     if data.ndim != 3 or data.shape[2] != model.dim:
         raise DomainError(f"each trial's data must have shape (n, {model.dim})")
@@ -385,23 +388,29 @@ def _run_trials(data: np.ndarray, model: ParametricModel, cfg: DPSGMLConfig, rng
     draw_dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
     idx_dtype = np.min_scalar_type(n - 1) if n <= 2**32 else np.dtype(np.int64)
     out = np.empty((trials, d))
-    # One iterator across all chunks: chunk c continues at trial c * _BATCH_CHUNK.
     for start in range(0, trials, _BATCH_CHUNK):
         size = min(_BATCH_CHUNK, trials - start)
+        # Unwritten until the kernel fills a range: the pages of a range run
+        # in a forked child are never touched by this process.
         theta0 = np.empty((size, d))
         if cfg.m is None:
             batch_idx = np.broadcast_to(np.arange(n, dtype=idx_dtype), (size, cfg.K, n))
         else:
             batch_idx = np.empty((size, cfg.K, cfg.m), dtype=idx_dtype)
         step_noise = np.empty((size, cfg.K, d))
-        for i, r in zip(range(size), rngs):
-            theta0[i] = r.standard_normal(d)
-            if cfg.m is not None:
-                batch_idx[i] = r.integers(0, n, size=(cfg.K, cfg.m), dtype=draw_dtype)
-            step_noise[i] = r.standard_normal((cfg.K, d))
+
+        def fill(lo: int, hi: int) -> None:
+            # Chunk row i is trial start + i.
+            for i, r in zip(range(lo, hi), rngs(start + lo, start + hi)):
+                theta0[i] = r.standard_normal(d)
+                if cfg.m is not None:
+                    batch_idx[i] = r.integers(0, n, size=(cfg.K, cfg.m), dtype=draw_dtype)
+                step_noise[i] = r.standard_normal((cfg.K, d))
+            theta0[lo:hi] = model.space.project(scale0 * theta0[lo:hi])
+
         out[start:start + size] = _kernels.dpsgml_trials(
             data[start:start + size],
-            model.space.project(scale0 * theta0),
+            theta0,
             batch_idx,
             step_noise,
             model.grad,
@@ -409,6 +418,7 @@ def _run_trials(data: np.ndarray, model: ParametricModel, cfg: DPSGMLConfig, rng
             cfg.clip,
             cfg.eta,
             math.sqrt(cfg.sigma2_noise),
+            fill,
         )
     if not np.all(np.isfinite(out)):
         raise NonFinite("DP-SGML output is non-finite")
@@ -425,7 +435,8 @@ def dp_sgml(data, model: ParametricModel, cfg: DPSGMLConfig, rng: np.random.Gene
     data = np.asarray(data, dtype=float)
     if data.ndim == 1:
         data = data[:, None]
-    return _run_trials(data[None], model, cfg, iter((rng,)))[0]
+    # One trial is one range, filled once, in this process.
+    return _run_trials(data[None], model, cfg, lambda lo, hi: (rng,))[0]
 
 
 def dp_sgml_batch(
@@ -440,12 +451,16 @@ def dp_sgml_batch(
     Row t equals dp_sgml(data[t], ..., derived_rng(seed, *tags, t)) bit for
     bit, for any model, space and batch size: both run the same trial-batched
     kernel, and trial_rngs rewinds one Generator to each trial's counter.
+    Each trial range draws its own inputs where it runs, from trial_rngs
+    started at its first trial, so a forked child draws its trials' inputs
+    and this process never holds them.
     One exception: at d = 1 with m = None and n >= 65 536, the kernel's batch
     mean sums a one-trial batch in another order than a batch of several, so
     the two differ in the last bits.  The rows do not depend on how many
     worker processes the kernel runs.
     """
-    return _run_trials(data, model, cfg, trial_rngs(seed, tags, len(data)))
+    trial_rngs(seed, tags, len(data))  # a bad seed or tag raises before any trial runs
+    return _run_trials(data, model, cfg, lambda lo, hi: trial_rngs(seed, tags, hi, lo))
 
 
 def mle_pga(data, model: ParametricModel) -> np.ndarray:

@@ -23,6 +23,7 @@ stated numerical tolerances.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -101,11 +102,15 @@ def _digits(base: int, length: int) -> np.ndarray:
     return np.arange(base**length)[:, None] // base ** np.arange(length - 1, -1, -1) % base
 
 
+@functools.cache
 def _word_distances(alphabet_size: int, n: int) -> np.ndarray:
     """(D, D) Hamming distances of the words of n letters, in FiniteMechanism's
-    mixed-radix order (first letter most significant)."""
+    mixed-radix order (first letter most significant).  Built once per
+    (alphabet_size, n) and shared, so it is read-only."""
     words = _digits(alphabet_size, n)
-    return np.sum(words[:, None, :] != words[None, :, :], axis=2)
+    table = np.sum(words[:, None, :] != words[None, :, :], axis=2)
+    table.setflags(write=False)
+    return table
 
 
 def midpoint_anchor(a: Dataset, b: Dataset) -> Dataset:
@@ -259,13 +264,13 @@ def _similarity_values(c: PrivacyConstraint, kind: str, N: int, dist) -> np.ndar
         return (N - 1) / N * e - math.exp(-eps) * delta * s
     if kind == "lecam_match":
         return 0.5 * e[:, 0] - math.exp(-eps) * delta * s[:, 0]
-    terms = np.ascontiguousarray((e - 2.0 * math.exp(-eps) * delta * s).T)
+    terms = np.concatenate([np.zeros((h.shape[0], 1)), e - 2.0 * math.exp(-eps) * delta * s], axis=1)
     column = np.zeros((N, N), dtype=np.int64)
-    column[_upper(N)] = np.arange(terms.shape[0])
-    total = np.zeros(h.shape[0])
-    for t in (column + column.T)[~np.eye(N, dtype=bool)].tolist():
-        total += terms[t]
-    return total / (2 * N * (N - 1))
+    column[_upper(N)] = np.arange(1, terms.shape[1])
+    # Column 0 is the 0.0 the sum starts from, then each ordered pair's term:
+    # cumsum adds them one after another, where np.sum would add pairwise.
+    ordered = np.take(terms, np.concatenate([[0], (column + column.T)[~np.eye(N, dtype=bool)]]), axis=1)
+    return np.cumsum(ordered, axis=1, out=ordered)[:, -1] / (2 * N * (N - 1))
 
 
 def _upper(N: int) -> np.ndarray:

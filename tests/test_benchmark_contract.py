@@ -145,6 +145,27 @@ def test_tracer_counts_one_dpsgml_kernel_call_per_chunk():
     assert tracer.counters["kernels.dpsgml_trials.steps"] == trials * cfg.K * m
 
 
+def test_a_forked_traced_dpsgml_call_counts_the_steps_of_an_in_process_one(workers):
+    # The parent reads the step count from the chunk's batch_idx shape, whose
+    # rows other than the first range's are drawn in the children.
+    tracing = _load_tracing()
+    model = gaussian_mean_model(2, radius=5.0)
+    trials, n, m = 6, 40, 8
+    cfg = dp_sgml_config(n, 2, 1.0, model, m)
+    data = np.stack([model.sample(np.zeros(2), n, derived_rng(64, t)) for t in range(trials)])
+    steps, rows = [], []
+    for cpus in (1, 3):
+        workers.cpus = cpus
+        tracer = tracing.Tracer()
+        with tracing.instrument(tracer):
+            rows.append(dp_sgml_batch(data, model, cfg, 65).tobytes())
+        steps.append(tracer.counters["kernels.dpsgml_trials.steps"])
+        assert tracer.calls["kernels.dpsgml_trials"] == 1
+    assert workers.forks == 2
+    assert steps == [trials * cfg.K * m] * 2
+    assert rows[0] == rows[1]
+
+
 def test_import_starts_no_thread_and_no_executor():
     # setup_s times a fresh-interpreter import, which must start no thread or executor.
     probe = (

@@ -436,6 +436,20 @@ def test_trial_rngs_match_derived_rng(seed, tags):
         assert seen == count
 
 
+def test_trial_rngs_started_at_a_trial_walk_the_slice_of_a_full_walk():
+    seed, tags = 5, (2, 0)
+    full = [_draws(r) for r in trial_rngs(seed, tags, 10)]
+    for start in (0, 4, 9, 10, 12):
+        assert [_draws(r) for r in trial_rngs(seed, tags, 10, start)] == full[start:]
+    # Past 2**64 the trial reaches counter word 3; trial t of a full walk is
+    # derived_rng(seed, *tags, t) (test_trial_rngs_match_derived_rng).
+    start = 2**64 - 1
+    walk = [_draws(r) for r in trial_rngs(seed, tags, start + 3, start)]
+    assert walk == [_draws(derived_rng(seed, *tags, t)) for t in range(start, start + 3)]
+    with pytest.raises(ValueError, match="start"):
+        trial_rngs(seed, tags, 7, -1)
+
+
 class _Coin:
     def sample(self, theta, n, rng):
         return (rng.random(n) < theta).astype(np.float64)

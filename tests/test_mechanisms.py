@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import os
 import warnings
 
 import numpy as np
@@ -546,6 +547,52 @@ def test_dp_sgml_batch_rows_are_the_same_bits_at_any_worker_count(workers, space
     assert rows[1] == rows[2] == rows[3]
 
 
+def test_dp_sgml_batch_draws_each_range_where_it_runs(workers, monkeypatch):
+    # Six trials on three workers: ranges [0, 2), [2, 4) and [4, 6).  This
+    # process draws only the first range's inputs unless a child fails or
+    # cannot be made; then it draws that range again, with the same bits.
+    model = gaussian_mean_model(2, sigma=1.0, radius=0.6)
+    cfg = DPSGMLConfig(sigma2_noise=0.05, K=6, eta=0.5, m=8, rho=1.0, clip=1.0)
+    data = np.stack([model.sample(np.full(2, 0.5), 40, derived_rng(35, t)) for t in range(6)])
+    serial = dp_sgml_batch(data, model, cfg, 81).tobytes()
+    fills = []
+    kernel = mechanisms._kernels.dpsgml_trials
+
+    def spy(*args):
+        *rest, fill = args
+
+        def logged(lo, hi):
+            fills.append((lo, hi))
+            fill(lo, hi)
+
+        return kernel(*rest, logged)
+
+    monkeypatch.setattr(mechanisms._kernels, "dpsgml_trials", spy)
+    workers.cpus = 3
+    assert dp_sgml_batch(data, model, cfg, 81).tobytes() == serial
+    assert fills == [(0, 2)] and workers.forks == 2
+
+    parent, grad = os.getpid(), model.grad
+
+    def grad_failing_in_children(X, theta):
+        if os.getpid() != parent:
+            raise FloatingPointError("a child's range fails")
+        return grad(X, theta)
+
+    fills = []
+    failing = dataclasses.replace(model, grad=grad_failing_in_children)
+    assert dp_sgml_batch(data, failing, cfg, 81).tobytes() == serial
+    assert fills == [(0, 2), (2, 4), (4, 6)] and workers.forks == 4
+
+    def no_fork():
+        raise BlockingIOError("Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    fills = []
+    assert dp_sgml_batch(data, model, cfg, 81).tobytes() == serial
+    assert fills == [(0, 2), (2, 4), (4, 6)]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 200, 2000, 65536, 2**31 - 1])
 def test_int32_batch_indices_are_the_int64_draws(n):
     # _run_trials draws batch indices as int32 whenever n fits: the values
@@ -621,6 +668,9 @@ def test_dp_sgml_validation():
         dp_sgml(np.zeros((10, 2)), model, cfg, derived_rng(0))
     with pytest.raises(DomainError):
         dp_sgml_batch(np.zeros((2, 10, 2)), model, cfg, 0)
+    # Stream tags are checked up front, even when no trial draws.
+    with pytest.raises(ValueError, match="non-negative"):
+        dp_sgml_batch(np.zeros((0, 10, 3)), model, cfg, 0, -1)
 
 
 def test_non_finite_gradient_is_reported():

@@ -225,6 +225,15 @@ def test_word_distances_are_hamming_over_the_datasets(alphabet_size, n):
     assert verify_mod._word_distances(alphabet_size, n).tolist() == expected
 
 
+def test_word_distances_are_built_once_per_size_and_read_only():
+    table = verify_mod._word_distances(3, 2)
+    assert verify_mod._word_distances(3, 2) is table
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 1] = 0
+    assert verify_mod._word_distances(2, 3) is not table
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_rr_kernel_entries_are_keep_and_flip_powers_of_the_hamming_distance(n):
     eps = 0.7
@@ -874,6 +883,19 @@ def test_similarities_keep_the_bits_of_the_scalar_formulas(alphabet_size, n):
                 expected = _similarity_reference(c, kind, tup, anchor)
                 assert value == expected, (c, kind, row)
                 assert similarity(c, kind, tup, anchor=anchor, j=0) == expected
+
+
+def test_pairwise_anchor_at_200_datasets_keeps_the_bits_of_the_ordered_pair_loop():
+    # 39 800 ordered pairs summed one after another, as the scalar formula does.
+    mech = identity_kernel(2, 3)
+    datasets = mech.datasets()
+    idx = derived_rng(510).integers(0, mech.n_datasets, size=(3, 200))
+    for c in (PrivacyConstraint.pure(0.01), PrivacyConstraint.approx(1.3, 0.05)):
+        values = verify_mod._similarities(mech, c, "pairwise_anchor", idx)
+        for value, row in zip(values.tolist(), idx.tolist()):
+            tup = tuple(datasets[i] for i in row)
+            expected = _similarity_reference(c, "pairwise_anchor", tup)
+            assert value == similarity(c, "pairwise_anchor", tup) == expected
 
 
 def test_transport_similarities_match_a_loop_over_the_joint_atoms():
