@@ -56,6 +56,7 @@ from .mechanisms import (
 )
 from .verify import (
     _MAX_DATASETS,
+    _transport_left_side,
     verify_admissibility,
     verify_group_privacy,
     verify_kl_dp,
@@ -202,9 +203,9 @@ def _wrapper(config: dict, seed: Optional[int], report: dict) -> dict:
 
 
 def _write_json(path: str, wrapper: dict) -> None:
+    # One write: json.dump would make one per token.
     with open(path, "w") as handle:
-        json.dump(wrapper, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(json.dumps(wrapper, indent=2, sort_keys=True) + "\n")
 
 
 def _write_csv(path: str, fieldnames: list[str], rows: list[dict]) -> None:
@@ -496,8 +497,9 @@ def _cmd_verify(args) -> int:
             else _default_transport_marginals(mech)
         )
         kinds = [args.kind] if which == "transport" else _suite_kinds(c)
+        left_side = _transport_left_side(mech, marginals)
         for kind in kinds:
-            record(f"transport[{kind}]", verify_transport_bound(mech, c, kind, marginals))
+            record(f"transport[{kind}]", verify_transport_bound(mech, c, kind, marginals, left_side=left_side))
 
     all_hold = all(check["holds"] for check in checks)
     config = {

@@ -35,8 +35,9 @@ __all__ = [
 
 _LP_CAP = 10_000
 
-# Draws per chunk of uniforms: the uniforms and a helper's temporaries are
-# sized for one chunk, however many draws are asked for.
+# Draws per chunk of uniforms, and base draws per chunk that
+# estimate_disagreement counts: the uniforms, a helper's temporaries and the
+# atoms counted are sized for one chunk, however many draws are asked for.
 _DRAW_CHUNK = 16_384
 
 
@@ -80,27 +81,36 @@ class CouplingSampler:
             return self.n * self.base.draw_budget()
         raise DomainError(f"unknown coupling kind {self.kind!r}")
 
-    def sample(self, trials: int, seed: int) -> np.ndarray:
-        """Draw ``trials`` joint realizations.
+    def sample(self, trials: int, seed: int, start: int = 0) -> np.ndarray:
+        """Draw the ``trials`` joint realizations start, ..., start + trials - 1.
 
         Returns (trials, N) atom labels, or (trials, N, n) for product lifts.
-        The uniforms are taken _DRAW_CHUNK draws at a time from the one
-        stream derived_rng(seed), which fills them in the order a one-shot
-        draw of all of them would: the atoms equal the one-shot draw's bit
-        for bit, and the memory used is proportional to the output.
+        Draw t reads the draw_budget() uniforms from uniform t * draw_budget()
+        of the one stream derived_rng(seed) on, so sample(k, seed, start) is
+        bit for bit the slice [start:] of sample(start + k, seed); a lift's
+        draws are its base's draws from start * n on.  The uniforms are taken
+        _DRAW_CHUNK draws at a time, so the memory used is proportional to
+        the output.
         """
         if trials < 1:
             raise DomainError("trials must be >= 1")
+        if start < 0:
+            raise DomainError("start must be >= 0")
         if self.kind == "product_lift":
-            flat = self.base.sample(trials * self.n, seed)
+            flat = self.base.sample(trials * self.n, seed, start * self.n)
             return flat.reshape(trials, self.n, -1).transpose(0, 2, 1)
         budget = self.draw_budget()  # raises DomainError for an unknown kind
         assign = _SAMPLERS[self.kind]
         rng = derived_rng(seed)
+        # One Philox block holds four uniforms: skip whole blocks, then the
+        # words of the block the first draw starts in.
+        word = start * budget
+        rng.bit_generator.advance(word // 4)
+        rng.bit_generator.random_raw(word % 4)
         out = np.empty((trials, self.n_marginals), dtype=np.int64)
-        for start in range(0, trials, _DRAW_CHUNK):
-            stop = min(start + _DRAW_CHUNK, trials)
-            out[start:stop] = assign(self.marginals, rng.random((stop - start, budget)))
+        for lo in range(0, trials, _DRAW_CHUNK):
+            hi = min(lo + _DRAW_CHUNK, trials)
+            out[lo:hi] = assign(self.marginals, rng.random((hi - lo, budget)))
         return out
 
 
@@ -133,9 +143,11 @@ def _sample_shared_uniform(marginals, u: np.ndarray) -> np.ndarray:
 
 
 def _sample_races(marginals, u: np.ndarray) -> np.ndarray:
+    """The race winners of a chunk; u is overwritten with the clocks."""
     atoms = _universe(marginals)
     probs = np.array([[m.prob(a) for a in atoms] for m in marginals])
-    clocks = -np.log1p(-u)
+    # -log1p(-u), computed in place: no chunk-sized temporary.
+    clocks = np.negative(np.log1p(np.negative(u, out=u), out=u), out=u)
     winners = _kernels.races_winners(clocks, probs)
     return np.asarray(atoms, dtype=np.int64)[winners]
 
@@ -193,18 +205,30 @@ def product_lift(base: CouplingSampler, n: int) -> CouplingSampler:
 
 
 def estimate_disagreement(sampler: CouplingSampler, trials: int, seed: int) -> DisagreementMatrix:
-    """Monte-Carlo pairwise disagreement matrix for a coupling sampler."""
+    """Monte-Carlo pairwise disagreement matrix for a coupling sampler.
+
+    The draws of sampler.sample(trials, seed) are drawn and counted one chunk
+    of _DRAW_CHUNK // n realizations at a time, each through
+    sampler.sample(k, seed, start): memory holds one chunk's atoms, however
+    many trials are asked for, and the estimates are those of the one-shot
+    draw bit for bit (a count over trials is the mean of the 0/1 outcomes).
+    """
+    if trials < 1:
+        raise DomainError("trials must be >= 1")
     N = sampler.n_marginals
-    # A plain draw is a lift of length 1: components disagree when any coordinate does.
-    draws = sampler.sample(trials, seed).reshape(trials, N, -1)
-    est = np.zeros((N, N))
-    for i in range(N):
-        for j in range(i + 1, N):
-            # One column of the short lift axis at a time: faster than any(axis=1).
-            dis = draws[:, i, 0] != draws[:, j, 0]
-            for c in range(1, draws.shape[2]):
-                dis |= draws[:, i, c] != draws[:, j, c]
-            est[i, j] = est[j, i] = float(np.mean(dis))
+    chunk = max(1, _DRAW_CHUNK // sampler.n)
+    counts = np.zeros((N, N), dtype=np.int64)
+    for start in range(0, trials, chunk):
+        # A plain draw is a lift of length 1: components disagree when any coordinate does.
+        draws = sampler.sample(min(chunk, trials - start), seed, start).reshape(-1, N, sampler.n)
+        for i in range(N):
+            for j in range(i + 1, N):
+                # One column of the short lift axis at a time: faster than any(axis=1).
+                dis = draws[:, i, 0] != draws[:, j, 0]
+                for c in range(1, sampler.n):
+                    dis |= draws[:, i, c] != draws[:, j, c]
+                counts[i, j] += np.count_nonzero(dis)
+    est = (counts + counts.T) / trials
     stderr = np.sqrt(est * (1.0 - est) / trials)
     return DisagreementMatrix(estimates=est, stderr=stderr, trials=trials, seed=seed)
 

@@ -31,6 +31,8 @@ _BLOCK = 1024
 # against a kept chunk stays under a few MB of float64 at any target.
 _CANDIDATE_CHUNK = 64
 _KEPT_CHUNK = 2048
+# Rows per block of BinaryCode's distance check.
+_CHECK_BLOCK = 128
 
 
 def _hamming(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -76,14 +78,15 @@ class BinaryCode:
         """Smallest pairwise Hamming distance; min_distance when only one word."""
         if self.size < 2:
             return self.min_distance
-        # Converted once; a block holding every word is then words @ words.T,
-        # which BLAS computes as one triangle.
+        # Converted once.  Each block of rows is checked against the words at
+        # and after its first row: one triangle of the distance matrix, a
+        # block at a time.
         words = self.words.astype(np.float64)
         best = self.d
-        for start in range(0, self.size, _KEPT_CHUNK):
-            dist = _hamming(words[start:start + _KEPT_CHUNK], words)
+        for start in range(0, self.size - 1, _CHECK_BLOCK):
+            dist = _hamming(words[start:start + _CHECK_BLOCK], words[start:])
             rows = np.arange(dist.shape[0])
-            dist[rows, start + rows] = self.d + 1
+            dist[rows, rows] = self.d + 1
             best = min(best, int(dist.min()))
         return best
 

@@ -264,13 +264,17 @@ def _similarity_values(c: PrivacyConstraint, kind: str, N: int, dist) -> np.ndar
         return (N - 1) / N * e - math.exp(-eps) * delta * s
     if kind == "lecam_match":
         return 0.5 * e[:, 0] - math.exp(-eps) * delta * s[:, 0]
-    terms = np.concatenate([np.zeros((h.shape[0], 1)), e - 2.0 * math.exp(-eps) * delta * s], axis=1)
+    # Pair-major: row 0 is the 0.0 the sum starts from, then each pair's terms
+    # for the T tuples and one column of zeros.  Reducing axis 0 of at least
+    # two columns, numpy adds the rows one after another, vectorised over the
+    # columns; a single column would be summed pairwise.
+    T = h.shape[0]
+    terms = np.zeros((1 + h.shape[1], T + 1))
+    terms[1:, :T] = (e - 2.0 * math.exp(-eps) * delta * s).T
     column = np.zeros((N, N), dtype=np.int64)
-    column[_upper(N)] = np.arange(1, terms.shape[1])
-    # Column 0 is the 0.0 the sum starts from, then each ordered pair's term:
-    # cumsum adds them one after another, where np.sum would add pairwise.
-    ordered = np.take(terms, np.concatenate([[0], (column + column.T)[~np.eye(N, dtype=bool)]]), axis=1)
-    return np.cumsum(ordered, axis=1, out=ordered)[:, -1] / (2 * N * (N - 1))
+    column[_upper(N)] = np.arange(1, terms.shape[0])
+    ordered = np.take(terms, np.concatenate([[0], (column + column.T)[~np.eye(N, dtype=bool)]]), axis=0)
+    return np.add.reduce(ordered, axis=0)[:T] / (2 * N * (N - 1))
 
 
 def _upper(N: int) -> np.ndarray:
@@ -530,27 +534,13 @@ def _max_expected_similarity(m: FiniteMechanism, c: PrivacyConstraint, kind: str
     return -neg_max
 
 
-def verify_transport_bound(
-    m: FiniteMechanism,
-    c: PrivacyConstraint,
-    kind: str,
-    marginals,
-) -> bool:
-    """Check min_psi max_i P(psi(M(X_i)) != i) >= max_pi E_pi[similarity].
-
-    Marginals are distributions over dataset indices and X_i is drawn from
-    the i-th.  The left side is the least worst-case error over randomized
-    tests psi; the right side is the optimal transport value of the
-    similarity over the coupling polytope of the marginals (at most 10^4
-    joint atoms, else TooLarge), which covers every coupling at once.  Both
-    are linear programs solved exactly by the dense simplex (pivot tolerance
-    1e-9).  With constraint kind "none" and N=2 the classical bound
-    (1 - tv(P1, P2)) / 2 is checked instead.
-    """
+def _transport_left_side(m: FiniteMechanism, marginals) -> float:
+    """min_psi max_i P(psi(M(X_i)) != i) for the marginals' pushforwards
+    through m, after the checks on m and the marginals that every kind of
+    transport check makes first."""
     _check_caps(m)
     marginals = tuple(marginals)
-    N = len(marginals)
-    if N < 2:
+    if len(marginals) < 2:
         raise ArityMismatch("need at least two marginals")
     for dist in marginals:
         atoms, _ = dist.support()
@@ -562,10 +552,35 @@ def verify_transport_bound(
             for dist in marginals
         ]
     )
-    lhs = _min_max_error(pushforwards)
+    return _min_max_error(pushforwards)
+
+
+def verify_transport_bound(
+    m: FiniteMechanism,
+    c: PrivacyConstraint,
+    kind: str,
+    marginals,
+    *,
+    left_side: Optional[float] = None,
+) -> bool:
+    """Check min_psi max_i P(psi(M(X_i)) != i) >= max_pi E_pi[similarity].
+
+    Marginals are distributions over dataset indices and X_i is drawn from
+    the i-th.  The left side is the least worst-case error over randomized
+    tests psi; the right side is the optimal transport value of the
+    similarity over the coupling polytope of the marginals (at most 10^4
+    joint atoms, else TooLarge), which covers every coupling at once.  Both
+    are linear programs solved exactly by the dense simplex (pivot tolerance
+    1e-9).  With constraint kind "none" and N=2 the classical bound
+    (1 - tv(P1, P2)) / 2 is checked instead.  The left side depends only on
+    m and the marginals: a caller checking several kinds may pass the value
+    of _transport_left_side(m, marginals) as left_side to solve it once.
+    """
+    marginals = tuple(marginals)
+    lhs = _transport_left_side(m, marginals) if left_side is None else left_side
 
     if c.kind == "none":
-        if N != 2:
+        if len(marginals) != 2:
             raise ArityMismatch("classical transport check needs N = 2")
         return lhs >= (1.0 - tv(marginals[0], marginals[1])) / 2.0 - _DP_TOL
 

@@ -264,8 +264,8 @@ def _one_shot(sampler, trials, seed):
     return couplings._SAMPLERS[sampler.kind](sampler.marginals, u)
 
 
-@pytest.mark.parametrize("trials", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1])
-@pytest.mark.parametrize(
+# Every sampler shape; a lift of 3 does not divide a chunk.
+_SAMPLER_SHAPES = pytest.mark.parametrize(
     "sampler",
     [
         maximal_pair(*_GENERIC_PAIR),
@@ -276,11 +276,29 @@ def _one_shot(sampler, trials, seed):
     ],
     ids=["pair", "shared", "races", "lift_races", "lift_pair"],
 )
+
+
+@pytest.mark.parametrize("trials", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1])
+@_SAMPLER_SHAPES
 def test_chunked_draws_equal_the_one_shot_draw(sampler, trials):
     draws = sampler.sample(trials, 17)
     expected = _one_shot(sampler, trials, 17)
     assert draws.dtype == np.int64 and draws.shape == expected.shape
     assert np.array_equal(draws, expected)
+
+
+@_SAMPLER_SHAPES
+def test_draws_from_a_start_are_the_slice_of_the_draws_from_zero(sampler):
+    # Starts inside a Philox block, at block and chunk edges, and past two
+    # chunks; draws of one and of more than a chunk.
+    starts = (0, 1, 3, 4, _CHUNK - 1, _CHUNK, 2 * _CHUNK + 5)
+    counts = (1, 7, _CHUNK + 3)
+    full = sampler.sample(max(starts) + max(counts), 17)
+    for start in starts:
+        for count in counts:
+            draws = sampler.sample(count, 17, start)
+            assert draws.dtype == np.int64
+            assert np.array_equal(draws, full[start:start + count]), (start, count)
 
 
 @pytest.mark.parametrize(
@@ -303,6 +321,22 @@ def test_disagreement_estimate_memory_is_proportional_to_the_draws(sampler, n):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * trials * sampler.n_marginals * n * 8
+
+
+def test_disagreement_estimate_memory_does_not_grow_with_the_trials():
+    # The atoms are counted one chunk at a time: four times the lifts, and
+    # the peak stays within one chunk's atoms of the smaller run's.
+    sampler = product_lift(exponential_races(_RACE_MARGINALS), 4)
+    estimate_disagreement(sampler, 1_000, 3)  # warm caches outside the trace
+    peaks = []
+    for trials in (100_000, 400_000):
+        tracemalloc.start()
+        try:
+            estimate_disagreement(sampler, trials, 3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + _CHUNK * sampler.n_marginals * 8
 
 
 def test_races_needs_two_marginals():
@@ -376,6 +410,10 @@ def test_sample_rejects_nonpositive_trials():
     p = DiscreteDistribution.bernoulli(0.3)
     with pytest.raises(DomainError):
         maximal_pair(p, p).sample(0, seed=0)
+    with pytest.raises(DomainError):
+        maximal_pair(p, p).sample(1, seed=0, start=-1)
+    with pytest.raises(DomainError):
+        estimate_disagreement(maximal_pair(p, p), 0, seed=0)
 
 
 def test_disagreement_matrix_is_symmetric_with_zero_diagonal():

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,6 +150,44 @@ def test_realized_min_distance_matches_bruteforce():
         for j in range(i + 1, code.size)
     )
     assert code.realized_min_distance() == best
+
+
+def _min_distance_bruteforce(words):
+    return min(
+        int(np.count_nonzero(words[i + 1:] != words[i], axis=1).min())
+        for i in range(len(words) - 1)
+    )
+
+
+@pytest.mark.parametrize("size", [1, 2, packings._CHECK_BLOCK - 1, packings._CHECK_BLOCK,
+                                  packings._CHECK_BLOCK + 1, 519])
+def test_realized_min_distance_matches_bruteforce_across_blocks(size):
+    # Random words, and the same words with one duplicated as the last word,
+    # so that the closest pair straddles the blocks.
+    words = derived_rng(41, size).integers(0, 2, size=(size, 40))
+    code = BinaryCode(d=40, zeta=0.25, min_distance=0, words=words)
+    if size == 1:
+        assert code.realized_min_distance() == 0
+        return
+    assert code.realized_min_distance() == _min_distance_bruteforce(words)
+    twin = np.concatenate([words[:-1], words[:1]])
+    assert BinaryCode(d=40, zeta=0.25, min_distance=0, words=twin).realized_min_distance() == 0
+
+
+def test_realized_min_distance_memory_is_bounded_by_a_block():
+    # The d = 200 code has 519 words: its full float64 distance matrix alone
+    # is 2.2 MB.
+    code = varshamov_gilbert(200, 0.25, seed=3)
+    assert code.size == 519
+    code.realized_min_distance()  # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        best = code.realized_min_distance()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert best == _min_distance_bruteforce(code.words)
+    assert peak < 2_000_000
 
 
 # ----------------------------------------------------------------- scale_code

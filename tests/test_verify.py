@@ -2,6 +2,7 @@
 
 import importlib.util
 import itertools
+import json
 import math
 import warnings
 from pathlib import Path
@@ -538,6 +539,34 @@ def test_transport_bound_validation():
         verify_transport_bound(mech, PrivacyConstraint.pure(1.0), "lecam_match", (_point_mass(0), bad))
 
 
+def test_a_pure_dp_suite_solves_the_transport_left_side_once(tmp_path, monkeypatch):
+    # The left side depends on the mechanism and the marginals only: the five
+    # kinds of a pure-DP suite make one left-side solve and five right-side
+    # ones, and each verdict is that of the kind's own check.
+    argv = ["verify", "suite", "--mechanism", "rr", "--n", "2", "--eps", "0.5", "--out"]
+    assert cli.main([*argv, str(tmp_path / "plain.json")]) == 0
+    solves = []
+    solve_min = verify_mod.solve_min
+
+    def counted(*args):
+        solves.append(args)
+        return solve_min(*args)
+
+    monkeypatch.setattr(verify_mod, "solve_min", counted)
+    assert cli.main([*argv, str(tmp_path / "spied.json")]) == 0
+    assert len(solves) == 6
+    assert (tmp_path / "spied.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+    monkeypatch.undo()
+    mech, c = rr_kernel(0.5, 2), PrivacyConstraint.pure(0.5)
+    marginals = cli._default_transport_marginals(mech)
+    checks = json.loads((tmp_path / "plain.json").read_text())["report"]["checks"]
+    transport = {ch["check"]: ch["holds"] for ch in checks if ch["check"].startswith("transport")}
+    assert transport == {
+        f"transport[{kind}]": verify_transport_bound(mech, c, kind, marginals)
+        for kind in ("global_anchor", "projection_anchor", "lecam_match", "pairwise_anchor", "fano_match")
+    }
+
+
 # ------------------------------------- closed forms against the enumerations
 
 
@@ -896,6 +925,18 @@ def test_pairwise_anchor_at_200_datasets_keeps_the_bits_of_the_ordered_pair_loop
             tup = tuple(datasets[i] for i in row)
             expected = _similarity_reference(c, "pairwise_anchor", tup)
             assert value == similarity(c, "pairwise_anchor", tup) == expected
+
+
+def test_pairwise_anchor_on_one_tuple_of_1000_datasets_keeps_the_bits_of_the_ordered_pair_loop():
+    # One tuple: its 999 000 ordered-pair terms form a single column, which a
+    # plain numpy reduction would sum pairwise.
+    mech = identity_kernel(2, 3)
+    datasets = mech.datasets()
+    idx = derived_rng(511).integers(0, mech.n_datasets, size=(1, 1000))
+    tup = tuple(datasets[i] for i in idx[0])
+    c = PrivacyConstraint.approx(1.3, 0.05)
+    value = verify_mod._similarities(mech, c, "pairwise_anchor", idx)[0]
+    assert value == _similarity_reference(c, "pairwise_anchor", tup)
 
 
 def test_transport_similarities_match_a_loop_over_the_joint_atoms():
