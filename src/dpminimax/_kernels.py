@@ -1,4 +1,5 @@
-"""Hot numerical kernels, vectorized over trials in numpy.
+"""Hot numerical kernels, vectorized over trials in numpy, and the runner
+that splits a large call into forked ranges.
 
 The coupling kernels consume pre-generated random inputs, so their callers
 fix the random stream and each kernel is a pure function of its arguments.
@@ -7,21 +8,30 @@ that draws a trial range's rows into them from the range's own
 counter-addressed streams, so its rows still depend only on its arguments.  The coupling
 kernels return atoms, and no kernel needs a floating-point guard.
 
-The DP-SGML kernel splits a large call into contiguous trial ranges, one
-per CPU the process may run on and never one of a single trial.  This
-process fills and runs the first range; each other range is filled and run
-in a child made by ``os.fork()``, which writes its rows to a pipe and
-exits, so this process never writes the other ranges' inputs.  Every
-trial's draws and arithmetic are the same in any range of two or more
-trials, so the rows are the same bits at any worker count.  A call stays
-in-process when it is small (fewer than ``_FORK_MIN_STEPS`` index reads),
-when one CPU is available, when ``os.fork`` does not exist, or when another
-thread is alive, because a threaded process is never forked.
+run_ranges splits a call over items 0..count-1 into contiguous ranges, one
+per CPU the process may run on.  This process runs the first range; each
+other range runs in a child made by ``os.fork()``, which writes its result
+(an array of a shape and dtype the caller names) to a pipe and exits, and a
+range whose child fails runs again in this process.  Two calls use it:
+
+- dpsgml_trials, when a call makes at least ``_FORK_MIN_STEPS`` = 2**20
+  index reads; its ranges hold two trials or more, each range draws and
+  runs its own trials, and the rows are concatenated;
+- couplings.estimate_disagreement, when a call reads at least
+  ``couplings._FORK_MIN_UNIFORMS`` = 2**18 uniforms; each range draws and
+  counts its own draws, and the N x N int64 counts are summed.
+
+Every trial's draws and arithmetic, and every draw's count, are the same in
+any range, so the results are the same bits at any worker count.  A call
+stays in-process below its threshold, when one CPU is available, when
+``os.fork`` does not exist, or when another thread is alive, because a
+threaded process is never forked.
 """
 
 from __future__ import annotations
 
 import gc
+import math
 import os
 import threading
 
@@ -33,6 +43,7 @@ __all__ = [
     "pair_assignments",
     "clipped_mean",
     "dpsgml_trials",
+    "run_ranges",
 ]
 
 
@@ -146,10 +157,10 @@ def dpsgml_trials(
     the rows it writes are the rows read.  Without it the inputs are read
     as given.
 
-    Large calls run their trial ranges in forked children (module
-    docstring); a range whose child fails is filled and run again in this
-    process, so an error raised by fill, grad or project reaches the caller
-    as in a serial run.
+    Large calls run their trial ranges through run_ranges, in forked
+    children (module docstring); a range whose child fails is filled and
+    run again in this process, so an error raised by fill, grad or project
+    reaches the caller as in a serial run.
     """
     data = np.ascontiguousarray(data, dtype=np.float64)
     theta0 = np.asarray(theta0, dtype=np.float64)
@@ -161,40 +172,37 @@ def dpsgml_trials(
         return _steps(data[lo:hi], theta0[lo:hi], batch_idx[lo:hi], step_noise[lo:hi],
                       grad, project, clip, eta, noise_std)
 
-    bounds = _range_bounds(trials, trials * batch_idx.shape[1] * batch_idx.shape[2])
-    if len(bounds) == 2:
-        return run(0, trials)
-    return _forked(bounds, theta0.shape[1], run)
+    parts = run_ranges(run, trials, lambda lo, hi: (hi - lo, theta0.shape[1]), np.float64,
+                       trials * batch_idx.shape[1] * batch_idx.shape[2] >= _FORK_MIN_STEPS,
+                       # A one-trial clipped_mean sums in another order at d = 1 on a long batch.
+                       min_size=2)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _range_bounds(trials: int, steps: int) -> list[int]:
-    """Bounds of the contiguous trial ranges, [0, trials] when in-process.
+def run_ranges(run, count: int, shape, dtype, large: bool, min_size: int = 1) -> list[np.ndarray]:
+    """The results run(lo, hi) of the consecutive ranges [lo, hi) that
+    cover 0..count-1, in order; shape(lo, hi) is the shape of a range's
+    result, of the given dtype.
 
-    At most trials // 2 ranges, so that none holds a single trial: a
-    one-trial clipped_mean sums in another order at d = 1 on a long batch.
+    A large call (large true) may split into one range per usable CPU,
+    none shorter than min_size (module docstring); a small one is the one
+    range [0, count), run here.  Each range but the first runs in a forked
+    child, or here again when its child could not be made, exited non-zero
+    or wrote short, so an error raised by run reaches the caller as in a
+    serial run, and no child outlives the call.
     """
-    if steps < _FORK_MIN_STEPS or not hasattr(os, "fork") or threading.active_count() > 1:
-        return [0, trials]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    ranges = max(1, min(cpus, trials // 2))
-    return [r * trials // ranges for r in range(ranges + 1)]
-
-
-def _forked(bounds: list[int], d: int, run) -> np.ndarray:
-    """Rows run(lo, hi) of the consecutive ranges, in order: the first here,
-    each other one in a forked child, or here again when its child could
-    not be made, exited non-zero or wrote short."""
+    bounds = _range_bounds(count, large, min_size)
     ranges = list(zip(bounds[:-1], bounds[1:]))
     pids, fds = [], []
     try:
         for lo, hi in ranges[1:]:
             try:
-                pid, fd = _fork(run, lo, hi, fds)
+                pid, fd = _fork(run, lo, hi, dtype, fds)
             except OSError:  # no pipe or no process to be had: run the rest here
                 break
             pids.append(pid)
             fds.append(fd)
-        rows = [run(*ranges[0])]
+        results = [run(*ranges[0])]
         raws = [_read_all(fd) for fd in fds]
     except BaseException:
         # Imported here: only this path needs it, and it costs about 1 ms.
@@ -207,16 +215,28 @@ def _forked(bounds: list[int], d: int, run) -> np.ndarray:
         for fd in fds:
             os.close(fd)
         codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    itemsize = np.dtype(dtype).itemsize
     for i, (lo, hi) in enumerate(ranges[1:]):
-        if i < len(pids) and codes[i] == 0 and len(raws[i]) == (hi - lo) * d * 8:
-            rows.append(np.frombuffer(raws[i], dtype=np.float64).reshape(hi - lo, d))
+        size = shape(lo, hi)
+        if i < len(pids) and codes[i] == 0 and len(raws[i]) == math.prod(size) * itemsize:
+            results.append(np.frombuffer(raws[i], dtype=dtype).reshape(size))
         else:
-            rows.append(run(lo, hi))
-    return np.concatenate(rows)
+            results.append(run(lo, hi))
+    return results
 
 
-def _fork(run, lo: int, hi: int, open_fds: list) -> tuple[int, int]:
-    """Fork a child that writes the float64 bytes of run(lo, hi) to a new
+def _range_bounds(count: int, large: bool, min_size: int) -> list[int]:
+    """Bounds of the contiguous ranges, [0, count] when in-process: one
+    range per usable CPU, and at most count // min_size of them."""
+    if not large or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [0, count]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    ranges = max(1, min(cpus, count // min_size))
+    return [r * count // ranges for r in range(ranges + 1)]
+
+
+def _fork(run, lo: int, hi: int, dtype, open_fds: list) -> tuple[int, int]:
+    """Fork a child that writes the bytes of run(lo, hi), as dtype, to a new
     pipe and exits, with status 1 on any error; return (pid, read end).
     The child closes every descriptor in open_fds and keeps only its own
     pipe's write end."""
@@ -234,9 +254,9 @@ def _fork(run, lo: int, hi: int, open_fds: list) -> tuple[int, int]:
             gc.disable()
             for fd in (*open_fds, read_fd):
                 os.close(fd)
-            rows = np.ascontiguousarray(run(lo, hi), dtype=np.float64)
+            result = np.ascontiguousarray(run(lo, hi), dtype=dtype)
             with open(write_fd, "wb") as pipe:
-                pipe.write(memoryview(rows).cast("B"))
+                pipe.write(memoryview(result).cast("B"))
             code = 0
         finally:
             os._exit(code)

@@ -25,6 +25,7 @@ depend on the trials before it, and a walk may start at any trial.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterator
 
 import numpy as np
@@ -53,8 +54,14 @@ def _stream(seed: int, tags: tuple) -> tuple[list[int], int]:
         trial, tags[-1] = tags[-1], 0
     if trial >= _TRIAL_LIMIT:
         raise ValueError("the last stream tag must be below 2**128")
-    key = np.random.SeedSequence((len(tags), int(seed), *tags)).generate_state(2, np.uint64)
-    return key.tolist(), trial
+    return list(_key((len(tags), int(seed), *tags))), trial
+
+
+@functools.lru_cache(maxsize=64)
+def _key(entropy: tuple[int, ...]) -> tuple[int, int]:
+    """SeedSequence's two 64-bit key words for the entropy.  A pure map, so
+    a stream derived again (a sampler's chunks) does not hash again."""
+    return tuple(np.random.SeedSequence(entropy).generate_state(2, np.uint64).tolist())
 
 
 def derived_rng(seed: int, *tags: int) -> np.random.Generator:

@@ -19,7 +19,7 @@ import numpy as np
 from . import _kernels
 from ._rng import derived_rng
 from ._simplex import solve_min
-from .divergences import DiscreteDistribution
+from .divergences import DiscreteDistribution, tv
 from .errors import DegenerateMarginal, DomainError, TooLarge
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "exponential_races",
     "product_lift",
     "estimate_disagreement",
+    "exact_disagreement",
     "min_disagreement_lp",
 ]
 
@@ -39,6 +40,12 @@ _LP_CAP = 10_000
 # estimate_disagreement counts: the uniforms, a helper's temporaries and the
 # atoms counted are sized for one chunk, however many draws are asked for.
 _DRAW_CHUNK = 16_384
+
+# From this many uniforms (trials * draw_budget()) on, estimate_disagreement
+# counts its draws in forked ranges (_kernels.run_ranges).  On a 2-CPU Xeon
+# VM a fork round trip of a 43 MB process takes 3-4 ms, and a 2-range count
+# breaks even between 2**17 and 2**18 uniforms (about 10-18 ms of counting).
+_FORK_MIN_UNIFORMS = 2**18
 
 
 @dataclass(frozen=True)
@@ -182,8 +189,8 @@ def shared_uniform_bernoulli(ps) -> CouplingSampler:
 def exponential_races(marginals) -> CouplingSampler:
     """Race coupling: shared Exp(1) clocks T_x, X_i = argmin_x T_x / p_i(x).
 
-    Marginals are exact; pairwise disagreement satisfies
-    P(X_i != X_j) <= 2 tv / (1 + tv), checked statistically in tests.
+    Marginals are exact; pairwise disagreement is exact_disagreement's
+    P-MinHash value, at most 2 tv / (1 + tv).
     """
     marginals = tuple(marginals)
     if len(marginals) < 2:
@@ -207,20 +214,38 @@ def product_lift(base: CouplingSampler, n: int) -> CouplingSampler:
 def estimate_disagreement(sampler: CouplingSampler, trials: int, seed: int) -> DisagreementMatrix:
     """Monte-Carlo pairwise disagreement matrix for a coupling sampler.
 
-    The draws of sampler.sample(trials, seed) are drawn and counted one chunk
-    of _DRAW_CHUNK // n realizations at a time, each through
-    sampler.sample(k, seed, start): memory holds one chunk's atoms, however
-    many trials are asked for, and the estimates are those of the one-shot
-    draw bit for bit (a count over trials is the mean of the 0/1 outcomes).
+    The draws of sampler.sample(trials, seed) are counted in contiguous
+    ranges of draws, in forked children when the call reads at least
+    _FORK_MIN_UNIFORMS uniforms (_kernels.run_ranges), and the ranges' int64
+    counts are summed.  A range draws and counts _DRAW_CHUNK // n
+    realizations at a time, each through sampler.sample(k, seed, start), so
+    memory holds one chunk's atoms however many trials are asked for.  An
+    estimate is an integer count over trials, so it is the same bits at any
+    worker count, and those of the mean of the one-shot draw's 0/1 outcomes.
     """
     if trials < 1:
         raise DomainError("trials must be >= 1")
     N = sampler.n_marginals
+    large = trials * sampler.draw_budget() >= _FORK_MIN_UNIFORMS
+    counts = np.sum(
+        _kernels.run_ranges(lambda lo, hi: _count_disagreements(sampler, seed, lo, hi),
+                            trials, lambda lo, hi: (N, N), np.int64, large),
+        axis=0,
+    )
+    est = (counts + counts.T) / trials
+    stderr = np.sqrt(est * (1.0 - est) / trials)
+    return DisagreementMatrix(estimates=est, stderr=stderr, trials=trials, seed=seed)
+
+
+def _count_disagreements(sampler: CouplingSampler, seed: int, lo: int, hi: int) -> np.ndarray:
+    """(N, N) counts of the draws lo..hi-1 in which components i < j
+    disagree, at [i, j]; zero on and below the diagonal."""
+    N = sampler.n_marginals
     chunk = max(1, _DRAW_CHUNK // sampler.n)
     counts = np.zeros((N, N), dtype=np.int64)
-    for start in range(0, trials, chunk):
+    for start in range(lo, hi, chunk):
         # A plain draw is a lift of length 1: components disagree when any coordinate does.
-        draws = sampler.sample(min(chunk, trials - start), seed, start).reshape(-1, N, sampler.n)
+        draws = sampler.sample(min(chunk, hi - start), seed, start).reshape(-1, N, sampler.n)
         for i in range(N):
             for j in range(i + 1, N):
                 # One column of the short lift axis at a time: faster than any(axis=1).
@@ -228,9 +253,41 @@ def estimate_disagreement(sampler: CouplingSampler, trials: int, seed: int) -> D
                 for c in range(1, sampler.n):
                     dis |= draws[:, i, c] != draws[:, j, c]
                 counts[i, j] += np.count_nonzero(dis)
-    est = (counts + counts.T) / trials
-    stderr = np.sqrt(est * (1.0 - est) / trials)
-    return DisagreementMatrix(estimates=est, stderr=stderr, trials=trials, seed=seed)
+    return counts
+
+
+def exact_disagreement(sampler: CouplingSampler) -> np.ndarray:
+    """The exact pairwise disagreement matrix P(X_i != X_j) of a sampler.
+
+    Maximal pair: tv(p, q).  Shared uniform: |p_i - p_j|.  Races: one minus
+    the P-MinHash collision probability ("Maximally consistent sampling and
+    the Jaccard index of probability distributions", Moulton and Jiang,
+    ICDM 2018), sum over the common support of
+    1 / sum_y max(p_i(y) / p_i(x), p_j(y) / p_j(x)).  Product lift of n:
+    1 - (1 - delta_ij)^n, delta the base's matrix.  Symmetric, zero diagonal.
+    """
+    if sampler.kind == "product_lift":
+        return 1.0 - (1.0 - exact_disagreement(sampler.base)) ** sampler.n
+    N = sampler.n_marginals
+    exact = np.zeros((N, N))
+    if sampler.kind == "maximal_pair":
+        exact[0, 1] = tv(*sampler.marginals)
+    elif sampler.kind == "shared_uniform":
+        ps = np.array([m.prob(1) for m in sampler.marginals])
+        exact = np.abs(ps[:, None] - ps[None, :])
+    elif sampler.kind == "races":
+        atoms = _universe(sampler.marginals)
+        probs = np.array([[m.prob(a) for a in atoms] for m in sampler.marginals])
+        for i in range(N):
+            for j in range(i + 1, N):
+                common = np.flatnonzero((probs[i] > 0.0) & (probs[j] > 0.0))
+                # ratio[x, y] = max(p_i(y) / p_i(x), p_j(y) / p_j(x)), x in the common support.
+                ratio = np.maximum(probs[i] / probs[i, common, None], probs[j] / probs[j, common, None])
+                # Not below 0.0: equal marginals' collision sum may round past 1.
+                exact[i, j] = max(0.0, 1.0 - float(np.sum(1.0 / ratio.sum(axis=1))))
+    else:
+        raise DomainError(f"unknown coupling kind {sampler.kind!r}")
+    return np.maximum(exact, exact.T)
 
 
 def _coupling_polytope(marginals):

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from dpminimax import DiscreteDistribution, _kernels
+from dpminimax import DiscreteDistribution, _kernels, couplings
 
 
 def random_distribution(rng, max_atoms: int = 6, atom_range: int = 10) -> DiscreteDistribution:
@@ -42,9 +42,15 @@ def coupling_polytope_oracle(marginals):
     return combos, np.array(rows), np.array(rhs)
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class Workers:
     """Pretends the process may run on ``cpus`` CPUs and makes every DP-SGML
-    kernel call large enough to fork; ``forks`` counts calls to os.fork."""
+    kernel call and every coupling disagreement estimate large enough to
+    fork; ``forks`` counts calls to os.fork."""
 
     def __init__(self, monkeypatch):
         self.cpus = 1
@@ -56,6 +62,7 @@ class Workers:
             return fork()
 
         monkeypatch.setattr(_kernels, "_FORK_MIN_STEPS", 0)
+        monkeypatch.setattr(couplings, "_FORK_MIN_UNIFORMS", 0)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(self.cpus)))
         monkeypatch.setattr(os, "fork", spy)
 

@@ -86,6 +86,21 @@ def test_a_traced_couple_run_calls_its_kernel_once_per_sample(tmp_path, flags, k
     assert (tmp_path / "traced.json").read_bytes() == (tmp_path / "untraced.json").read_bytes()
 
 
+def test_a_forked_traced_couple_run_counts_the_draws_of_the_parent_range(tmp_path, workers):
+    # Each range's draws are counted in the process that draws them: with
+    # two workers the tracer sees the first half only, and no byte moves.
+    tracing = _load_tracing()
+    argv = ["couple", "races", "--marginals", "0.2,0.5,0.3;0:0.4,3:0.6", "--trials", "3000", "--seed", "9"]
+    assert cli.main([*argv, "--out", str(tmp_path / "serial.json")]) == 0
+    workers.cpus = 2
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        assert cli.main([*argv, "--out", str(tmp_path / "forked.json")]) == 0
+    assert workers.forks == 1
+    assert tracer.counters["couplings.draws"] == 1500
+    assert (tmp_path / "forked.json").read_bytes() == (tmp_path / "serial.json").read_bytes()
+
+
 def test_a_traced_dpsgml_run_computes_xi2_once_per_cell_from_no_stream(tmp_path):
     # xi^2 is exact: each dp_sgml cell calls estimate_xi2 once, and no cell
     # derives a stream through derived_rng.

@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -15,6 +17,7 @@ from dpminimax import (
     DomainError,
     TooLarge,
     estimate_disagreement,
+    exact_disagreement,
     exponential_races,
     maximal_pair,
     min_disagreement_lp,
@@ -22,7 +25,7 @@ from dpminimax import (
     shared_uniform_bernoulli,
     tv,
 )
-from conftest import coupling_polytope_oracle, empirical_marginal_l1, random_distribution
+from conftest import assert_no_child_left, coupling_polytope_oracle, empirical_marginal_l1, random_distribution
 
 TRIALS = 20_000
 
@@ -337,6 +340,187 @@ def test_disagreement_estimate_memory_does_not_grow_with_the_trials():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= peaks[0] + _CHUNK * sampler.n_marginals * 8
+
+
+# ------------------------------------------------- forked disagreement counts
+
+
+@pytest.mark.parametrize("trials", [1, 2, 5, 2 * _CHUNK + 5])
+@_SAMPLER_SHAPES
+def test_estimates_are_the_same_bits_at_any_worker_count(workers, sampler, trials):
+    # 2 * CHUNK + 5 draws: ranges that cross chunk edges at two workers
+    # (and, for lifts, at three), and range edges off the chunk edges.
+    estimates = {}
+    for cpus in (1, 2, 3):
+        workers.cpus, workers.forks = cpus, 0
+        matrix = estimate_disagreement(sampler, trials, 23)
+        estimates[cpus] = (matrix.estimates.tobytes(), matrix.stderr.tobytes())
+        assert workers.forks == min(cpus, trials) - 1
+    assert estimates[1] == estimates[2] == estimates[3]
+    assert_no_child_left()
+
+
+def _spy_sample(monkeypatch, act):
+    """Replace CouplingSampler.sample by one that calls act(start, trials)
+    first and logs the starts this process samples."""
+    sample, starts = couplings.CouplingSampler.sample, []
+
+    def spy(self, trials, seed, start=0):
+        act(start, trials)
+        starts.append(start)
+        return sample(self, trials, seed, start)
+
+    monkeypatch.setattr(couplings.CouplingSampler, "sample", spy)
+    return starts
+
+
+@pytest.mark.parametrize("failure", ["raises", "exits_3"])
+def test_a_failed_child_is_recounted_here(workers, monkeypatch, failure):
+    # 9 draws on three workers: ranges [0, 3), [3, 6) and [6, 9).
+    sampler = maximal_pair(*_GENERIC_PAIR)
+    serial = estimate_disagreement(sampler, 9, 31).estimates.tobytes()
+    parent = os.getpid()
+
+    def fail_in_children(start, trials):
+        if os.getpid() != parent:
+            if failure == "raises":
+                raise FloatingPointError("a child's range fails")
+            os._exit(3)
+
+    starts = _spy_sample(monkeypatch, fail_in_children)
+    workers.cpus = 3
+    assert estimate_disagreement(sampler, 9, 31).estimates.tobytes() == serial
+    assert starts == [0, 3, 6] and workers.forks == 2
+    assert_no_child_left()
+
+
+def test_ranges_are_counted_here_when_fork_fails(workers, monkeypatch):
+    sampler = exponential_races(_RACE_MARGINALS)
+    serial = estimate_disagreement(sampler, 9, 32).estimates.tobytes()
+    starts = _spy_sample(monkeypatch, lambda start, trials: None)
+
+    def no_fork():
+        raise BlockingIOError("Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    workers.cpus = 3
+    assert estimate_disagreement(sampler, 9, 32).estimates.tobytes() == serial
+    assert starts == [0, 3, 6]
+
+
+@pytest.mark.parametrize("marked", [0, 6], ids=["first_range", "last_range"])
+def test_an_error_in_a_range_raises_as_in_process(workers, monkeypatch, marked):
+    # Ranges [0, 3), [3, 6) and [6, 9) on three workers: the first runs in
+    # this process, the last in the second child.
+    def fail_at(start, trials):
+        if start <= marked < start + trials:
+            raise FloatingPointError(f"draw {marked} fails")
+
+    _spy_sample(monkeypatch, fail_at)
+    messages = []
+    for cpus in (1, 3):
+        workers.cpus = cpus
+        with pytest.raises(FloatingPointError) as info:
+            estimate_disagreement(shared_uniform_bernoulli(_SHARED_PS), 9, 33)
+        messages.append(str(info.value))
+    assert messages == [f"draw {marked} fails"] * 2
+    assert workers.forks == 2
+    assert_no_child_left()
+
+
+def test_estimates_fork_from_their_work_threshold_on(workers, monkeypatch):
+    sampler = product_lift(exponential_races(_RACE_MARGINALS), 3)
+    uniforms = 50 * sampler.draw_budget()
+    workers.cpus = 2
+    monkeypatch.setattr(couplings, "_FORK_MIN_UNIFORMS", uniforms + 1)
+    serial = estimate_disagreement(sampler, 50, 34).estimates.tobytes()
+    assert workers.forks == 0
+    monkeypatch.setattr(couplings, "_FORK_MIN_UNIFORMS", uniforms)
+    assert estimate_disagreement(sampler, 50, 34).estimates.tobytes() == serial
+    assert workers.forks == 1
+    assert_no_child_left()
+
+
+def test_estimates_never_fork_with_one_cpu_or_a_live_thread(workers):
+    sampler = exponential_races(_RACE_MARGINALS)
+    estimate_disagreement(sampler, 100, 35)
+    workers.cpus = 3
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        estimate_disagreement(sampler, 100, 35)
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert workers.forks == 0
+    # With the thread gone the same call forks.
+    estimate_disagreement(sampler, 100, 35)
+    assert workers.forks == 2
+    assert_no_child_left()
+
+
+# --------------------------------------------------- exact disagreement laws
+
+
+def test_exact_disagreement_hand_values():
+    p, q, r = _RACE_MARGINALS
+    races = exact_disagreement(exponential_races([p, q]))
+    # Common support {0, 2} of p = (.5, 0, .5) and q = (.2, .3, .5): the
+    # collision probability is 1/5 + 1/2.6 = 38/65, so P(X != Y) = 27/65,
+    # below 2tv/(1+tv) = 6/13 at tv = 0.3.
+    assert races[0, 1] == pytest.approx(27 / 65, rel=1e-14)
+    assert races[0, 0] == races[1, 1] == 0.0 and races[1, 0] == races[0, 1]
+    lift = exact_disagreement(product_lift(exponential_races([p, q]), 4))
+    assert lift[0, 1] == pytest.approx(1.0 - (38 / 65) ** 4, rel=1e-14)
+    # On two atoms the race coupling is maximal: its disagreement is tv.
+    a, b = DiscreteDistribution.bernoulli(0.3), DiscreteDistribution.bernoulli(0.65)
+    assert exact_disagreement(exponential_races([a, b]))[0, 1] == pytest.approx(0.35, rel=1e-14)
+    assert exact_disagreement(maximal_pair(p, q))[0, 1] == tv(p, q)
+    shared = exact_disagreement(shared_uniform_bernoulli(_SHARED_PS))
+    assert np.allclose(shared, np.abs(np.subtract.outer(_SHARED_PS, _SHARED_PS)), rtol=0, atol=1e-15)
+    # Disjoint supports always disagree; equal marginals never do.
+    disjoint = DiscreteDistribution((5, 6), np.array([0.5, 0.5]))
+    assert exact_disagreement(exponential_races([p, disjoint]))[0, 1] == 1.0
+    assert exact_disagreement(exponential_races([q, q])).tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    with pytest.raises(DomainError):
+        exact_disagreement(couplings.CouplingSampler("unknown", (p, q)))
+
+
+def _samplers_on(rng):
+    """One sampler of every kind, on random marginals with zero weights."""
+    marginals = []
+    for _ in range(3):
+        m = random_distribution(rng, max_atoms=5, atom_range=6)
+        atoms, w = m.support()
+        w = np.where(rng.random(len(w)) < 0.25, 0.0, w)
+        if w.sum() == 0.0:
+            w[0] = 1.0
+        marginals.append(DiscreteDistribution(atoms, w / w.sum()))
+    races = exponential_races(marginals)
+    return [
+        maximal_pair(*marginals[:2]),
+        shared_uniform_bernoulli(rng.random(4)),
+        races,
+        product_lift(races, 3),
+        product_lift(maximal_pair(*marginals[1:]), 2),
+    ]
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_every_sampler_meets_its_exact_disagreement_within_5_sigma(workers, case):
+    # Two-sided, on forked ranges: an estimate that lost or doubled a range
+    # sits far outside 5 sigma at these trials.
+    workers.cpus = 2
+    trials = 40_000
+    for sampler in _samplers_on(np.random.default_rng(300 + case)):
+        exact = exact_disagreement(sampler)
+        estimates = estimate_disagreement(sampler, trials, 400 + case).estimates
+        sigma = np.sqrt(exact * (1.0 - exact) / trials)
+        assert np.all(np.abs(estimates - exact) <= 5.0 * sigma + 1e-12), sampler.kind
+    assert workers.forks == 5
+    assert_no_child_left()
 
 
 def test_races_needs_two_marginals():

@@ -13,6 +13,7 @@ from dpminimax.couplings import maximal_pair
 from dpminimax.divergences import DiscreteDistribution
 from dpminimax.experiments import monte_carlo_risk
 from dpminimax.mechanisms import Ball, laplace_mean
+from conftest import assert_no_child_left
 
 
 def test_backend_reports_known_name():
@@ -264,19 +265,14 @@ def _marked_grad(X, theta):
     return X - theta[..., None, :]
 
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def test_trial_ranges_never_hold_a_single_trial(monkeypatch):
     for cpus in range(1, 5):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         for trials in range(1, 21):
-            sizes = np.diff(_kernels._range_bounds(trials, _kernels._FORK_MIN_STEPS))
+            sizes = np.diff(_kernels._range_bounds(trials, True, 2))
             assert sizes.sum() == trials and len(sizes) == max(1, min(cpus, trials // 2))
             assert len(sizes) == 1 or sizes.min() >= 2
-        assert _kernels._range_bounds(100, _kernels._FORK_MIN_STEPS - 1) == [0, 100]
+        assert _kernels._range_bounds(100, False, 2) == [0, 100]
 
 
 @pytest.mark.parametrize("marked", [0, 5], ids=["first_range", "last_range"])
@@ -294,7 +290,7 @@ def test_dpsgml_trials_failing_range_raises_as_in_process(workers, marked):
         messages.append(str(info.value))
     assert messages == ["a marked record reached grad"] * 2
     assert workers.forks == 2
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_dpsgml_trials_forked_rows_match_and_leave_no_child(workers):
@@ -303,7 +299,7 @@ def test_dpsgml_trials_forked_rows_match_and_leave_no_child(workers):
     workers.cpus = 3
     assert dpsgml_trials(*args).tobytes() == serial.tobytes()
     assert workers.forks == 2
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_dpsgml_trials_runs_ranges_here_when_fork_fails(workers, monkeypatch):
@@ -316,6 +312,19 @@ def test_dpsgml_trials_runs_ranges_here_when_fork_fails(workers, monkeypatch):
     monkeypatch.setattr(os, "fork", no_fork)
     workers.cpus = 3
     assert dpsgml_trials(*args).tobytes() == serial.tobytes()
+
+
+def test_dpsgml_trials_forks_from_its_work_threshold_on(workers, monkeypatch):
+    args = _kernel_args(*_random_dpsgml_inputs(derived_rng(214), trials=6))
+    trials, K, m = args[2].shape
+    workers.cpus = 2
+    monkeypatch.setattr(_kernels, "_FORK_MIN_STEPS", trials * K * m + 1)
+    serial = dpsgml_trials(*args)
+    assert workers.forks == 0
+    monkeypatch.setattr(_kernels, "_FORK_MIN_STEPS", trials * K * m)
+    assert dpsgml_trials(*args).tobytes() == serial.tobytes()
+    assert workers.forks == 1
+    assert_no_child_left()
 
 
 def test_dpsgml_trials_never_forks_with_one_cpu_or_a_live_thread(workers):
@@ -335,7 +344,7 @@ def test_dpsgml_trials_never_forks_with_one_cpu_or_a_live_thread(workers):
     # With the thread gone the same call forks.
     dpsgml_trials(*args)
     assert workers.forks == 2
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 # ------------------------------------------------------------- stream tags
