@@ -24,8 +24,11 @@ range whose child fails runs again in this process.  Two calls use it:
 Every trial's draws and arithmetic, and every draw's count, are the same in
 any range, so the results are the same bits at any worker count.  A call
 stays in-process below its threshold, when one CPU is available, when
-``os.fork`` does not exist, or when another thread is alive, because a
-threaded process is never forked.
+``os.fork`` does not exist, or when a Python thread other than the main one
+is alive: a process with a live Python thread is never forked.  Threads
+Python does not see do not count.  OpenBLAS's idle worker pool is one, and
+it is safe across fork: OpenBLAS shuts the pool down in a pthread_atfork
+handler before every fork and starts it again at its next threaded call.
 """
 
 from __future__ import annotations
@@ -122,8 +125,14 @@ def clipped_mean(grads: np.ndarray, clip: float) -> np.ndarray:
     sq = grads[..., 0] * grads[..., 0]
     for j in range(1, d):
         sq += grads[..., j] * grads[..., j]
-    factor = clip / np.maximum(np.sqrt(sq), clip)
-    return np.einsum("tbj,tb->tj", grads, factor) / m
+    return np.einsum("tbj,tb->tj", grads, _clip_factors(sq, clip)) / m
+
+
+def _clip_factors(sq: np.ndarray, clip: float) -> np.ndarray:
+    """clip / max(sqrt(sq), clip), written over the squared norms sq."""
+    np.sqrt(sq, out=sq)
+    np.maximum(sq, clip, out=sq)
+    return np.divide(clip, sq, out=sq)
 
 
 # Below this many index reads (trials * K * m) a DP-SGML call stays
@@ -150,6 +159,10 @@ def dpsgml_trials(
     batch_idx (trials, K, m) in [0, n) of any integer dtype and standard
     normal step noise (trials, K, d).  Each step clips and averages
     grad(batch, theta), of shape (trials, m, d), and projects the iterate.
+    At d >= 2 batch is the transpose view of a batch-major (m, trials, d)
+    buffer, and the batch mean adds the clipped rows in batch order; at
+    d = 1 batch is C-ordered and clipped_mean's einsum sums it.  grad may
+    overwrite batch and return it.
 
     fill(lo, hi), when given, writes rows lo..hi of theta0, batch_idx and
     step_noise in place, and is called in the process that runs those
@@ -282,18 +295,65 @@ def _steps(
     eta: float,
     noise_std: float,
 ) -> np.ndarray:
-    """dpsgml_trials' step loop over all the trials it is given, in this process."""
+    """dpsgml_trials' step loop over all the trials it is given, in this
+    process, on buffers allocated once.
+
+    At d >= 2 a step gathers its batch batch-major, row b of every trial
+    together in an (m, trials, d) buffer, and hands grad the (trials, m, d)
+    transpose view.  The squared gradients, then the clipped rows, go back
+    into that buffer, and one reduction over its leading axis adds the rows
+    in batch order: row 0, then row 1, and so on, the order
+    einsum("tbj,tb->tj") takes there.  At d = 1 einsum adds in an order of
+    its own, so the batch is gathered trial-major and clipped_mean sums it,
+    as it always has.
+    """
     trials, n, d = data.shape
     K, m = batch_idx.shape[1], batch_idx.shape[2]
     # Row batch_idx[t, k, b] of trial t is row t * n + batch_idx[t, k, b] of flat.
     flat = data.reshape(trials * n, d)
     offsets = np.arange(trials, dtype=np.int64)[:, None] * n
-    batch = np.empty((trials, m, d))
     scale_noise = np.sqrt(2.0 * eta) * float(noise_std)
+    major = d > 1
+    rows = np.empty((m, trials, d) if major else (trials, m, d))
+    idx = np.empty(rows.shape[:2], dtype=np.int64)
+    # (trials, m, d) and (trials, m) views of the two.
+    batch, trial_idx = (rows.transpose(1, 0, 2), idx.T) if major else (rows, idx)
+    if major:
+        sq = np.empty((m, trials))
+        total = np.empty((trials, d))
     for k in range(K):
+        np.add(batch_idx[:, k, :], offsets, out=trial_idx)
         # With indices in range, mode="clip" changes nothing but lets take
         # write straight into the reused buffer (the default stages a copy).
-        np.take(flat, batch_idx[:, k, :] + offsets, axis=0, out=batch, mode="clip")
-        mean = clipped_mean(grad(batch, theta), clip)
+        np.take(flat, idx, axis=0, out=rows, mode="clip")
+        # grad's result is not bound to a name, so it is freed before the
+        # next step's call.
+        if major:
+            mean = _clipped_sum(grad(batch, theta), clip, sq, rows, total) / m
+        else:
+            mean = clipped_mean(grad(batch, theta), clip)
         theta = project(theta + eta * mean + scale_noise * step_noise[:, k, :])
     return theta
+
+
+def _clipped_sum(grads, clip: float, sq, out, total) -> np.ndarray:
+    """Sum over axis 1 of grads (trials, m, d), d >= 2, each row first
+    scaled down to norm clip, written to total (trials, d) through buffers
+    the caller owns: sq (m, trials) and out (m, trials, d), C-ordered.  The
+    sum adds out[0], out[1], ... in turn, as clipped_mean's einsum does at
+    d >= 2, and the squared norms add coordinate by coordinate, as
+    clipped_mean's do, so the bits are the same."""
+    grads = grads.transpose(1, 0, 2)
+    if np.may_share_memory(grads, out):
+        # grad returned the batch or a view of it, which the squares would overwrite.
+        grads = grads.copy()
+    np.square(grads, out=out)
+    np.add(out[..., 0], out[..., 1], out=sq)
+    for j in range(2, grads.shape[2]):
+        sq += out[..., j]
+    factor = _clip_factors(sq, clip)
+    # An infinite row has factor 0 and its product is nan, which the caller
+    # reports as NonFinite; einsum made that nan without a warning too.
+    with np.errstate(invalid="ignore"):
+        np.multiply(grads, factor[..., None], out=out)
+    return np.add.reduce(out, axis=0, out=total)

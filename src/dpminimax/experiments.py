@@ -481,11 +481,13 @@ def run_dpsgml(
     theta_star,
     ns,
     rhos,
-    m: int,
+    m: Optional[int],
     trials: int,
     seed: int,
 ) -> ExperimentReport:
     """DP-SGML risk over an (n, rho) grid, with MLE baseline and lower bounds.
+    Each step averages m records drawn with replacement, or every record
+    when m is None.
 
     The lower bound per cell is the parametric rate max{d/(2 gamma rho n^2),
     d/(2 gamma n)}.  It carries no constant and can exceed what the space

@@ -58,6 +58,10 @@ class Ball:
         if not all(math.isfinite(c) for c in center):
             raise DomainError("center must be finite")
         object.__setattr__(self, "center", center)
+        # project's copy, outside the dataclass fields: no per-call conversion.
+        array = np.array(center)
+        array.setflags(write=False)
+        object.__setattr__(self, "_center", array)
 
     @property
     def dim(self) -> int:
@@ -75,11 +79,11 @@ class Ball:
     def project(self, point) -> np.ndarray:
         """Project each row of a (..., d) array; the input comes back when none lies outside."""
         p = np.asarray(point, dtype=float)
-        c = np.asarray(self.center)
+        c = self._center
         offset = p - c
-        dist = np.sqrt(np.sum(offset * offset, axis=-1))
+        dist = np.sqrt(np.add.reduce(offset * offset, axis=-1))
         outside = dist > self.radius
-        if not np.any(outside):
+        if not outside.any():
             return p
         # A row inside keeps its own bits (c + (p - c) need not be p), so a
         # row's projection does not depend on the other rows.
@@ -310,7 +314,8 @@ def gaussian_mean_model(
 
     def grad(X, theta):
         g = np.asarray(X, dtype=float) - np.asarray(theta, dtype=float)[..., None, :]
-        g *= inv_var
+        if inv_var != 1.0:  # a product by 1.0 changes no bit
+            g *= inv_var
         return g
 
     def mle(X, space):
@@ -402,10 +407,10 @@ def _run_trials(data: np.ndarray, model: ParametricModel, cfg: DPSGMLConfig, rng
         def fill(lo: int, hi: int) -> None:
             # Chunk row i is trial start + i.
             for i, r in zip(range(lo, hi), rngs(start + lo, start + hi)):
-                theta0[i] = r.standard_normal(d)
+                r.standard_normal(out=theta0[i])
                 if cfg.m is not None:
                     batch_idx[i] = r.integers(0, n, size=(cfg.K, cfg.m), dtype=draw_dtype)
-                step_noise[i] = r.standard_normal((cfg.K, d))
+                r.standard_normal(out=step_noise[i])
             theta0[lo:hi] = model.space.project(scale0 * theta0[lo:hi])
 
         out[start:start + size] = _kernels.dpsgml_trials(
@@ -480,19 +485,20 @@ def mle_pga(data, model: ParametricModel) -> np.ndarray:
     return theta
 
 
-def estimate_xi2(data, model: ParametricModel, theta_ml, m: int) -> float:
+def estimate_xi2(data, model: ParametricModel, theta_ml, m: Optional[int]) -> float:
     """E||clipped batch-mean gradient at theta_ml||^2, exactly, over batches
-    of m records drawn with replacement.
+    of m records drawn with replacement, or over the full batch (m None).
 
     With c_i the clipped per-record gradients and cbar their mean, a batch
     mean has mean cbar and covariance (mean_i c_i c_i^T - cbar cbar^T) / m,
-    so the value is ||cbar||^2 + (mean_i ||c_i||^2 - ||cbar||^2) / m.  It
+    so the value is ||cbar||^2 + (mean_i ||c_i||^2 - ||cbar||^2) / m.  The
+    full batch's mean is cbar itself, so its value is ||cbar||^2.  It
     draws no random number; a non-finite gradient raises NonFinite.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim == 1:
         data = data[:, None]
-    if m < 1:
+    if m is not None and m < 1:
         raise DomainError("m must be >= 1")
     # Each record is its own batch of one, so the clip has one implementation.
     grads = model.grad(data[:, None, :], np.asarray(theta_ml, dtype=float))
@@ -501,4 +507,6 @@ def estimate_xi2(data, model: ParametricModel, theta_ml, m: int) -> float:
         raise NonFinite("model gradient is non-finite")
     center = clipped.mean(axis=0)
     center_sq = float(center @ center)
+    if m is None:
+        return center_sq
     return center_sq + (float(np.mean(np.sum(clipped * clipped, axis=1))) - center_sq) / m

@@ -391,6 +391,27 @@ def test_dpsgml_xi2_is_exact_at_the_first_datasets_mle():
     assert report.cells[0].extras["xi2"] == pytest.approx(expected, rel=1e-12)
 
 
+def test_dpsgml_runs_full_batches():
+    # m = None averages every record at each step: the rows are dp_sgml_batch's
+    # at m = None, and xi^2 is ||cbar||^2, the squared mean clipped gradient.
+    model = gaussian_mean_model(3, sigma=1.0, radius=5.0, clip_norm=1.5)
+    theta_star = np.full(3, 0.5)
+    report = run_dpsgml(model, theta_star, [60], [1.0], m=None, trials=100, seed=25)
+    sgml, mle = report.cells
+    assert (sgml.mechanism, mle.mechanism) == ("dp_sgml", "mle")
+    assert sgml.extras["m"] is None
+    data = np.stack([model.sample(theta_star, 60, rng) for rng in trial_rngs(25, (0, 0), 100)])
+    cfg = dp_sgml_config(60, 3, 1.0, model, None)
+    losses = np.sum((dp_sgml_batch(data, model, cfg, 25, 0, 1) - theta_star) ** 2, axis=1)
+    assert (sgml.risk, sgml.stderr) == (losses.mean(), losses.std(ddof=1) / math.sqrt(100))
+    theta_ml = mle_pga(data[0], model)
+    g = model.grad(data[0], theta_ml)
+    norms = np.linalg.norm(g, axis=1)
+    cbar = (g * (model.L / np.maximum(norms, model.L))[:, None]).mean(axis=0)
+    assert sgml.extras["xi2"] == pytest.approx(cbar @ cbar, rel=1e-12)
+    assert sgml.extras["xi2"] < estimate_xi2(data[0], model, theta_ml, 60)
+
+
 @pytest.mark.parametrize(
     "run",
     [

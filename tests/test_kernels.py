@@ -1,5 +1,6 @@
 """Reference and stream-derivation tests for the numerical kernels."""
 
+import hashlib
 import os
 import threading
 
@@ -12,7 +13,7 @@ from dpminimax._rng import trial_rngs
 from dpminimax.couplings import maximal_pair
 from dpminimax.divergences import DiscreteDistribution
 from dpminimax.experiments import monte_carlo_risk
-from dpminimax.mechanisms import Ball, laplace_mean
+from dpminimax.mechanisms import Ball, gaussian_mean_model, laplace_mean
 from conftest import assert_no_child_left
 
 
@@ -256,6 +257,78 @@ def test_dpsgml_trials_matches_reference():
     assert clipped > 0 and projected > 0
 
 
+@pytest.mark.parametrize("d", [1, 3])
+def test_dpsgml_trials_grad_may_overwrite_and_return_its_batch(d):
+    inputs = _random_dpsgml_inputs(derived_rng(218, d), d=d)
+    args = list(_kernel_args(*inputs))
+
+    def in_place(X, theta):
+        # The kernel's linear gradient, (X - theta) * grad_scale, in X itself.
+        X -= theta[..., None, :]
+        X *= inputs[4]
+        return X
+
+    expected = dpsgml_trials(*args)
+    args[4] = in_place
+    assert dpsgml_trials(*args).tobytes() == expected.tobytes()
+
+
+def _trial_major_steps(data, theta, batch_idx, step_noise, grad, project, clip, eta, noise_std):
+    """The reference step loop: C-ordered (trials, m, d) batches, each
+    clipped and summed by clipped_mean."""
+    trials = data.shape[0]
+    scale_noise = np.sqrt(2.0 * eta) * float(noise_std)
+    for k in range(batch_idx.shape[1]):
+        batch = data[np.arange(trials)[:, None], batch_idx[:, k]]
+        mean = clipped_mean(grad(batch, theta), clip)
+        theta = project(theta + eta * mean + scale_noise * step_noise[:, k])
+    return theta
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 66])
+@pytest.mark.parametrize("trials, m", [(1, 1), (2, 7), (3, 300), (50, 64)])
+def test_dpsgml_trials_matches_the_trial_major_loop_bit_for_bit(d, trials, m):
+    inputs = _random_dpsgml_inputs(derived_rng(219, d, m), trials=trials, n=40, d=d, K=4, m=m)
+    args = _kernel_args(*inputs[:-1], 0.5)
+    assert dpsgml_trials(*args).tobytes() == _trial_major_steps(*args).tobytes()
+
+
+def _pinned_dpsgml_inputs(d, m):
+    """Seeded kernel inputs for a Gaussian model: 5 trials, n = 300, K = 12,
+    batches of m or the full batch (m None); some rows clip and some
+    iterates leave the ball."""
+    rng = derived_rng(215, d, 0 if m is None else m)
+    trials, n, K = 5, 300, 12
+    model = gaussian_mean_model(d, sigma=1.0, radius=0.8)
+    data = 0.4 + 1.5 * rng.standard_normal((trials, n, d))
+    theta0 = model.space.project(0.5 * rng.standard_normal((trials, d)))
+    if m is None:
+        batch_idx = np.broadcast_to(np.arange(n, dtype=np.uint16), (trials, K, n))
+    else:
+        batch_idx = rng.integers(0, n, size=(trials, K, m), dtype=np.int32).astype(np.uint16)
+    step_noise = rng.standard_normal((trials, K, d))
+    return data, theta0, batch_idx, step_noise, model.grad, model.space.project, 2.0, 0.25, 0.3
+
+
+@pytest.mark.parametrize(
+    "d, m, sha",
+    [
+        (1, 64, "2d1084a70e12e9b72848dc79f661e96a96e68187e4d4e90047c595cc647ea87c"),
+        (1, None, "521d7fc81d339a7d36c1088c5b3c8ac62ae9bde59959e60bad5a7ab1b8bb4ef8"),
+        (2, 64, "44197729cce1dcc7f092e043cd73621327199a7530313f77d2305ba3b08f6728"),
+        (2, None, "3c7c07e628046ac3e4cae5b0d63082f8a482bb9b6ab34353d8461d787ba770a3"),
+        (5, 64, "c7f5a4d035b2159a57c7ac0fb9246b9f1690930dd0727d472eab0ed3f630f605"),
+        (5, None, "c2fe409067d7150d9c9bebcc2bebae8de5cb6e871de31e346768a8550e68145a"),
+    ],
+)
+def test_dpsgml_trials_rows_are_pinned(d, m, sha):
+    # Digests taken on a trial-major step loop summed by einsum: no change of
+    # layout or summation order may move a bit.
+    rows = dpsgml_trials(*_pinned_dpsgml_inputs(d, m))
+    assert rows.shape == (5, d) and rows.dtype == np.float64
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == sha
+
+
 # ------------------------------------------------------- forked trial ranges
 
 
@@ -343,6 +416,30 @@ def test_dpsgml_trials_never_forks_with_one_cpu_or_a_live_thread(workers):
     assert workers.forks == 0
     # With the thread gone the same call forks.
     dpsgml_trials(*args)
+    assert workers.forks == 2
+    assert_no_child_left()
+
+
+def _blas_grad(X, theta):
+    # A threaded BLAS product in every step of every range, forked or not.
+    a = np.ones((256, 256))
+    a @ a
+    return X - theta[..., None, :]
+
+
+def test_dpsgml_trials_forks_after_a_blas_call(workers):
+    # A 256 x 256 product leaves numpy's OpenBLAS pool of OS threads idle in
+    # this process.  They are not Python threads, so the call forks; OpenBLAS
+    # shuts the pool down before each fork, and the children's own products
+    # start a new one.
+    args = list(_kernel_args(*_random_dpsgml_inputs(derived_rng(215), trials=6)))
+    args[4] = _blas_grad
+    serial = dpsgml_trials(*args)
+    workers.cpus = 3
+    a = derived_rng(216).standard_normal((256, 256))
+    a @ a
+    assert threading.active_count() == 1
+    assert dpsgml_trials(*args).tobytes() == serial.tobytes()
     assert workers.forks == 2
     assert_no_child_left()
 

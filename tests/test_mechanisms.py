@@ -1,6 +1,7 @@
 """Tests for private mechanisms, finite kernels, and DP-SGML."""
 
 import dataclasses
+import hashlib
 import itertools
 import math
 import os
@@ -817,6 +818,34 @@ def test_estimate_xi2_matches_brute_force_over_all_batches(m):
         assert exact == pytest.approx(_xi2_brute_force(data, model, theta_ml, m), rel=1e-13, abs=1e-16)
 
 
+@pytest.mark.parametrize(
+    "d, xi2_hex",
+    [(1, "0x1.80186eb03cea3p-7"), (2, "0x1.5971d95d7c295p-6"), (5, "0x1.10dbedf846103p-5")],
+)
+def test_estimate_xi2_is_pinned(d, xi2_hex):
+    # xi^2 clips each record's gradient through _kernels.clipped_mean; some
+    # of these records clip.  Its bits must not move when the kernel changes.
+    model = gaussian_mean_model(d, sigma=1.0, radius=5.0, clip_norm=1.5)
+    data = model.sample(np.full(d, 0.3), 400, derived_rng(53, d))
+    theta_ml = mle_pga(data, model)
+    assert np.any(np.linalg.norm(model.grad(data, theta_ml), axis=1) > model.L)
+    assert estimate_xi2(data, model, theta_ml, m=64).hex() == xi2_hex
+
+
+@pytest.mark.parametrize(
+    "d, m, sigma, sha",
+    [(1, None, 1.0, "1d31ea89a6f7d4aff9422c0b9a550d5dc746d0ea4cd9e435d47959e85239ee25"), (2, 16, 2.0, "fdc200a7ac2cc2c39dc8abd8ea3b54e7c72328b604edd98218b30b69cf607b26"), (5, 64, 0.5, "2926aa5c3e61db27421b6f1be4b3548ab16df32d06c7f612bbb3a9051baafb45")],
+)
+def test_dp_sgml_batch_rows_are_pinned(d, m, sigma, sha):
+    # Pins the whole path: each range's fill, the model's gradient (with and
+    # without its 1/sigma^2 factor), the kernel and the projection.
+    model = gaussian_mean_model(d, sigma=sigma, radius=1.0, clip_norm=2.0)
+    cfg = DPSGMLConfig(sigma2_noise=0.05, K=10, eta=0.2, m=m, rho=1.0, clip=2.0)
+    data = np.stack([model.sample(np.full(d, 0.4), 150, derived_rng(54, d, t)) for t in range(6)])
+    rows = dp_sgml_batch(data, model, cfg, 55, d)
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == sha
+
+
 def test_zero_gradient_rows_are_quiet():
     # One data point is its own MLE, so every per-sample gradient is zero;
     # noiseless DP-SGML started at the data stays there.
@@ -832,5 +861,15 @@ def test_zero_gradient_rows_are_quiet():
 def test_estimate_xi2_validation():
     model = gaussian_mean_model(2)
     data = np.zeros((5, 2))
-    with pytest.raises(DomainError):
-        estimate_xi2(data, model, np.zeros(2), m=0)
+    for m in (0, -1):
+        with pytest.raises(DomainError):
+            estimate_xi2(data, model, np.zeros(2), m=m)
+
+
+def test_estimate_xi2_full_batch_is_the_squared_mean_clipped_gradient():
+    model = gaussian_mean_model(3, sigma=1.0, radius=5.0, clip_norm=1.5)
+    data = model.sample(np.array([0.2, -0.1, 0.4]), 50, derived_rng(56))
+    data[0] += 4.0  # a row whose gradient the clip shortens
+    theta_ml = mle_pga(data, model)
+    cbar = _kernels.clipped_mean(model.grad(data[None], theta_ml), model.L)[0]
+    assert estimate_xi2(data, model, theta_ml, m=None) == pytest.approx(cbar @ cbar, rel=1e-13)
