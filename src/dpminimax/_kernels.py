@@ -8,6 +8,14 @@ that draws a trial range's rows into them from the range's own
 counter-addressed streams, so its rows still depend only on its arguments.  The coupling
 kernels return atoms, and no kernel needs a floating-point guard.
 
+The coupling kernels are called once per chunk of a draw range, which
+couplings._draw_range draws from one stream positioned once per range.  Its
+chunks are sized so that every chunk-sized array, a kernel's temporaries
+included, stays below glibc's default 128 KiB mmap threshold: each one is
+then reused from the heap arena rather than mapped, faulted in and unmapped
+per chunk.  No kernel array is larger than the chunk's uniforms or its
+(draws, N) atoms, the two the chunk size is computed from.
+
 run_ranges splits a call over items 0..count-1 into contiguous ranges, one
 per CPU the process may run on.  This process runs the first range; each
 other range runs in a child made by ``os.fork()``, which writes its result
@@ -89,29 +97,67 @@ def races_winners(clocks: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _inverse_cdf(atoms: np.ndarray, weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+# Up to this many atoms of positive weight, _cdf_index counts comparisons;
+# above it, it binary-searches.  On a 2-CPU Xeon VM the count takes 16-20 us
+# per 5000 fresh uniforms at 2-8 atoms against searchsorted's 56-106 us, and
+# breaks even near 160 atoms per 5000 uniforms and 100 per 2000.  The count
+# is held in uint8, so this must stay below 256.
+_COUNT_MAX_ATOMS = 64
+
+
+def _cdf_index(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """min(searchsorted(cdf, u, "right"), L - 1) for each uniform in u, cdf
+    L >= 1 nondecreasing cumulative weights: the number of the first L - 1
+    cumulative weights at or below the uniform."""
+    if cdf.shape[0] > _COUNT_MAX_ATOMS:
+        return np.minimum(np.searchsorted(cdf, u, side="right"), cdf.shape[0] - 1)
+    index = np.zeros(u.shape, dtype=np.uint8)
+    reached = np.empty(u.shape, dtype=bool)
+    # The comparisons are added through a uint8 view: no cast per atom.
+    step = reached.view(np.uint8)
+    for c in cdf[:-1]:
+        np.greater_equal(u, c, out=reached)
+        index += step
+    return index
+
+
+def _inverse_cdf(atoms: np.ndarray, weights: np.ndarray, u: np.ndarray):
     """One atom per uniform in u, by inverse CDF over the atoms of positive
-    weight; a uniform past the last cumulative weight takes the last atom."""
+    weight; a uniform past the last cumulative weight takes the last atom.
+    None when no atom has positive weight."""
     live = weights > 0.0
-    cdf = np.cumsum(weights[live])
-    return atoms[live][np.minimum(np.searchsorted(cdf, u, side="right"), cdf.shape[0] - 1)]
+    if not live.any():
+        return None
+    return atoms[live].take(_cdf_index(np.cumsum(weights[live]), u))
 
 
 def pair_assignments(u, atoms, common, pos, neg, agree_prob: float) -> np.ndarray:
     """Maximal-coupling draws for a pair from 3 uniforms per draw.
 
-    common, pos and neg are weights on the atoms, each summing to 1: the
-    common part min(p, q) and the residuals of p and q.  Draw t agrees iff
-    u[t,0] < agree_prob and takes a common atom through u[t,1]; otherwise it
-    takes residual atoms through u[t,1] and u[t,2].  Returns (trials, 2) atoms.
+    common, pos and neg are weights on the atoms, each summing to 1 or, when
+    agree_prob makes every draw agree (1.0) or disagree (0.0), the part no
+    draw takes may be all zeros: the common part min(p, q) and the residuals
+    of p and q.  Draw t agrees iff u[t,0] < agree_prob and takes a common
+    atom through u[t,1]; otherwise it takes residual atoms through u[t,1]
+    and u[t,2].  Returns (trials, 2) atoms.
+
+    Every draw's common and residual atoms are computed, without masks, and
+    np.where picks each draw's: a few passes over the chunk cost less than
+    gathering the agreeing and the disagreeing draws apart.
     """
     u = np.ascontiguousarray(u, dtype=np.float64)
     atoms = np.asarray(atoms, dtype=np.int64)
-    out = np.empty((u.shape[0], 2), dtype=np.int64)
     agree = u[:, 0] < float(agree_prob)
-    out[agree] = _inverse_cdf(atoms, common, u[agree, 1])[:, None]
-    out[~agree, 0] = _inverse_cdf(atoms, pos, u[~agree, 1])
-    out[~agree, 1] = _inverse_cdf(atoms, neg, u[~agree, 2])
+    shared = _inverse_cdf(atoms, common, u[:, 1])
+    out = np.empty((u.shape[0], 2), dtype=np.int64)
+    for column, (weights, v) in enumerate(((pos, u[:, 1]), (neg, u[:, 2]))):
+        own = _inverse_cdf(atoms, weights, v)
+        if own is None:  # an empty residual: every draw agrees
+            out[:, column] = shared
+        elif shared is None:  # disjoint supports: no draw agrees
+            out[:, column] = own
+        else:
+            out[:, column] = np.where(agree, shared, own)
     return out
 
 

@@ -5,6 +5,15 @@ component is exactly distributed as the i-th marginal.  Draw t consumes a
 fixed-size block of a counter-based stream derived from the seed, so
 estimates are reproducible and independent of how draws are partitioned
 across workers.
+
+One routine, _draw_range, makes every draw: it walks a range of draws
+from the single stream derived_rng(seed), positioned once at the range's
+first uniform, and builds the per-kind weights once per range.  It takes
+the draws in chunks small enough that every chunk-sized array stays below
+glibc's default 128 KiB mmap threshold, so chunk temporaries are reused
+from the heap arena instead of being mapped, faulted in and unmapped
+chunk after chunk.  sample() stores the chunks, and a disagreement count
+counts each chunk as it comes and keeps none.
 """
 
 from __future__ import annotations
@@ -36,10 +45,16 @@ __all__ = [
 
 _LP_CAP = 10_000
 
-# Draws per chunk of uniforms, and base draws per chunk that
-# estimate_disagreement counts: the uniforms, a helper's temporaries and the
-# atoms counted are sized for one chunk, however many draws are asked for.
-_DRAW_CHUNK = 16_384
+# glibc's default mmap threshold (M_MMAP_THRESHOLD).  malloc serves a block
+# of 128 KiB or more with a fresh mmap, whose pages fault in on first touch
+# and are unmapped on free, unless the free of a larger block has raised
+# the (dynamic) threshold; a smaller block is reused from the heap arena.
+_MMAP_THRESHOLD = 128 * 1024
+
+# Bytes of the widest chunk-sized array of a draw range: one page below the
+# threshold, leaving room for malloc's header, so that no chunk's uniforms,
+# clocks, atoms or kernel temporaries are mapped and faulted in per chunk.
+_CHUNK_BYTES = _MMAP_THRESHOLD - 4096
 
 # From this many uniforms (trials * draw_budget()) on, estimate_disagreement
 # counts its draws in forked ranges (_kernels.run_ranges).  On a 2-CPU Xeon
@@ -88,37 +103,72 @@ class CouplingSampler:
             return self.n * self.base.draw_budget()
         raise DomainError(f"unknown coupling kind {self.kind!r}")
 
-    def sample(self, trials: int, seed: int, start: int = 0) -> np.ndarray:
+    def sample(self, trials: int, seed: int, start: int = 0, each=None) -> Optional[np.ndarray]:
         """Draw the ``trials`` joint realizations start, ..., start + trials - 1.
 
         Returns (trials, N) atom labels, or (trials, N, n) for product lifts.
         Draw t reads the draw_budget() uniforms from uniform t * draw_budget()
         of the one stream derived_rng(seed) on, so sample(k, seed, start) is
         bit for bit the slice [start:] of sample(start + k, seed); a lift's
-        draws are its base's draws from start * n on.  The uniforms are taken
-        _DRAW_CHUNK draws at a time, so the memory used is proportional to
-        the output.
+        realization t is its base's draws t * n, ..., t * n + n - 1.  The
+        draws are made by _draw_range, a chunk at a time.
+
+        With each given, nothing is stored or returned: each(atoms) is called
+        on every chunk in order, atoms a (k, n, N) int64 array of the chunk's
+        k realizations (n = 1 unless a lift) that is valid during the call only.
         """
         if trials < 1:
             raise DomainError("trials must be >= 1")
         if start < 0:
             raise DomainError("start must be >= 0")
+        chunks = _draw_range(self, seed, start, trials)
+        if each is not None:
+            for atoms in chunks:
+                each(atoms)
+            return None
+        out = np.empty((trials, self.n, self.n_marginals), dtype=np.int64)
+        lo = 0
+        for atoms in chunks:
+            out[lo:lo + atoms.shape[0]] = atoms
+            lo += atoms.shape[0]
         if self.kind == "product_lift":
-            flat = self.base.sample(trials * self.n, seed, start * self.n)
-            return flat.reshape(trials, self.n, -1).transpose(0, 2, 1)
-        budget = self.draw_budget()  # raises DomainError for an unknown kind
-        assign = _SAMPLERS[self.kind]
-        rng = derived_rng(seed)
-        # One Philox block holds four uniforms: skip whole blocks, then the
-        # words of the block the first draw starts in.
-        word = start * budget
-        rng.bit_generator.advance(word // 4)
-        rng.bit_generator.random_raw(word % 4)
-        out = np.empty((trials, self.n_marginals), dtype=np.int64)
-        for lo in range(0, trials, _DRAW_CHUNK):
-            hi = min(lo + _DRAW_CHUNK, trials)
-            out[lo:hi] = assign(self.marginals, rng.random((hi - lo, budget)))
-        return out
+            return out.transpose(0, 2, 1)
+        return out.reshape(trials, self.n_marginals)
+
+
+def _draw_range(sampler: CouplingSampler, seed: int, start: int, count: int):
+    """Yield the realizations start, ..., start + count - 1 of sampler, in
+    order, as (k, n, N) int64 atoms, _chunk_rows(sampler) realizations at
+    a time.  The one stream derived_rng(seed) is positioned once, at the
+    first uniform of the range, and each chunk's uniforms are the next
+    ones; the per-kind weights are built once.
+    """
+    base = sampler.base if sampler.kind == "product_lift" else sampler
+    budget = base.draw_budget()  # raises DomainError for an unknown kind
+    assign = _ASSIGNERS[base.kind](base.marginals)
+    n, N = sampler.n, sampler.n_marginals
+    rows = _chunk_rows(sampler)
+    rng = derived_rng(seed)
+    # One Philox block holds four uniforms: skip whole blocks, then the
+    # words of the block the first draw starts in.
+    word = start * n * budget
+    rng.bit_generator.advance(word // 4)
+    rng.bit_generator.random_raw(word % 4)
+    u = np.empty((min(rows, count) * n, budget))
+    for lo in range(0, count, rows):
+        k = min(rows, count - lo)
+        chunk = u[:k * n]
+        rng.random(out=chunk)
+        yield assign(chunk).reshape(k, n, N)
+
+
+def _chunk_rows(sampler: CouplingSampler) -> int:
+    """Realizations per chunk of a draw range: whole realizations, and so
+    few that the widest chunk-sized array, the uniforms, clocks or atoms
+    of its base draws at 8 bytes an item, stays within _CHUNK_BYTES."""
+    base = sampler.base if sampler.kind == "product_lift" else sampler
+    width = max(base.draw_budget(), sampler.n_marginals)
+    return max(1, _CHUNK_BYTES // (8 * sampler.n * width))
 
 
 def _universe(marginals) -> list[int]:
@@ -129,7 +179,7 @@ def _universe(marginals) -> list[int]:
     return sorted(atoms)
 
 
-def _sample_maximal_pair(marginals, u: np.ndarray) -> np.ndarray:
+def _maximal_pair_assigner(marginals):
     p, q = marginals
     atoms = _universe(marginals)
     pw = np.array([p.prob(a) for a in atoms])
@@ -139,31 +189,38 @@ def _sample_maximal_pair(marginals, u: np.ndarray) -> np.ndarray:
     tvd = 1.0 - mass
     common_w = common / mass if mass > 0.0 else common
     if tvd > 1e-15:
-        return _kernels.pair_assignments(u, atoms, common_w, (pw - common) / tvd, (qw - common) / tvd, mass)
-    # Equal up to rounding: every draw agrees, so the residuals are never read.
-    return _kernels.pair_assignments(u, atoms, common_w, np.zeros_like(pw), np.zeros_like(qw), 1.0)
+        parts = (common_w, (pw - common) / tvd, (qw - common) / tvd, mass)
+    else:
+        # Equal up to rounding: every draw agrees, so the residuals are never read.
+        parts = (common_w, np.zeros_like(pw), np.zeros_like(qw), 1.0)
+    return lambda u: _kernels.pair_assignments(u, atoms, *parts)
 
 
-def _sample_shared_uniform(marginals, u: np.ndarray) -> np.ndarray:
+def _shared_uniform_assigner(marginals):
     ps = np.array([m.prob(1) for m in marginals])
-    return (u[:, :1] < ps[None, :]).astype(np.int64)
+    return lambda u: (u[:, :1] < ps[None, :]).astype(np.int64)
 
 
-def _sample_races(marginals, u: np.ndarray) -> np.ndarray:
-    """The race winners of a chunk; u is overwritten with the clocks."""
-    atoms = _universe(marginals)
-    probs = np.array([[m.prob(a) for a in atoms] for m in marginals])
-    # -log1p(-u), computed in place: no chunk-sized temporary.
-    clocks = np.negative(np.log1p(np.negative(u, out=u), out=u), out=u)
-    winners = _kernels.races_winners(clocks, probs)
-    return np.asarray(atoms, dtype=np.int64)[winners]
+def _races_assigner(marginals):
+    universe = _universe(marginals)
+    atoms = np.asarray(universe, dtype=np.int64)
+    probs = np.array([[m.prob(a) for a in universe] for m in marginals])
+
+    def assign(u):
+        # The clocks -log1p(-u), computed in place over u: no chunk-sized temporary.
+        clocks = np.negative(np.log1p(np.negative(u, out=u), out=u), out=u)
+        return atoms[_kernels.races_winners(clocks, probs)]
+
+    return assign
 
 
-# Atoms of a chunk of draws from its (draws, draw_budget) uniforms, per kind.
-_SAMPLERS = {
-    "maximal_pair": _sample_maximal_pair,
-    "shared_uniform": _sample_shared_uniform,
-    "races": _sample_races,
+# Per kind, a map from the marginals to the function that turns a chunk's
+# (draws, draw_budget) uniforms into its (draws, N) atoms (races overwrite
+# the uniforms).
+_ASSIGNERS = {
+    "maximal_pair": _maximal_pair_assigner,
+    "shared_uniform": _shared_uniform_assigner,
+    "races": _races_assigner,
 }
 
 
@@ -217,11 +274,11 @@ def estimate_disagreement(sampler: CouplingSampler, trials: int, seed: int) -> D
     The draws of sampler.sample(trials, seed) are counted in contiguous
     ranges of draws, in forked children when the call reads at least
     _FORK_MIN_UNIFORMS uniforms (_kernels.run_ranges), and the ranges' int64
-    counts are summed.  A range draws and counts _DRAW_CHUNK // n
-    realizations at a time, each through sampler.sample(k, seed, start), so
-    memory holds one chunk's atoms however many trials are asked for.  An
-    estimate is an integer count over trials, so it is the same bits at any
-    worker count, and those of the mean of the one-shot draw's 0/1 outcomes.
+    counts are summed.  A range is one sample(k, seed, start) call that
+    hands each chunk of draws to the count and keeps none, so memory holds
+    one chunk's atoms however many trials are asked for.  An estimate is an
+    integer count over trials, so it is the same bits at any worker count,
+    and those of the mean of the one-shot draw's 0/1 outcomes.
     """
     if trials < 1:
         raise DomainError("trials must be >= 1")
@@ -240,19 +297,20 @@ def estimate_disagreement(sampler: CouplingSampler, trials: int, seed: int) -> D
 def _count_disagreements(sampler: CouplingSampler, seed: int, lo: int, hi: int) -> np.ndarray:
     """(N, N) counts of the draws lo..hi-1 in which components i < j
     disagree, at [i, j]; zero on and below the diagonal."""
-    N = sampler.n_marginals
-    chunk = max(1, _DRAW_CHUNK // sampler.n)
+    N, n = sampler.n_marginals, sampler.n
     counts = np.zeros((N, N), dtype=np.int64)
-    for start in range(lo, hi, chunk):
+
+    def count(draws):
         # A plain draw is a lift of length 1: components disagree when any coordinate does.
-        draws = sampler.sample(min(chunk, hi - start), seed, start).reshape(-1, N, sampler.n)
         for i in range(N):
             for j in range(i + 1, N):
-                # One column of the short lift axis at a time: faster than any(axis=1).
-                dis = draws[:, i, 0] != draws[:, j, 0]
-                for c in range(1, sampler.n):
-                    dis |= draws[:, i, c] != draws[:, j, c]
+                # One coordinate of the short lift axis at a time: faster than any(axis=1).
+                dis = draws[:, 0, i] != draws[:, 0, j]
+                for c in range(1, n):
+                    dis |= draws[:, c, i] != draws[:, c, j]
                 counts[i, j] += np.count_nonzero(dis)
+
+    sampler.sample(hi - lo, seed, lo, each=count)
     return counts
 
 

@@ -35,15 +35,24 @@ _KEPT_CHUNK = 2048
 _CHECK_BLOCK = 128
 
 
-def _hamming(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(len(a), len(b)) Hamming distances between the rows of 0/1 arrays, as
-    float64.
+def _product_dtype(d: int):
+    """float32 when every Hamming product of words of length d is exact in
+    it, an integer below 2**24; float64 above that."""
+    return np.float32 if d < 2**24 else np.float64
 
-    |x - y| = x + y - 2xy for bits, so one float64 product gives them all;
-    every value is an integer no larger than the word length, hence exact.
+
+def _hamming(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) Hamming distances between the rows of 0/1 arrays,
+    as float32 below 2**24 bits a row and float64 from there on.
+
+    |x - y| = x + y - 2xy for bits, so one product gives them all.  Every
+    partial sum and value is an integer of magnitude at most the word
+    length, but for the doubled product -2 a.b, which is even and at most
+    twice it, so all are exact; float32 halves the product's work.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    dtype = _product_dtype(a.shape[1])
+    a = np.asarray(a, dtype=dtype)
+    b = np.asarray(b, dtype=dtype)
     dist = a @ b.T
     dist *= -2.0
     dist += a.sum(axis=1)[:, None]
@@ -81,7 +90,7 @@ class BinaryCode:
         # Converted once.  Each block of rows is checked against the words at
         # and after its first row: one triangle of the distance matrix, a
         # block at a time.
-        words = self.words.astype(np.float64)
+        words = self.words.astype(_product_dtype(self.d))
         best = self.d
         for start in range(0, self.size - 1, _CHECK_BLOCK):
             dist = _hamming(words[start:start + _CHECK_BLOCK], words[start:])

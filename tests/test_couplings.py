@@ -122,6 +122,38 @@ def test_maximal_pair_draws_are_pinned(p, q, seed, expected):
     assert np.array_equal(draws.T, expected)
 
 
+_PAIR_EDGE_CASES = {
+    # tv = 0: agree_prob is 1.0 and both residuals are empty.
+    "identical": (DiscreteDistribution.from_weights([0.3, 0.7]),) * 2,
+    # tv = 1.1e-16, at most 1e-15: treated as equal, every draw agrees.
+    "rounding_equal": (DiscreteDistribution.from_weights(_THIRDS), DiscreteDistribution.from_weights(_THIRDS[::-1])),
+    # tv = 1: no common atom, and every draw disagrees.
+    "disjoint": (DiscreteDistribution((0, 1), np.array([0.5, 0.5])), DiscreteDistribution((2, 3), np.array([0.4, 0.6]))),
+}
+
+
+@pytest.mark.parametrize(
+    "case, seed, sha, disagreement",
+    [
+        ("identical", 8, "c9850833b089e9d91f3f54240df1bf67674b502848d91c287b32fd77bd40fa7f", 0.0),
+        ("identical", 2**31 - 1, "c8a61e77fd072ab0060dd80317562ccecfe034813e934acf7473c80a477bab0d", 0.0),
+        ("rounding_equal", 8, "1cd2868f9e887a5ee17b0c912fbb6c93d88f646c3313a61928a5549a089b0be6", 0.0),
+        ("rounding_equal", 2**31 - 1, "cbd099068ace7e40f68d333281c8333badd5202c5f94ce493bfd4b57d99feefe", 0.0),
+        ("disjoint", 8, "0c449caa8595eaa5cd1b8c5b81b483e8ef1f08c4e686535002d13bed11529215", 1.0),
+        ("disjoint", 2**31 - 1, "db348122a327b9b7aa6efe290410bc640f4af2de6d5b76a9ae974d55931cc830", 1.0),
+    ],
+)
+def test_maximal_pair_edge_case_draws_are_pinned(case, seed, sha, disagreement):
+    # Several chunks of draws where the kernel has an empty part; the
+    # digests must not move when the kernel changes.
+    sampler = maximal_pair(*_PAIR_EDGE_CASES[case])
+    trials = 2 * 16_384 + 7
+    draws = sampler.sample(trials, seed)
+    assert draws.shape == (trials, 2) and draws.dtype == np.int64
+    assert hashlib.sha256(draws.tobytes()).hexdigest() == sha
+    assert estimate_disagreement(sampler, trials, seed).estimates[0, 1] == disagreement
+
+
 # ------------------------------------------------------------ shared uniform
 
 
@@ -253,7 +285,8 @@ def test_pair_and_shared_draws_across_chunks_are_pinned(seed, pair_sha, shared_s
     assert hashlib.sha256(shared.tobytes()).hexdigest() == shared_sha
 
 
-_CHUNK = couplings._DRAW_CHUNK
+# Several draw chunks of every sampler, and off their edges.
+_CHUNK = 16_384
 
 
 def _one_shot(sampler, trials, seed):
@@ -261,13 +294,15 @@ def _one_shot(sampler, trials, seed):
     if sampler.kind == "product_lift":
         base = sampler.base
         u = derived_rng(seed).random((trials * sampler.n, base.draw_budget()))
-        flat = couplings._SAMPLERS[base.kind](base.marginals, u)
+        flat = couplings._ASSIGNERS[base.kind](base.marginals)(u)
         return flat.reshape(trials, sampler.n, -1).transpose(0, 2, 1)
     u = derived_rng(seed).random((trials, sampler.draw_budget()))
-    return couplings._SAMPLERS[sampler.kind](sampler.marginals, u)
+    return couplings._ASSIGNERS[sampler.kind](sampler.marginals)(u)
 
 
-# Every sampler shape; a lift of 3 does not divide a chunk.
+# Every sampler shape.  A chunk holds whole lifts, so its base draws are a
+# multiple of n: lifts of 3 and 5 end their chunks off the edges of a
+# plain sampler's chunks.
 _SAMPLER_SHAPES = pytest.mark.parametrize(
     "sampler",
     [
@@ -276,8 +311,10 @@ _SAMPLER_SHAPES = pytest.mark.parametrize(
         exponential_races(_RACE_MARGINALS),
         product_lift(exponential_races(_RACE_MARGINALS), 3),
         product_lift(maximal_pair(*_GENERIC_PAIR), 2),
+        product_lift(maximal_pair(*_GENERIC_PAIR), 3),
+        product_lift(exponential_races(_RACE_MARGINALS), 5),
     ],
-    ids=["pair", "shared", "races", "lift_races", "lift_pair"],
+    ids=["pair", "shared", "races", "lift_races", "lift_pair", "lift3_pair", "lift5_races"],
 )
 
 
@@ -288,6 +325,34 @@ def test_chunked_draws_equal_the_one_shot_draw(sampler, trials):
     expected = _one_shot(sampler, trials, 17)
     assert draws.dtype == np.int64 and draws.shape == expected.shape
     assert np.array_equal(draws, expected)
+
+
+@pytest.mark.parametrize("edge", [-1, 0, 1])
+@_SAMPLER_SHAPES
+def test_draws_at_the_samplers_own_chunk_edges_equal_the_one_shot_draw(sampler, edge):
+    rows = couplings._chunk_rows(sampler)
+    for trials in (rows + edge, 2 * rows + edge):
+        draws = sampler.sample(trials, 17)
+        assert np.array_equal(draws, _one_shot(sampler, trials, 17)), trials
+
+
+@_SAMPLER_SHAPES
+def test_sample_hands_each_chunk_of_the_draws_in_order(sampler):
+    trials = 2 * couplings._chunk_rows(sampler) + 3
+    chunks = []
+    assert sampler.sample(trials, 17, 5, each=lambda atoms: chunks.append(atoms.copy())) is None
+    assert len(chunks) == 3 and all(c.dtype == np.int64 for c in chunks)
+    draws = sampler.sample(trials, 17, 5).reshape(trials, sampler.n_marginals, sampler.n)
+    assert np.array_equal(np.concatenate(chunks), draws.transpose(0, 2, 1))
+
+
+@_SAMPLER_SHAPES
+def test_every_chunk_sized_array_stays_below_the_mmap_threshold(sampler):
+    # The uniforms, clocks and atoms of a chunk's base draws, 8 bytes an item.
+    rows = couplings._chunk_rows(sampler)
+    base = sampler.base or sampler
+    items = rows * sampler.n * max(base.draw_budget(), sampler.n_marginals)
+    assert 8 * items <= couplings._CHUNK_BYTES < couplings._MMAP_THRESHOLD
 
 
 @_SAMPLER_SHAPES
@@ -360,17 +425,18 @@ def test_estimates_are_the_same_bits_at_any_worker_count(workers, sampler, trial
     assert_no_child_left()
 
 
-def _spy_sample(monkeypatch, act):
-    """Replace CouplingSampler.sample by one that calls act(start, trials)
-    first and logs the starts this process samples."""
-    sample, starts = couplings.CouplingSampler.sample, []
+def _spy_draw_range(monkeypatch, act):
+    """Replace couplings._draw_range, which makes every draw, by one that
+    calls act(start, count) first and logs the starts of the ranges this
+    process draws."""
+    draw_range, starts = couplings._draw_range, []
 
-    def spy(self, trials, seed, start=0):
-        act(start, trials)
+    def spy(sampler, seed, start, count):
+        act(start, count)
         starts.append(start)
-        return sample(self, trials, seed, start)
+        return draw_range(sampler, seed, start, count)
 
-    monkeypatch.setattr(couplings.CouplingSampler, "sample", spy)
+    monkeypatch.setattr(couplings, "_draw_range", spy)
     return starts
 
 
@@ -387,7 +453,7 @@ def test_a_failed_child_is_recounted_here(workers, monkeypatch, failure):
                 raise FloatingPointError("a child's range fails")
             os._exit(3)
 
-    starts = _spy_sample(monkeypatch, fail_in_children)
+    starts = _spy_draw_range(monkeypatch, fail_in_children)
     workers.cpus = 3
     assert estimate_disagreement(sampler, 9, 31).estimates.tobytes() == serial
     assert starts == [0, 3, 6] and workers.forks == 2
@@ -397,7 +463,7 @@ def test_a_failed_child_is_recounted_here(workers, monkeypatch, failure):
 def test_ranges_are_counted_here_when_fork_fails(workers, monkeypatch):
     sampler = exponential_races(_RACE_MARGINALS)
     serial = estimate_disagreement(sampler, 9, 32).estimates.tobytes()
-    starts = _spy_sample(monkeypatch, lambda start, trials: None)
+    starts = _spy_draw_range(monkeypatch, lambda start, trials: None)
 
     def no_fork():
         raise BlockingIOError("Resource temporarily unavailable")
@@ -416,7 +482,7 @@ def test_an_error_in_a_range_raises_as_in_process(workers, monkeypatch, marked):
         if start <= marked < start + trials:
             raise FloatingPointError(f"draw {marked} fails")
 
-    _spy_sample(monkeypatch, fail_at)
+    _spy_draw_range(monkeypatch, fail_at)
     messages = []
     for cpus in (1, 3):
         workers.cpus = cpus

@@ -154,6 +154,64 @@ def test_pair_assignments_matches_reference():
         assert np.array_equal(out, _pair_reference(*args))
 
 
+def _cdf_cases(rng, L):
+    """Weights of L atoms, some zero and some too small to change the
+    cumulative sum, with their cumulative weights, and uniforms on every
+    cumulative weight, next to it, just below 1 and at random.  One case in
+    two sums to 1 - 1e-3, as rounding may leave a sum below 1, so some
+    uniforms lie past the last cumulative weight."""
+    w = rng.random(L)
+    w[rng.random(L) < 0.25] = 0.0
+    w[rng.random(L) < 0.1] = 1e-300
+    w[rng.integers(L)] += 0.05
+    w /= w.sum() / (1.0 if rng.random() < 0.5 else 1.0 - 1e-3)
+    cdf = np.cumsum(w)
+    edges = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0)])
+    u = np.concatenate([edges[edges < 1.0], [0.0, np.nextafter(1.0, 0.0)], rng.random(1000)])
+    return w, cdf, rng.permutation(u)
+
+
+@pytest.mark.parametrize(
+    "L", [1, 2, 3, 7, _kernels._COUNT_MAX_ATOMS, _kernels._COUNT_MAX_ATOMS + 1, 200],
+)
+def test_cdf_index_is_the_clamped_right_searchsorted(L):
+    # The comparison count up to the crossover and the binary search above
+    # it both give min(searchsorted(cdf, u, "right"), L - 1).
+    rng = derived_rng(211, L)
+    for _ in range(20):
+        _, cdf, u = _cdf_cases(rng, L)
+        expected = np.minimum(np.searchsorted(cdf, u, side="right"), L - 1)
+        assert np.array_equal(_kernels._cdf_index(cdf, u), expected)
+
+
+@pytest.mark.parametrize("L", [1, 4, _kernels._COUNT_MAX_ATOMS, _kernels._COUNT_MAX_ATOMS + 1])
+def test_inverse_cdf_draws_over_the_atoms_of_positive_weight(L):
+    rng = derived_rng(213, L)
+    atoms = np.arange(L, dtype=np.int64) * 3 - 7
+    for _ in range(20):
+        w, _, u = _cdf_cases(rng, L)
+        live = w > 0.0
+        index = np.searchsorted(np.cumsum(w[live]), u, side="right")
+        expected = atoms[live][np.minimum(index, np.count_nonzero(live) - 1)]
+        assert np.array_equal(_kernels._inverse_cdf(atoms, w, u), expected)
+    assert _kernels._inverse_cdf(atoms, np.zeros(L), u) is None
+
+
+@pytest.mark.parametrize("k", [2, _kernels._COUNT_MAX_ATOMS + 5])
+def test_pair_assignments_matches_reference_on_either_side_of_the_crossover(k):
+    rng = derived_rng(207, k)
+    atoms = np.sort(rng.choice(np.arange(-50, 300), size=k, replace=False))
+    weights = []
+    for _ in range(3):
+        w = rng.random(k)
+        w[rng.random(k) < 0.3] = 0.0
+        w[rng.integers(k)] += 0.05
+        weights.append(w / w.sum())
+    for agree_prob in (0.0, 0.37, 1.0):
+        args = (rng.random((300, 3)), atoms, *weights, agree_prob)
+        assert np.array_equal(pair_assignments(*args), _pair_reference(*args))
+
+
 def test_pair_assignments_empty_residual_degenerates_to_common():
     # Equal up to rounding: 1 - sum min(p, q) is 1.1e-16, below the 1e-15 at
     # which maximal_pair treats the residuals as empty, so every draw agrees.

@@ -128,7 +128,15 @@ def test_hamming_matches_count_nonzero():
     a = rng.integers(0, 2, size=(70, 33), dtype=np.int8)
     b = rng.integers(0, 2, size=(5, 33), dtype=np.int8)
     expected = np.count_nonzero(a[:, None, :] != b[None, :, :], axis=2)
-    assert np.array_equal(packings._hamming(a, b), expected)
+    dist = packings._hamming(a, b)
+    assert dist.dtype == np.float32
+    assert np.array_equal(dist, expected)
+
+
+def test_hamming_products_are_float32_only_where_exact():
+    # Below 2**24 bits every Hamming product is an integer float32 holds.
+    assert packings._product_dtype(2**24 - 1) is np.float32
+    assert packings._product_dtype(2**24) is np.float64
 
 
 def test_binary_code_validation():
