@@ -63,11 +63,6 @@ def backend() -> str:
     return "numpy"
 
 
-# Draws per race chunk: a chunk's transposed clocks and per-draw temporaries
-# stay in cache.
-_RACE_CHUNK = 8192
-
-
 def races_winners(clocks: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Per-draw winners of the exponential races for each marginal.
 
@@ -77,23 +72,20 @@ def races_winners(clocks: np.ndarray, probs: np.ndarray) -> np.ndarray:
     argmin_j clocks[t, j] / probs[i, j] over the atoms with probs[i, j] > 0
     (every row of probs has one), the lowest such j on a tie.
     """
-    clocks = np.asarray(clocks, dtype=np.float64)
     probs = np.ascontiguousarray(probs, dtype=np.float64)
-    live = [np.flatnonzero(p > 0.0) for p in probs]
-    out = np.empty((clocks.shape[0], probs.shape[0]), dtype=np.int64)
-    for start in range(0, clocks.shape[0], _RACE_CHUNK):
-        # One row per atom, so each atom's clocks are contiguous.
-        columns = np.ascontiguousarray(clocks[start:start + _RACE_CHUNK].T)
-        for i, p in enumerate(probs):
-            first, *rest = live[i]
-            best = columns[first] / p[first]
-            win = np.full(columns.shape[1], first, dtype=np.int64)
-            for j in rest:
-                ratio = columns[j] / p[j]
-                # Strict < keeps the first minimum, as argmin does.
-                win = np.where(ratio < best, j, win)
-                np.minimum(best, ratio, out=best)
-            out[start:start + _RACE_CHUNK, i] = win
+    # One row per atom, so each atom's clocks are contiguous.
+    columns = np.ascontiguousarray(np.asarray(clocks, dtype=np.float64).T)
+    out = np.empty((columns.shape[1], probs.shape[0]), dtype=np.int64)
+    for i, p in enumerate(probs):
+        first, *rest = np.flatnonzero(p > 0.0)
+        best = columns[first] / p[first]
+        win = np.full(columns.shape[1], first, dtype=np.int64)
+        for j in rest:
+            ratio = columns[j] / p[j]
+            # Strict < keeps the first minimum, as argmin does.
+            win = np.where(ratio < best, j, win)
+            np.minimum(best, ratio, out=best)
+        out[:, i] = win
     return out
 
 

@@ -56,6 +56,8 @@ from .mechanisms import (
 )
 from .verify import (
     _MAX_DATASETS,
+    _SIMILARITY_KINDS,
+    _similarity_kinds,
     _transport_left_side,
     verify_admissibility,
     verify_group_privacy,
@@ -78,14 +80,6 @@ _USAGE_ERRORS = (
     ArityMismatch,
     DegenerateInput,
     RegimeError,
-)
-
-_SIMILARITY_KINDS = (
-    "global_anchor",
-    "projection_anchor",
-    "lecam_match",
-    "pairwise_anchor",
-    "fano_match",
 )
 
 
@@ -156,7 +150,7 @@ def _add_constraint_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rho", type=float, help="rho for --zcdp")
 
 
-def _constraint_from_args(args) -> Optional[PrivacyConstraint]:
+def _constraint_from_args(args) -> PrivacyConstraint:
     if args.dp and args.zcdp:
         raise DomainError("choose one of --dp and --zcdp")
     if not args.dp and (args.eps is not None or args.delta != 0.0):
@@ -173,7 +167,7 @@ def _constraint_from_args(args) -> Optional[PrivacyConstraint]:
         if args.rho is None:
             raise DomainError("--zcdp requires --rho")
         return PrivacyConstraint.zcdp(args.rho)
-    return None
+    return PrivacyConstraint.none()
 
 
 def _jsonable(value):
@@ -258,7 +252,7 @@ def _cmd_bounds_lecam(args) -> int:
         "n": args.n,
         "tv": args.tv,
         "form": args.form,
-        "constraint": dataclasses.asdict(c or PrivacyConstraint.none()),
+        "constraint": dataclasses.asdict(c),
         "seed": None,
     }
     _emit(args, config, {"rows": rows}, rows, list(rows[0].keys()))
@@ -303,7 +297,7 @@ def _cmd_bounds_fano(args) -> int:
         "tv": tvs.tolist(),
         "kl_q": args.kl_q,
         "form": args.form,
-        "constraint": dataclasses.asdict(c or PrivacyConstraint.none()),
+        "constraint": dataclasses.asdict(c),
         "seed": None,
     }
     _emit(args, config, {"rows": [row], "branches": res.extras}, [row], list(row.keys()))
@@ -413,8 +407,10 @@ def _build_mechanism(args):
     for flag in ("n", "alphabet"):
         if getattr(args, flag) < 1:
             raise DomainError(f"--{flag} must be >= 1")
+    if args.alphabet != 2 and args.mechanism != "identity":
+        raise DomainError("--alphabet needs --mechanism identity: rr and rr-sum are binary")
     # Check the size before building: a kernel has base^n rows.
-    base = args.alphabet if args.mechanism == "identity" else 2
+    base = args.alphabet
     if base > 1 and args.n * base.bit_length() > 4096:  # base^n > 2^2048: too long to print
         raise TooLarge(f"{base}^{args.n} datasets exceeds cap {_MAX_DATASETS}")
     if base**args.n > _MAX_DATASETS:
@@ -445,19 +441,10 @@ def _default_transport_marginals(m) -> list[DiscreteDistribution]:
 
 
 def _suite_kinds(c: PrivacyConstraint, N: int = 2) -> list[str]:
-    """The similarity kinds a suite checks under c with N datasets.
-
-    global_anchor (whose default anchor is a pair's midpoint) and lecam_match
-    are defined for two datasets only, so a suite at any other N leaves them
-    out.
-    """
-    if c.kind == "zcdp":
-        kinds = ["lecam_match", "fano_match"]
-    else:
-        kinds = ["global_anchor", "projection_anchor", "lecam_match", "pairwise_anchor"]
-        if c.eps_delta()[1] == 0.0:
-            kinds.append("fano_match")
-    return kinds if N == 2 else [k for k in kinds if k not in ("global_anchor", "lecam_match")]
+    """The similarity kinds a suite checks under c with N datasets: those c
+    admits, less global_anchor (whose default anchor is a pair's midpoint)
+    and lecam_match, defined for two datasets only, at any other N."""
+    return [k for k in _similarity_kinds(c) if N == 2 or k not in ("global_anchor", "lecam_match")]
 
 
 def _cmd_verify(args) -> int:

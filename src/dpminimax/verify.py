@@ -67,6 +67,7 @@ _ALPHA_BISECTIONS = 4096
 _DP_TOL = 1e-12
 _KL_TOL = 1e-10
 _ANCHOR_KINDS = ("global_anchor", "projection_anchor")
+_SIMILARITY_KINDS = (*_ANCHOR_KINDS, "lecam_match", "pairwise_anchor", "fano_match")
 
 
 @dataclass(frozen=True)
@@ -208,9 +209,8 @@ def similarity(
 ) -> float:
     """Evaluate an admissible similarity function on a tuple of datasets.
 
-    DP kinds: "global_anchor" (needs anchor), "projection_anchor" (needs j),
-    "lecam_match" (N=2), "pairwise_anchor", "fano_match" (delta=0 only).
-    zCDP kinds: "lecam_match" (N=2), "fano_match".
+    The kinds c admits are _similarity_kinds(c); "global_anchor" needs
+    anchor, "projection_anchor" needs j and "lecam_match" needs N = 2.
     """
     datasets = tuple(datasets)
     N = len(datasets)
@@ -225,6 +225,17 @@ def similarity(
     return float(_similarity_values(c, kind, N, dist)[0])
 
 
+def _similarity_kinds(c: PrivacyConstraint) -> tuple[str, ...]:
+    """The similarity kinds defined under c, in _SIMILARITY_KINDS order: all
+    five under DP, less fano_match when delta > 0; lecam_match and
+    fano_match under zCDP; none without a constraint."""
+    if c.kind == "zcdp":
+        return ("lecam_match", "fano_match")
+    if not c.is_dp:
+        return ()
+    return _SIMILARITY_KINDS if c.eps_delta()[1] == 0.0 else _SIMILARITY_KINDS[:-1]
+
+
 def _similarity_values(c: PrivacyConstraint, kind: str, N: int, dist) -> np.ndarray:
     """Each similarity kind's closed form, on T tuples of N datasets at once.
 
@@ -237,15 +248,8 @@ def _similarity_values(c: PrivacyConstraint, kind: str, N: int, dist) -> np.ndar
     """
     if N < 1:
         raise ArityMismatch("need at least one dataset")
-    if c.kind == "zcdp":
-        if kind not in ("lecam_match", "fano_match"):
-            raise KindConstraintMismatch(f"kind {kind!r} is not defined for zCDP")
-    elif not c.is_dp:
-        raise KindConstraintMismatch("similarity needs a DP or zCDP constraint")
-    elif kind not in (*_ANCHOR_KINDS, "lecam_match", "pairwise_anchor", "fano_match"):
-        raise KindConstraintMismatch(f"unknown similarity kind {kind!r}")
-    elif kind == "fano_match" and c.eps_delta()[1] != 0.0:
-        raise KindConstraintMismatch("DP fano_match is defined for delta = 0 only")
+    if kind not in _similarity_kinds(c):
+        raise KindConstraintMismatch(f"similarity kind {kind!r} is not defined under {c.label()}")
     if kind == "lecam_match" and N != 2:
         raise ArityMismatch("lecam_match requires exactly two datasets")
     if kind in ("pairwise_anchor", "fano_match") and N < 2:
@@ -406,7 +410,7 @@ def verify_group_privacy(m: FiniteMechanism, c: PrivacyConstraint) -> bool:
     zCDP at distance k: D_alpha <= rho k^2 alpha.
     """
     _check_caps(m)
-    if not (c.is_dp or c.kind == "zcdp"):
+    if c.kind == "none":
         raise KindConstraintMismatch("group privacy needs DP or zCDP")
     return _first_violation(m, c, m.n) is None
 

@@ -5,8 +5,10 @@ import math
 
 import pytest
 
-from dpminimax import cli
+from dpminimax import PrivacyConstraint, cli, rr_kernel
+from dpminimax import verify as verify_mod
 from dpminimax.cli import build_parser, main
+from dpminimax.errors import KindConstraintMismatch
 
 CSV_HEADER = "model,n,constraint_kind,eps,delta,rho,mechanism,risk,stderr,lower_bound,branch"
 
@@ -194,6 +196,50 @@ def test_verify_refuses_a_large_instance_before_building_it(flags, count, monkey
     assert capsys.readouterr().err == f"error: {count} datasets exceeds cap 64\n"
 
 
+# Each constraint with its verify flags; verify has no flag for "none".
+_KIND_RULE_CONSTRAINTS = {
+    "pure": (PrivacyConstraint.pure(math.log(3.0)), []),
+    "approx": (PrivacyConstraint.approx(math.log(3.0), 0.01), ["--delta", "0.01"]),
+    "zcdp": (PrivacyConstraint.zcdp(0.6), ["--rho", "0.6"]),
+    "none": (PrivacyConstraint.none(), None),
+}
+
+
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("name", list(_KIND_RULE_CONSTRAINTS))
+def test_suite_checks_exactly_the_kinds_the_constraint_admits(name, N, tmp_path, capsys):
+    c, flags = _KIND_RULE_CONSTRAINTS[name]
+    admitted = verify_mod._similarity_kinds(c)
+    assert admitted == tuple(k for k in verify_mod._SIMILARITY_KINDS if k in admitted)
+    # global_anchor's default anchor and lecam_match need two datasets.
+    expected = [k for k in admitted if N == 2 or k not in ("global_anchor", "lecam_match")]
+    assert cli._suite_kinds(c, N) == expected
+    if flags is not None:
+        path = tmp_path / "suite.json"
+        main(["verify", "suite", "--mechanism", "rr", "--N", str(N), *flags, "--out", str(path)])
+        capsys.readouterr()
+        names = [check["check"] for check in json.loads(path.read_text())["report"]["checks"]]
+
+        def kinds(check):
+            return [name[len(check) + 1 : -1] for name in names if name.startswith(check + "[")]
+
+        assert kinds("admissibility") == expected
+        # Transport checks the two default marginals, so it runs the N = 2 kinds.
+        assert kinds("transport") == list(admitted)
+    mech = rr_kernel(math.log(3.0), 1)
+    for kind in verify_mod._SIMILARITY_KINDS:
+        if kind not in admitted:
+            # An anchor for every tuple, since the default one needs N = 2.
+            with pytest.raises(KindConstraintMismatch):
+                verify_mod.verify_admissibility(mech, c, kind, N, anchors=lambda tup: tup[0])
+
+
+@pytest.mark.parametrize("sub", ["admissibility", "transport"])
+def test_kind_choices_are_the_similarity_kinds(sub):
+    kind = next(a for a in _subparser("verify", sub)._actions if a.dest == "kind")
+    assert tuple(kind.choices) == verify_mod._SIMILARITY_KINDS
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -223,6 +269,8 @@ def test_verify_refuses_a_large_instance_before_building_it(flags, count, monkey
         ["verify", "privacy", "--mechanism", "identity", "--alphabet", "-2"],
         ["bounds", "fano", "--n", "2", "--N", "-1", "--tv-all", "0.5"],
         ["experiment", "gaussian", "--d", "3", "--ns", "0", "--trials", "100"],
+        ["verify", "privacy", "--mechanism", "rr", "--alphabet", "3"],
+        ["verify", "suite", "--mechanism", "rr-sum", "--n", "2", "--alphabet", "1"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
@@ -356,12 +404,17 @@ def test_repeated_main_calls_share_no_state(tmp_path, capsys):
     assert paths[2].read_bytes() == paths[0].read_bytes()
 
 
+def _subparser(*names):
+    """The parser of a subcommand path such as ("verify", "suite")."""
+    parser = build_parser()
+    for name in names:
+        parser = parser._subparsers._group_actions[0].choices[name]
+    return parser
+
+
 def _experiment_options(sub):
     """The dests of an experiment subcommand's options, read off the parser."""
-    parser = build_parser()
-    experiment = parser._subparsers._group_actions[0].choices["experiment"]
-    sub_parser = experiment._subparsers._group_actions[0].choices[sub]
-    return {a.dest for a in sub_parser._actions if a.option_strings and a.dest != "help"}
+    return {a.dest for a in _subparser("experiment", sub)._actions if a.option_strings and a.dest != "help"}
 
 
 @pytest.mark.parametrize(

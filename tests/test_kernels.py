@@ -102,10 +102,11 @@ def test_races_winners_sparse_marginals_match_argmin(probs):
         assert np.all(p[out[:, i]] > 0.0)
 
 
-@pytest.mark.parametrize("chunks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 1234)],
+# Sizes on both sides of one and two blocks of 8 192 draws: one call handles
+# any number of draws, though couplings hands it one draw chunk at a time.
+@pytest.mark.parametrize("trials", [1, 8191, 8192, 8193, 17618],
                          ids=["1", "chunk-1", "chunk", "chunk+1", "2chunks+1234"])
-def test_races_winners_matches_argmin_at_chunk_edges(chunks, extra):
-    trials = chunks * _kernels._RACE_CHUNK + extra
+def test_races_winners_matches_argmin_at_chunk_edges(trials):
     clocks, probs = _random_race_inputs(derived_rng(204, trials), trials)
     assert np.array_equal(races_winners(clocks, probs), _races_argmin(clocks, probs))
 
