@@ -57,7 +57,7 @@ from .mechanisms import (
 from .verify import (
     _MAX_DATASETS,
     _SIMILARITY_KINDS,
-    _similarity_kinds,
+    _suite_kinds,
     _transport_left_side,
     verify_admissibility,
     verify_group_privacy,
@@ -440,13 +440,6 @@ def _default_transport_marginals(m) -> list[DiscreteDistribution]:
     ]
 
 
-def _suite_kinds(c: PrivacyConstraint, N: int = 2) -> list[str]:
-    """The similarity kinds a suite checks under c with N datasets: those c
-    admits, less global_anchor (whose default anchor is a pair's midpoint)
-    and lecam_match, defined for two datasets only, at any other N."""
-    return [k for k in _similarity_kinds(c) if N == 2 or k not in ("global_anchor", "lecam_match")]
-
-
 def _cmd_verify(args) -> int:
     mech = _build_mechanism(args)
     c = _verify_constraint(args)
@@ -665,7 +658,8 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("admissibility", "suite"):
             p.add_argument("--N", type=int, default=2, help="admissibility hypotheses")
         if name in ("admissibility", "transport"):
-            p.add_argument("--kind", choices=_SIMILARITY_KINDS, default="lecam_match")
+            # The default is lecam_match, which every DP and zCDP constraint admits.
+            p.add_argument("--kind", choices=_SIMILARITY_KINDS, default=_SIMILARITY_KINDS[2])
         if name == "transport":
             p.add_argument("--marginals", help="marginals over dataset indices")
         _add_out_flag(p)

@@ -215,14 +215,15 @@ def _risk_stderr(losses: np.ndarray) -> tuple[float, float]:
 
 def rate_slope(points) -> float:
     """Least-squares slope of ln(risk) against ln(n), over at least three
-    points on at least two distinct n."""
+    points on at least two distinct n, each n and risk in (0, inf)."""
     pts = [(float(n), float(r)) for n, r in points]
     if len(pts) < 3:
         raise DegenerateInput("need at least three (n, risk) points")
     if len({n for n, _ in pts}) < 2:
         raise DegenerateInput("need at least two distinct n")
-    if any(r <= 0.0 or n <= 0.0 for n, r in pts):
-        raise DegenerateInput("rate fits need positive n and risk")
+    # Written so that nan, which fails every comparison, is rejected too.
+    if not all(0.0 < n < math.inf and 0.0 < r < math.inf for n, r in pts):
+        raise DegenerateInput("rate fits need positive finite n and risk")
     x = np.log([n for n, _ in pts])
     y = np.log([r for _, r in pts])
     return float(np.polyfit(x, y, 1)[0])

@@ -209,20 +209,19 @@ def similarity(
 ) -> float:
     """Evaluate an admissible similarity function on a tuple of datasets.
 
-    The kinds c admits are _similarity_kinds(c); "global_anchor" needs
-    anchor, "projection_anchor" needs j and "lecam_match" needs N = 2.
+    The arguments are checked in one order (see _similarity_values): the
+    kind against c, which admits _similarity_kinds(c), then N ("lecam_match"
+    needs N = 2), then j ("projection_anchor" needs one in [0, N)), then the
+    distances, where "global_anchor" needs anchor.
     """
     datasets = tuple(datasets)
-    N = len(datasets)
 
     def dist():
-        if kind == "projection_anchor" and (j is None or not 0 <= j < N):
-            raise DomainError("projection_anchor needs an index j in [0, N)")
         if kind in _ANCHOR_KINDS:
             return [_anchor_distances(datasets, datasets[j] if kind == "projection_anchor" else anchor)]
         return [[hamming(a, b) for a, b in itertools.combinations(datasets, 2)]]
 
-    return float(_similarity_values(c, kind, N, dist)[0])
+    return float(_similarity_values(c, kind, len(datasets), dist, j)[0])
 
 
 def _similarity_kinds(c: PrivacyConstraint) -> tuple[str, ...]:
@@ -236,15 +235,23 @@ def _similarity_kinds(c: PrivacyConstraint) -> tuple[str, ...]:
     return _SIMILARITY_KINDS if c.eps_delta()[1] == 0.0 else _SIMILARITY_KINDS[:-1]
 
 
-def _similarity_values(c: PrivacyConstraint, kind: str, N: int, dist) -> np.ndarray:
+def _suite_kinds(c: PrivacyConstraint, N: int = 2) -> list[str]:
+    """The similarity kinds a suite checks under c with N datasets: those c
+    admits, less global_anchor (whose default anchor is a pair's midpoint)
+    and lecam_match, defined for two datasets only, at any other N."""
+    return [k for k in _similarity_kinds(c) if N == 2 or k not in ("global_anchor", "lecam_match")]
+
+
+def _similarity_values(c: PrivacyConstraint, kind: str, N: int, dist, j: Optional[int]) -> np.ndarray:
     """Each similarity kind's closed form, on T tuples of N datasets at once.
 
-    dist() returns the (T, N) distances to the anchor for the anchor kinds,
-    and the (T, N(N-1)/2) pair distances in itertools.combinations order for
-    the others.  It runs after the kind, constraint and arity checks, so its
-    errors (no anchor, no j, unequal lengths) come after theirs.  Values keep
-    the scalar formula's bits: e^(-eps s) is math.exp at integer s,
-    pairwise_anchor adds in ordered-pair order, fano_match sums integers.
+    The checks run in one order: the kind against c, then N, then
+    projection_anchor's index j, then dist(), which returns the (T, N)
+    distances to the anchor for the anchor kinds (the anchor rules and
+    unequal lengths raise there) and the (T, N(N-1)/2) pair distances in
+    itertools.combinations order for the others.  Values keep the scalar
+    formula's bits: e^(-eps s) is math.exp at integer s, pairwise_anchor
+    adds in ordered-pair order, fano_match sums integers.
     """
     if N < 1:
         raise ArityMismatch("need at least one dataset")
@@ -254,6 +261,8 @@ def _similarity_values(c: PrivacyConstraint, kind: str, N: int, dist) -> np.ndar
         raise ArityMismatch("lecam_match requires exactly two datasets")
     if kind in ("pairwise_anchor", "fano_match") and N < 2:
         raise ArityMismatch(f"{kind} requires at least two datasets")
+    if kind == "projection_anchor" and (j is None or not 0 <= j < N):
+        raise DomainError("projection_anchor needs an index j in [0, N)")
     h = np.asarray(dist(), dtype=np.int64)
     if kind == "fano_match":
         scale, cost = (c.rho, h * h) if c.kind == "zcdp" else (c.eps_delta()[0], h)
@@ -268,17 +277,12 @@ def _similarity_values(c: PrivacyConstraint, kind: str, N: int, dist) -> np.ndar
         return (N - 1) / N * e - math.exp(-eps) * delta * s
     if kind == "lecam_match":
         return 0.5 * e[:, 0] - math.exp(-eps) * delta * s[:, 0]
-    # Pair-major: row 0 is the 0.0 the sum starts from, then each pair's terms
-    # for the T tuples and one column of zeros.  Reducing axis 0 of at least
-    # two columns, numpy adds the rows one after another, vectorised over the
-    # columns; a single column would be summed pairwise.
-    T = h.shape[0]
-    terms = np.zeros((1 + h.shape[1], T + 1))
-    terms[1:, :T] = (e - 2.0 * math.exp(-eps) * delta * s).T
-    column = np.zeros((N, N), dtype=np.int64)
-    column[_upper(N)] = np.arange(1, terms.shape[0])
-    ordered = np.take(terms, np.concatenate([[0], (column + column.T)[~np.eye(N, dtype=bool)]]), axis=0)
-    return np.add.reduce(ordered, axis=0)[:T] / (2 * N * (N - 1))
+    # Each pair's term once per ordered pair, in itertools.permutations order;
+    # cumsum adds them one after another, as the scalar loop does.
+    pair = np.zeros((N, N), dtype=np.int64)
+    pair[_upper(N)] = np.arange(h.shape[1])
+    terms = (e - 2.0 * math.exp(-eps) * delta * s)[:, (pair + pair.T)[~np.eye(N, dtype=bool)]]
+    return np.cumsum(terms, axis=1)[:, -1] / (2 * N * (N - 1))
 
 
 def _upper(N: int) -> np.ndarray:
@@ -438,26 +442,23 @@ def _similarities(
     the midpoint of a pair at distance h, h // 2 and (h + 1) // 2.
     """
     N = idx.shape[1]
-    if kind == "global_anchor":
-        if anchors is not None:
-            datasets = m.datasets()
-            rows = [tuple(datasets[i] for i in row) for row in idx.tolist()]
-            to_anchor = [_anchor_distances(tup, anchors(tup)) for tup in rows]
-        elif N != 2:
-            raise DomainError("global_anchor has a default anchor only for N = 2")
 
     def dist():
         h = _word_distances(m.alphabet_size, m.n)
         if kind == "projection_anchor":
-            if not 0 <= j < N:
-                raise DomainError("projection_anchor needs an index j in [0, N)")
             return h[idx, idx[:, j : j + 1]]
         if kind == "global_anchor":
-            return to_anchor if anchors is not None else (h[idx[:, :1], idx[:, 1:]] + [0, 1]) // 2
+            if anchors is not None:
+                datasets = m.datasets()
+                rows = [tuple(datasets[i] for i in row) for row in idx.tolist()]
+                return [_anchor_distances(tup, anchors(tup)) for tup in rows]
+            if N != 2:
+                raise DomainError("global_anchor has a default anchor only for N = 2")
+            return (h[idx[:, :1], idx[:, 1:]] + [0, 1]) // 2
         upper, lower = np.nonzero(_upper(N))
         return h[idx[:, upper], idx[:, lower]]
 
-    return _similarity_values(c, kind, N, dist)
+    return _similarity_values(c, kind, N, dist, j)
 
 
 def verify_admissibility(

@@ -229,9 +229,9 @@ def test_suite_checks_exactly_the_kinds_the_constraint_admits(name, N, tmp_path,
     mech = rr_kernel(math.log(3.0), 1)
     for kind in verify_mod._SIMILARITY_KINDS:
         if kind not in admitted:
-            # An anchor for every tuple, since the default one needs N = 2.
+            # Refused at any N, before global_anchor's default anchor (N = 2 only).
             with pytest.raises(KindConstraintMismatch):
-                verify_mod.verify_admissibility(mech, c, kind, N, anchors=lambda tup: tup[0])
+                verify_mod.verify_admissibility(mech, c, kind, N)
 
 
 @pytest.mark.parametrize("sub", ["admissibility", "transport"])
@@ -271,11 +271,18 @@ def test_kind_choices_are_the_similarity_kinds(sub):
         ["experiment", "gaussian", "--d", "3", "--ns", "0", "--trials", "100"],
         ["verify", "privacy", "--mechanism", "rr", "--alphabet", "3"],
         ["verify", "suite", "--mechanism", "rr-sum", "--n", "2", "--alphabet", "1"],
+        ["verify", "admissibility", "--mechanism", "rr", "--rho", "0.25", "--N", "3", "--kind", "global_anchor"],
+        ["verify", "transport", "--mechanism", "rr", "--n", "2", "--rho", "0.25", "--kind", "global_anchor",
+         "--marginals", "0:1;1:1;3:1"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
     assert main(argv) == 2
-    assert "usage error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "usage error" in err
+    if "global_anchor" in argv:
+        # zCDP admits no global_anchor at any N, whatever the default anchor.
+        assert "is not defined under zcdp(rho=0.25)" in err
 
 
 

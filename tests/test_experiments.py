@@ -126,6 +126,12 @@ def test_rate_slope_validation():
         rate_slope([(10, 1.0), (20, 0.5), (40, 0.0)])
     with pytest.raises(DegenerateInput):
         rate_slope([(0, 1.0), (20, 0.5), (40, 0.2)])
+    # nan fails every comparison, so the check must reject it, not let it pass.
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DegenerateInput, match="positive finite n and risk"):
+            rate_slope([(10, bad), (20, 1.0), (40, 2.0)])
+        with pytest.raises(DegenerateInput, match="positive finite n and risk"):
+            rate_slope([(bad, 1.0), (20, 1.0), (40, 2.0)])
 
 
 def test_rate_slope_needs_two_distinct_n():

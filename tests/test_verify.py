@@ -782,7 +782,8 @@ def _admissibility_loop(m, c, kind, N, anchors=None, j=0):
                 anchor = anchors(tup)
             elif N == 2:
                 anchor = midpoint_anchor(*tup)
-            else:
+            elif kind in verify_mod._similarity_kinds(c):
+                # A kind c does not admit raises KindConstraintMismatch first.
                 raise DomainError("global_anchor has a default anchor only for N = 2")
         s = similarity(c, kind, tup, anchor=anchor, j=j if kind == "projection_anchor" else None)
         rows = m.kernel[list(idx)]
@@ -855,6 +856,27 @@ def test_global_anchor_with_a_custom_anchor_matches_the_per_tuple_loop():
     for check in (verify_admissibility, _admissibility_loop):
         with pytest.raises(LengthMismatch, match="datasets of length 2 and 1"):
             check(rr_kernel(1.0, 2), c, "global_anchor", 3, anchors=too_short)
+
+
+def test_a_kind_the_constraint_does_not_admit_is_refused_before_any_anchor_is_read():
+    def anchors(tup):
+        raise AssertionError("the anchor callback ran")
+
+    with pytest.raises(KindConstraintMismatch, match="is not defined under zcdp"):
+        verify_admissibility(rr_kernel(1.0, 2), PrivacyConstraint.zcdp(0.25), "global_anchor", 3, anchors=anchors)
+    with pytest.raises(KindConstraintMismatch, match="is not defined under zcdp"):
+        verify_admissibility(rr_kernel(1.0, 2), PrivacyConstraint.zcdp(0.25), "global_anchor", 3)
+
+
+@pytest.mark.parametrize("j", [-1, 3])
+def test_projection_anchor_index_out_of_range_is_one_error(j):
+    mech, c = rr_kernel(1.0, 2), PrivacyConstraint.pure(1.0)
+    tup = tuple(mech.datasets()[:3])
+    with pytest.raises(DomainError) as scalar:
+        similarity(c, "projection_anchor", tup, j=j)
+    with pytest.raises(DomainError) as vectorized:
+        verify_mod._similarities(mech, c, "projection_anchor", np.array([[0, 1, 2]]), j=j)
+    assert str(scalar.value) == str(vectorized.value) == "projection_anchor needs an index j in [0, N)"
 
 
 def test_admissibility_with_more_hypotheses_than_array_dimensions_matches_the_per_tuple_loop():
