@@ -170,36 +170,92 @@ def _constraint_from_args(args) -> PrivacyConstraint:
     return PrivacyConstraint.none()
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return _jsonable(value.tolist())
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, float) and not math.isfinite(value):
-        return repr(value)
-    return value
-
-
-def _wrapper(config: dict, seed: Optional[int], report: dict) -> dict:
+def _wrapper(config: dict, seed: Optional[int], report) -> dict:
     return {
         "schema": _SCHEMA,
         "version": __version__,
-        "config": _jsonable(config),
+        "config": config,
         "seed": seed,
-        "report": _jsonable(report),
+        "report": report,
     }
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _float_text(value: float) -> str:
+    """A Python float as json.dumps writes it, or the string of its repr when
+    it is not finite."""
+    return float.__repr__(value) if math.isfinite(value) else _encode_str(repr(value))
+
+
+def _write_value(value, indent: str, out: list) -> None:
+    """Append to out the text of value as json.dumps(indent=2, sort_keys=True)
+    writes it at nesting indent, with value first read as JSON: a dataclass
+    instance as the dict of its fields, dict keys through str (the later of
+    two equal ones wins), tuples and arrays as lists, numpy integers as ints,
+    numpy floats as numbers (a non-finite one as the bare NaN or Infinity json
+    writes), and a non-finite Python float as the string of its repr."""
+    if value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, str):
+        out.append(_encode_str(value))
+    elif type(value) is float:  # the common case, ahead of the subclass tests
+        out.append(_float_text(value))
+    elif type(value) is int:
+        out.append(int.__repr__(value))
+    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+        _write_value({f.name: getattr(value, f.name) for f in dataclasses.fields(value)}, indent, out)
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        items = {str(k): v for k, v in value.items()}
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key in sorted(items):
+            out.append(sep + _encode_str(key) + ": ")
+            _write_value(items[key], inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _write_value(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    elif isinstance(value, np.ndarray):
+        _write_value(value.tolist(), indent, out)
+    elif isinstance(value, (np.integer, int)):
+        out.append(int.__repr__(int(value)))
+    elif isinstance(value, np.floating):
+        number = float(value)
+        if math.isfinite(number):
+            out.append(float.__repr__(number))
+        else:
+            out.append("NaN" if number != number else "Infinity" if number > 0 else "-Infinity")
+    elif isinstance(value, float):
+        out.append(_float_text(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _write_json(path: str, wrapper: dict) -> None:
+    out = []
+    _write_value(wrapper, "", out)
+    out.append("\n")
     # One write: json.dump would make one per token.
     with open(path, "w") as handle:
-        handle.write(json.dumps(wrapper, indent=2, sort_keys=True) + "\n")
+        handle.write("".join(out))
 
 
 def _write_csv(path: str, fieldnames: list[str], rows: list[dict]) -> None:
@@ -252,7 +308,7 @@ def _cmd_bounds_lecam(args) -> int:
         "n": args.n,
         "tv": args.tv,
         "form": args.form,
-        "constraint": dataclasses.asdict(c),
+        "constraint": c,
         "seed": None,
     }
     _emit(args, config, {"rows": rows}, rows, list(rows[0].keys()))
@@ -297,7 +353,7 @@ def _cmd_bounds_fano(args) -> int:
         "tv": tvs.tolist(),
         "kl_q": args.kl_q,
         "form": args.form,
-        "constraint": dataclasses.asdict(c),
+        "constraint": c,
         "seed": None,
     }
     _emit(args, config, {"rows": [row], "branches": res.extras}, [row], list(row.keys()))
@@ -551,7 +607,7 @@ def _cmd_experiment(args) -> int:
 
     if args.out is not None:
         base = _base_path(args.out)
-        _write_json(base + ".json", _wrapper(config, args.seed, report.to_dict()))
+        _write_json(base + ".json", _wrapper(config, args.seed, report))
         csv_rows = report.csv_rows()
         _write_csv(base + ".csv", list(csv_rows[0]), csv_rows)
 

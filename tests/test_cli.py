@@ -1,8 +1,11 @@
 """End-to-end tests for the dpminimax command-line interface."""
 
+import dataclasses
+import enum
 import json
 import math
 
+import numpy as np
 import pytest
 
 from dpminimax import PrivacyConstraint, cli, rr_kernel
@@ -502,3 +505,137 @@ def test_experiment_dpsgml_budget_failure_exits_1(capsys):
     rc = main(["experiment", "dpsgml", "--ns", "3", "--rho", "0.1", "--trials", "100"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------ report writer
+
+
+def _reference_jsonable(value):
+    """The pipeline the report writer replaced: dataclasses.asdict for a
+    dataclass, then the JSON-ready copy that json.dumps was given."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return _reference_jsonable(dataclasses.asdict(value))
+    if isinstance(value, dict):
+        return {str(k): _reference_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_reference_jsonable(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return _reference_jsonable(value.tolist())
+    if isinstance(value, (np.integer,)):
+        return int(value)
+    if isinstance(value, (np.floating,)):
+        return float(value)
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(value)
+    return value
+
+
+def _reference_write_json(path, wrapper):
+    with open(path, "w") as handle:
+        handle.write(json.dumps(_reference_jsonable(wrapper), indent=2, sort_keys=True) + "\n")
+
+
+@dataclasses.dataclass(frozen=True)
+class _Leaf:
+    x: float
+    tag: str = "leaf"
+
+
+@dataclasses.dataclass
+class _Tree:
+    leaves: tuple
+    by_name: dict
+    rows: list
+    weights: np.ndarray
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class _Float(float):
+    pass
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+_WRITER_CASES = {
+    "nested-dataclasses": {
+        "tree": _Tree(
+            leaves=(_Leaf(1.0), _Leaf(-2.5, "b")),
+            by_name={"a": _Leaf(0.1), 3: [_Leaf(_NAN)], "t": (_Leaf(1e16),)},
+            rows=[{"k": _Leaf(5e-324)}, (_Leaf(-_INF), [])],
+            weights=np.array([0.25, 0.75]),
+        ),
+        "leaf": _Leaf(np.float64(2.0), "top"),
+    },
+    "numpy-scalars": {
+        "f32": np.float32(0.1), "f64": np.float64(1.0 / 3.0), "i64": np.int64(-7),
+        "big": np.int64(2**62), "u8": np.uint8(255), "list": [np.float32(1.5), np.int64(0)],
+    },
+    "non-finite": {
+        "numpy": [np.float64(_NAN), np.float64(_INF), np.float64(-_INF), np.float32(_NAN), np.float32(-_INF)],
+        "python": [_NAN, _INF, -_INF],
+        "by_key": {"nan": _NAN, "np_inf": np.float64(_INF)},
+    },
+    "float-edges": [-0.0, 5e-324, 1e16, 1e-7, 0.1, 123456789.0, 2.0**53 + 2, np.float64(-0.0), np.float64(5e-324)],
+    "arrays": {
+        "zero_d": np.array(2.5), "zero_d_nan": np.array(_NAN), "zero_d_int": np.array(3),
+        "one_d": np.arange(3), "one_d_float": np.linspace(0.0, 1.0, 4),
+        "two_d": np.array([[1.0, _INF], [_NAN, -0.0]]), "empty": np.zeros((0,)), "empty_2d": np.zeros((2, 0)),
+    },
+    "empty-containers": {"dict": {}, "list": [], "tuple": (), "nested": [{}, [], ()]},
+    "keys": {1: "int", (1, 2): "tuple", "1": "str one wins", 0.5: "float", None: "none", True: "bool"},
+    "keys-later-wins": {"1": "str one", 1: "int wins", "b": {2: "x", "2": "y"}},
+    "strings": {
+        "ascii": "plain", "non_ascii": "é ü 中 \U0001f600", "control": "\x00\x01\n\t\r\x1f\"\\/",
+        "separators": "\u2028\u2029\x7f", "ключ": "значение", "": "empty key",
+    },
+    "literals": [True, False, None, {"t": True, "f": False, "n": None}, [[None]]],
+    "number-subclasses": [_Level.HIGH, {"k": _Level.LOW}, _Float(0.1), _Float(_NAN), _Float(-_INF)],
+    "empty-dict": {},
+    "empty-list": [],
+    "empty-tuple": (),
+}
+
+
+@pytest.mark.parametrize("value", list(_WRITER_CASES.values()), ids=list(_WRITER_CASES))
+def test_report_writer_writes_the_bytes_of_the_json_dumps_pipeline(value, tmp_path):
+    cli._write_json(str(tmp_path / "new.json"), value)
+    _reference_write_json(str(tmp_path / "old.json"), value)
+    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+
+
+@pytest.mark.parametrize("value", [{"a": {1, 2}}, [np.bool_(True)], {"x": object()}])
+def test_report_writer_refuses_what_json_refuses(value, tmp_path):
+    with pytest.raises(TypeError):
+        _reference_write_json(str(tmp_path / "old.json"), value)
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        cli._write_json(str(tmp_path / "new.json"), value)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "lecam", "--n", "1,2,4", "--tv", "0.1,0.5,1.0", "--dp", "--eps", "0.5", "--delta", "1e-5"],
+        ["bounds", "fano", "--n", "3", "--N", "3", "--tv", "0.1,0.2,0.3", "--kl-q", "0.1,inf,0.3"],
+        ["couple", "races", "--marginals", "0.2,0.5,0.3;0.6,0.1,0.3;0:0.4,3:0.6", "--trials", "3000", "--seed", "7"],
+        ["couple", "lp", "--example2"],
+        ["verify", "suite", "--mechanism", "rr", "--n", "2", "--N", "3"],
+        ["verify", "admissibility", "--mechanism", "identity", "--kind", "lecam_match"],
+        ["verify", "transport", "--mechanism", "rr-sum", "--n", "2", "--marginals", "0:1;3:1"],
+        ["experiment", "bernoulli", "--ns", "50,100", "--eps", "0.5", "--rho", "0.1", "--trials", "200", "--seed", "5"],
+        ["experiment", "dpsgml", "--d", "2", "--ns", "200", "--rho", "0.5", "--trials", "100", "--seed", "3"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_reports_are_the_bytes_of_the_json_dumps_pipeline(argv, tmp_path, monkeypatch, capsys):
+    rc = main([*argv, "--out", str(tmp_path / "new.json")])
+    monkeypatch.setattr(cli, "_write_json", _reference_write_json)
+    assert main([*argv, "--out", str(tmp_path / "old.json")]) == rc
+    capsys.readouterr()
+    suffixes = (".json", ".csv") if argv[0] == "experiment" else (".json",)
+    for suffix in suffixes:
+        new, old = (tmp_path / f"new{suffix}").read_bytes(), (tmp_path / f"old{suffix}").read_bytes()
+        assert new == old and len(new) > 0

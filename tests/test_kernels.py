@@ -231,6 +231,53 @@ def test_clipped_mean_zero_row_raises_no_floating_point_error():
     assert np.allclose(out, [[0.3, 0.4]], atol=1e-15)
 
 
+def _clip_edge_grads(d, scale, trials=4, m=64, clip=5.0):
+    """(trials, m, d) gradients with rows on the edges of the clip: trials 2
+    and 3 hold rows at exactly norm clip, one ulp outside and one inside it,
+    and zero rows; trial 0 a nan row and trial 1 an infinite one.  The other
+    rows are random with coordinates of about scale."""
+    grads = scale * derived_rng(231, d).standard_normal((trials, m, d))
+    edges = np.zeros((6, d))
+    edges[0, 0] = clip
+    edges[1, 0] = np.nextafter(clip, np.inf)
+    edges[2, 0] = np.nextafter(clip, 0.0)
+    edges[3, :2] = 3.0, 4.0  # norm 5.0, from two coordinates
+    edges[4, -1] = -clip
+    # edges[5] stays zero
+    grads[2, :6] = edges
+    grads[3, -6:] = edges[::-1]
+    grads[0, 7, 0] = np.nan
+    grads[1, 9, 1] = np.inf
+    return grads
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+@pytest.mark.parametrize("scale", [0.1, 10.0], ids=["few-rows-outside", "most-rows-outside"])
+@pytest.mark.parametrize("returns_batch", [False, True], ids=["new-array", "grad-returns-batch"])
+def test_clipped_sum_matches_clipped_mean_bit_for_bit_on_the_clip_edges(d, scale, returns_batch):
+    clip = 5.0
+    grads = _clip_edge_grads(d, scale, clip=clip)
+    trials, m = grads.shape[:2]
+    sq, out, total = np.empty((m, trials)), np.empty((m, trials, d)), np.empty((trials, d))
+    if returns_batch:
+        # The kernel's buffer holds the batch, and grad hands back its view.
+        out[...] = grads.transpose(1, 0, 2)
+        given = out.transpose(1, 0, 2)
+    else:
+        given = grads.copy()
+    with np.errstate(invalid="ignore"):
+        expected = clipped_mean(grads, clip)
+    got = _kernels._clipped_sum(given, clip, sq, out, total) / m
+    # A nan row makes its trial nan; an infinite coordinate has factor 0 and
+    # makes its own coordinate nan.  einsum's sum of a nan may carry another
+    # sign bit, so nan places are compared and every other bit.
+    nan = np.isnan(expected)
+    assert nan[0].all() and nan[1].tolist() == [j == 1 for j in range(d)] and not nan[2:].any()
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == expected[~nan].tobytes()
+    assert np.abs(expected[2:]).max() > 0.0
+
+
 # ------------------------------------------------------------ DP-SGML steps
 
 
