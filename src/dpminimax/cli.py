@@ -363,14 +363,14 @@ def _cmd_bounds_fano(args) -> int:
 # ----------------------------------------------------------------- couple
 
 
-def _pair_rows(marginals, matrix, lifted_n: int = 1) -> list[dict]:
+def _pair_rows(sampler, matrix) -> list[dict]:
     rows = []
-    N = len(marginals)
+    N = sampler.n_marginals
     for i in range(N):
         for j in range(i + 1, N):
-            tv_base = tv(marginals[i], marginals[j])
+            tv_base = tv(sampler.marginals[i], sampler.marginals[j])
             race = 2.0 * tv_base / (1.0 + tv_base) if tv_base > 0.0 else 0.0
-            bound = 1.0 - (1.0 - race) ** lifted_n
+            bound = 1.0 - (1.0 - race) ** sampler.n
             rows.append(
                 {
                     "i": i,
@@ -411,23 +411,16 @@ def _cmd_couple(args) -> int:
         _emit(args, config, report)
         return 0
 
-    lifted_n = 1
     if args.subcommand == "pair":
-        marginals = [_parse_dist(args.p), _parse_dist(args.q)]
-        sampler = maximal_pair(marginals[0], marginals[1])
+        sampler = maximal_pair(_parse_dist(args.p), _parse_dist(args.q))
     elif args.subcommand == "shared":
-        ps = _weights(args.ps)
-        sampler = shared_uniform_bernoulli(ps)
-        marginals = list(sampler.marginals)
+        sampler = shared_uniform_bernoulli(_weights(args.ps))
     elif args.subcommand == "races":
-        marginals = _parse_marginals(args.marginals)
-        sampler = exponential_races(marginals)
+        sampler = exponential_races(_parse_marginals(args.marginals))
     else:
-        marginals = _parse_marginals(args.marginals)
-        sampler = product_lift(exponential_races(marginals), args.n)
-        lifted_n = args.n
+        sampler = product_lift(exponential_races(_parse_marginals(args.marginals)), args.n)
     matrix = estimate_disagreement(sampler, args.trials, args.seed)
-    rows = _pair_rows(marginals, matrix, lifted_n)
+    rows = _pair_rows(sampler, matrix)
     for row in rows:
         print(
             f"pair ({row['i']},{row['j']}) disagreement={row['estimate']:.6f} "
@@ -436,7 +429,7 @@ def _cmd_couple(args) -> int:
     config = {
         "command": "couple",
         "subcommand": args.subcommand,
-        "marginals": [_dist_config(m) for m in marginals],
+        "marginals": [_dist_config(m) for m in sampler.marginals],
         "trials": args.trials,
         "seed": args.seed,
     }

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -77,9 +77,10 @@ class DisagreementMatrix:
 class CouplingSampler:
     """A joint sampler over N finite marginals.
 
-    kind is one of "maximal_pair", "shared_uniform", "races", "product_lift".
-    For "product_lift" each draw is an n-vector per marginal and two
-    components disagree when any coordinate differs.
+    kind is "maximal_pair" (two marginals), "shared_uniform" (two or more, on
+    atoms 0 and 1), "races" (two or more) or "product_lift": n >= 1 independent
+    draws of a plain base sampler on the base's marginals, an n-vector per
+    marginal, disagreeing when any coordinate does.  Checked when it is built.
     """
 
     kind: str
@@ -87,21 +88,40 @@ class CouplingSampler:
     base: Optional["CouplingSampler"] = None
     n: int = 1
 
+    def __post_init__(self) -> None:
+        if self.kind == "product_lift":
+            if self.base is None:
+                raise DomainError("a product lift needs a base sampler")
+            if self.base.kind == "product_lift":
+                raise DomainError("nested product lifts are not supported")
+            if self.n < 1:
+                raise DomainError("n must be >= 1")
+            law, base_law = _weights(self.marginals), _weights(self.base.marginals)
+            if law[0] != base_law[0] or not np.array_equal(law[1], base_law[1]):
+                raise DomainError("a product lift takes its base's marginals")
+        elif self.kind not in _LAWS:
+            raise DomainError(f"unknown coupling kind {self.kind!r}")
+        elif self.base is not None or self.n != 1:
+            raise DomainError(f"a {self.kind} sampler takes no base and n = 1")
+        elif len(self.marginals) < 2:
+            raise DomainError("need at least two marginals")
+        elif self.kind == "maximal_pair" and len(self.marginals) != 2:
+            raise DomainError("a maximal pair couples exactly two marginals")
+        elif self.kind == "shared_uniform" and any(set(m.support()[0]) - {0, 1} for m in self.marginals):
+            raise DegenerateMarginal("shared_uniform couples marginals on atoms 0 and 1 only")
+
     @property
     def n_marginals(self) -> int:
         return len(self.marginals)
 
+    @property
+    def _unit(self) -> "CouplingSampler":
+        """The plain sampler of one base draw: a lift's base, else self."""
+        return self if self.base is None else self.base
+
     def draw_budget(self) -> int:
         """Number of stream variates one draw consumes."""
-        if self.kind == "maximal_pair":
-            return 3
-        if self.kind == "shared_uniform":
-            return 1
-        if self.kind == "races":
-            return len(_universe(self.marginals))
-        if self.kind == "product_lift":
-            return self.n * self.base.draw_budget()
-        raise DomainError(f"unknown coupling kind {self.kind!r}")
+        return self.n * _LAWS[self._unit.kind].budget(self.marginals)
 
     def sample(self, trials: int, seed: int, start: int = 0, each=None) -> Optional[np.ndarray]:
         """Draw the ``trials`` joint realizations start, ..., start + trials - 1.
@@ -131,9 +151,7 @@ class CouplingSampler:
         for atoms in chunks:
             out[lo:lo + atoms.shape[0]] = atoms
             lo += atoms.shape[0]
-        if self.kind == "product_lift":
-            return out.transpose(0, 2, 1)
-        return out.reshape(trials, self.n_marginals)
+        return out.reshape(trials, self.n_marginals) if self.base is None else out.transpose(0, 2, 1)
 
 
 def _draw_range(sampler: CouplingSampler, seed: int, start: int, count: int):
@@ -143,9 +161,8 @@ def _draw_range(sampler: CouplingSampler, seed: int, start: int, count: int):
     first uniform of the range, and each chunk's uniforms are the next
     ones; the per-kind weights are built once.
     """
-    base = sampler.base if sampler.kind == "product_lift" else sampler
-    budget = base.draw_budget()  # raises DomainError for an unknown kind
-    assign = _ASSIGNERS[base.kind](base.marginals)
+    budget = sampler._unit.draw_budget()
+    assign = _LAWS[sampler._unit.kind].assigner(sampler.marginals)
     n, N = sampler.n, sampler.n_marginals
     rows = _chunk_rows(sampler)
     rng = derived_rng(seed)
@@ -166,24 +183,23 @@ def _chunk_rows(sampler: CouplingSampler) -> int:
     """Realizations per chunk of a draw range: whole realizations, and so
     few that the widest chunk-sized array, the uniforms, clocks or atoms
     of its base draws at 8 bytes an item, stays within _CHUNK_BYTES."""
-    base = sampler.base if sampler.kind == "product_lift" else sampler
-    width = max(base.draw_budget(), sampler.n_marginals)
+    width = max(sampler._unit.draw_budget(), sampler.n_marginals)
     return max(1, _CHUNK_BYTES // (8 * sampler.n * width))
 
 
 def _universe(marginals) -> list[int]:
-    atoms: set[int] = set()
-    for m in marginals:
-        support, _ = m.support()
-        atoms.update(support)
-    return sorted(atoms)
+    """The sorted union of the marginals' supports."""
+    return sorted(set().union(*(m.support()[0] for m in marginals)))
+
+
+def _weights(marginals) -> tuple[list[int], np.ndarray]:
+    """The marginals' universe and their (N, atoms) weights on it."""
+    atoms = _universe(marginals)
+    return atoms, np.array([[m.prob(a) for a in atoms] for m in marginals])
 
 
 def _maximal_pair_assigner(marginals):
-    p, q = marginals
-    atoms = _universe(marginals)
-    pw = np.array([p.prob(a) for a in atoms])
-    qw = np.array([q.prob(a) for a in atoms])
+    atoms, (pw, qw) = _weights(marginals)
     common = np.minimum(pw, qw)
     mass = float(common.sum())
     tvd = 1.0 - mass
@@ -201,10 +217,14 @@ def _shared_uniform_assigner(marginals):
     return lambda u: (u[:, :1] < ps[None, :]).astype(np.int64)
 
 
+def _shared_uniform_exact(marginals) -> np.ndarray:
+    ps = np.array([m.prob(1) for m in marginals])
+    return np.abs(ps[:, None] - ps[None, :])
+
+
 def _races_assigner(marginals):
-    universe = _universe(marginals)
+    universe, probs = _weights(marginals)
     atoms = np.asarray(universe, dtype=np.int64)
-    probs = np.array([[m.prob(a) for a in universe] for m in marginals])
 
     def assign(u):
         # The clocks -log1p(-u), computed in place over u: no chunk-sized temporary.
@@ -214,13 +234,29 @@ def _races_assigner(marginals):
     return assign
 
 
-# Per kind, a map from the marginals to the function that turns a chunk's
-# (draws, draw_budget) uniforms into its (draws, N) atoms (races overwrite
-# the uniforms).
-_ASSIGNERS = {
-    "maximal_pair": _maximal_pair_assigner,
-    "shared_uniform": _shared_uniform_assigner,
-    "races": _races_assigner,
+def _races_exact(marginals) -> np.ndarray:
+    _, probs = _weights(marginals)
+    exact = np.zeros((len(marginals), len(marginals)))
+    for i, j in itertools.combinations(range(len(marginals)), 2):
+        common = np.flatnonzero((probs[i] > 0.0) & (probs[j] > 0.0))
+        # ratio[x, y] = max(p_i(y) / p_i(x), p_j(y) / p_j(x)), x in the common support.
+        ratio = np.maximum(probs[i] / probs[i, common, None], probs[j] / probs[j, common, None])
+        # Not below 0.0: equal marginals' collision sum may round past 1.
+        exact[i, j] = max(0.0, 1.0 - float(np.sum(1.0 / ratio.sum(axis=1))))
+    return exact
+
+
+class _Law(NamedTuple):
+    budget: Callable  # the stream variates one draw consumes
+    assigner: Callable  # the map of a chunk's (draws, budget) uniforms to its (draws, N) atoms
+    exact: Callable  # the (N, N) disagreement probabilities, read on and above the diagonal
+
+
+_LAWS = {
+    "maximal_pair": _Law(lambda ms: 3, _maximal_pair_assigner,
+                         lambda ms: np.array([[0.0, tv(*ms)], [0.0, 0.0]])),
+    "shared_uniform": _Law(lambda ms: 1, _shared_uniform_assigner, _shared_uniform_exact),
+    "races": _Law(lambda ms: len(_universe(ms)), _races_assigner, _races_exact),
 }
 
 
@@ -235,12 +271,9 @@ def shared_uniform_bernoulli(ps) -> CouplingSampler:
     Pairwise disagreement is exactly |p_i - p_j|.
     """
     ps = [float(p) for p in ps]
-    if len(ps) < 2:
-        raise DomainError("need at least two marginals")
     if any(not 0.0 <= p <= 1.0 for p in ps):
         raise DegenerateMarginal("Bernoulli parameters must lie in [0, 1]")
-    marginals = tuple(DiscreteDistribution.bernoulli(p) for p in ps)
-    return CouplingSampler("shared_uniform", marginals)
+    return CouplingSampler("shared_uniform", tuple(DiscreteDistribution.bernoulli(p) for p in ps))
 
 
 def exponential_races(marginals) -> CouplingSampler:
@@ -249,10 +282,7 @@ def exponential_races(marginals) -> CouplingSampler:
     Marginals are exact; pairwise disagreement is exact_disagreement's
     P-MinHash value, at most 2 tv / (1 + tv).
     """
-    marginals = tuple(marginals)
-    if len(marginals) < 2:
-        raise DomainError("need at least two marginals")
-    return CouplingSampler("races", marginals)
+    return CouplingSampler("races", tuple(marginals))
 
 
 def product_lift(base: CouplingSampler, n: int) -> CouplingSampler:
@@ -261,10 +291,6 @@ def product_lift(base: CouplingSampler, n: int) -> CouplingSampler:
     Componentwise Hamming distance between X_i and X_j is Binomial(n, delta_ij)
     where delta_ij is the base disagreement probability.
     """
-    if base.kind == "product_lift":
-        raise DomainError("nested product lifts are not supported")
-    if n < 1:
-        raise DomainError("n must be >= 1")
     return CouplingSampler("product_lift", base.marginals, base=base, n=n)
 
 
@@ -324,28 +350,9 @@ def exact_disagreement(sampler: CouplingSampler) -> np.ndarray:
     1 / sum_y max(p_i(y) / p_i(x), p_j(y) / p_j(x)).  Product lift of n:
     1 - (1 - delta_ij)^n, delta the base's matrix.  Symmetric, zero diagonal.
     """
-    if sampler.kind == "product_lift":
-        return 1.0 - (1.0 - exact_disagreement(sampler.base)) ** sampler.n
-    N = sampler.n_marginals
-    exact = np.zeros((N, N))
-    if sampler.kind == "maximal_pair":
-        exact[0, 1] = tv(*sampler.marginals)
-    elif sampler.kind == "shared_uniform":
-        ps = np.array([m.prob(1) for m in sampler.marginals])
-        exact = np.abs(ps[:, None] - ps[None, :])
-    elif sampler.kind == "races":
-        atoms = _universe(sampler.marginals)
-        probs = np.array([[m.prob(a) for a in atoms] for m in sampler.marginals])
-        for i in range(N):
-            for j in range(i + 1, N):
-                common = np.flatnonzero((probs[i] > 0.0) & (probs[j] > 0.0))
-                # ratio[x, y] = max(p_i(y) / p_i(x), p_j(y) / p_j(x)), x in the common support.
-                ratio = np.maximum(probs[i] / probs[i, common, None], probs[j] / probs[j, common, None])
-                # Not below 0.0: equal marginals' collision sum may round past 1.
-                exact[i, j] = max(0.0, 1.0 - float(np.sum(1.0 / ratio.sum(axis=1))))
-    else:
-        raise DomainError(f"unknown coupling kind {sampler.kind!r}")
-    return np.maximum(exact, exact.T)
+    exact = _LAWS[sampler._unit.kind].exact(sampler.marginals)
+    exact = np.maximum(exact, exact.T)
+    return exact if sampler.base is None else 1.0 - (1.0 - exact) ** sampler.n
 
 
 def _coupling_polytope(marginals):

@@ -233,6 +233,14 @@ def test_fano_unconstrained_requires_kls():
         fano_private(None, 1, 3, _tv_all(3, 0.5))
 
 
+def test_fano_rejects_an_unknown_form_and_n_below_one():
+    c = PrivacyConstraint.pure(1.0)
+    with pytest.raises(DomainError, match="unknown form 'joint2'"):
+        fano_private(c, 1, 3, _tv_all(3, 0.5), form="joint2")
+    with pytest.raises(DomainError, match="n must be >= 1"):
+        fano_private(c, 0, 3, _tv_all(3, 0.5))
+
+
 def test_fano_pairwise_reduces_to_le_cam_at_two_hypotheses():
     rng = np.random.default_rng(13)
     for _ in range(30):

@@ -2,13 +2,24 @@
 
 import dataclasses
 import enum
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
-from dpminimax import PrivacyConstraint, cli, rr_kernel
+from dpminimax import (
+    DiscreteDistribution,
+    PrivacyConstraint,
+    cli,
+    estimate_disagreement,
+    exponential_races,
+    product_lift,
+    rr_kernel,
+    shared_uniform_bernoulli,
+    tv,
+)
 from dpminimax import verify as verify_mod
 from dpminimax.cli import build_parser, main
 from dpminimax.errors import KindConstraintMismatch
@@ -100,6 +111,40 @@ def test_couple_output_bytes_are_reproducible(tmp_path, capsys):
     assert main(args + ["--out", str(path_a)]) == 0
     assert main(args + ["--out", str(path_b)]) == 0
     assert path_a.read_bytes() == path_b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, sampler, n",
+    [
+        (["shared", "--ps", "0.2,0.5,0.9"], shared_uniform_bernoulli([0.2, 0.5, 0.9]), None),
+        (
+            ["lift", "--marginals", "0.2,0.5,0.3;0.6,0.1,0.3", "--n", "3"],
+            product_lift(exponential_races([DiscreteDistribution.from_weights([0.2, 0.5, 0.3]),
+                                            DiscreteDistribution.from_weights([0.6, 0.1, 0.3])]), 3),
+            3,
+        ),
+    ],
+    ids=["shared", "lift"],
+)
+def test_couple_rows_are_the_estimates_of_the_sampler(argv, sampler, n, tmp_path, capsys):
+    matrix = estimate_disagreement(sampler, 3000, 5)
+    expected = []
+    for i, j in itertools.combinations(range(sampler.n_marginals), 2):
+        d = tv(sampler.marginals[i], sampler.marginals[j])
+        expected.append({
+            "i": i, "j": j, "estimate": float(matrix.estimates[i, j]), "stderr": float(matrix.stderr[i, j]),
+            "tv": d, "race_bound": 1.0 - (1.0 - 2.0 * d / (1.0 + d)) ** sampler.n,
+        })
+    args = ["couple", *argv, "--trials", "3000", "--seed", "5"]
+    assert main([*args, "--out", str(tmp_path / "pairs.json")]) == 0
+    payload = json.loads((tmp_path / "pairs.json").read_text())
+    assert payload["report"] == {"pairs": expected, "kind": sampler.kind}
+    assert payload["config"].get("n") == n
+    assert main([*args, "--format", "csv", "--out", str(tmp_path / "pairs.csv")]) == 0
+    lines = (tmp_path / "pairs.csv").read_text().splitlines()
+    assert lines[0] == "i,j,estimate,stderr,tv,race_bound"
+    assert [[float(v) for v in line.split(",")] for line in lines[1:]] == [list(row.values()) for row in expected]
+    capsys.readouterr()
 
 
 # ------------------------------------------------------------------- verify
@@ -346,6 +391,7 @@ def test_format_only_where_a_csv_projection_exists(argv, capsys):
     "argv, option",
     [
         (["couple", "pair", "--p", "0.5,0.5", "--q", "0.2,0.8", "--trials", "100", "--seed", "-1"], "--seed"),
+        (["couple", "pair", "--p", "0.5,0.5", "--q", "0.2,0.8", "--trials", "100", "--seed", "1.5"], "--seed"),
         (["experiment", "uniform", "--ns", "10", "--trials", "100", "--seed", "-3"], "--seed"),
         (["verify", "transport", "--mechanism", "rr", "--N", "5"], "--N"),
     ],
@@ -390,6 +436,33 @@ def test_experiment_bernoulli_writes_json_and_csv(tmp_path, capsys):
     assert json_path.read_bytes() == rerun_a
     assert csv_path.read_bytes() == rerun_b
     capsys.readouterr()
+
+
+def test_out_without_a_suffix_is_the_base_of_both_reports(tmp_path, capsys):
+    argv = ["experiment", "uniform", "--ns", "10", "--trials", "100", "--seed", "6"]
+    assert main([*argv, "--out", str(tmp_path / "report")]) == 0
+    assert main([*argv, "--out", str(tmp_path / "suffixed.json")]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.csv", "report.json", "suffixed.csv", "suffixed.json"]
+    assert (tmp_path / "report.csv").read_bytes() == (tmp_path / "suffixed.csv").read_bytes()
+    assert json.loads((tmp_path / "report.json").read_text()) == json.loads((tmp_path / "suffixed.json").read_text())
+
+
+def test_experiment_with_a_violation_exits_1(monkeypatch, capsys):
+    run_bernoulli = cli.run_bernoulli
+
+    def flagged(*args):
+        report = run_bernoulli(*args)
+        cells = list(report.cells)
+        cells[1] = dataclasses.replace(cells[1], violation=True)
+        return dataclasses.replace(report, cells=tuple(cells))
+
+    monkeypatch.setattr(cli, "run_bernoulli", flagged)
+    assert main(["experiment", "bernoulli", "--ns", "50", "--eps", "0.5", "--trials", "100", "--seed", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.count("VIOLATION") == 1
+    (line,) = captured.err.splitlines()
+    assert line.startswith("violation: bernoulli n=50 ")
 
 
 def test_experiment_uniform_defaults_include_private_cells(capsys):

@@ -294,10 +294,10 @@ def _one_shot(sampler, trials, seed):
     if sampler.kind == "product_lift":
         base = sampler.base
         u = derived_rng(seed).random((trials * sampler.n, base.draw_budget()))
-        flat = couplings._ASSIGNERS[base.kind](base.marginals)(u)
+        flat = couplings._LAWS[base.kind].assigner(base.marginals)(u)
         return flat.reshape(trials, sampler.n, -1).transpose(0, 2, 1)
     u = derived_rng(seed).random((trials, sampler.draw_budget()))
-    return couplings._ASSIGNERS[sampler.kind](sampler.marginals)(u)
+    return couplings._LAWS[sampler.kind].assigner(sampler.marginals)(u)
 
 
 # Every sampler shape.  A chunk holds whole lifts, so its base draws are a
@@ -630,6 +630,59 @@ def test_product_lift_validation():
         product_lift(base, 0)
     with pytest.raises(DomainError):
         product_lift(product_lift(base, 2), 2)
+
+
+# ------------------------------------------------------ direct construction
+
+_P, _Q = DiscreteDistribution.bernoulli(0.3), DiscreteDistribution.bernoulli(0.5)
+_THREE_ATOMS = DiscreteDistribution.from_weights([0.2, 0.3, 0.5])
+
+
+@pytest.mark.parametrize(
+    "kind, marginals, base, n, error, message",
+    [
+        ("unknown", (_P, _Q), None, 1, DomainError, "unknown coupling kind 'unknown'"),
+        ("maximal_pair", (_P, _Q, _P), None, 1, DomainError, "exactly two marginals"),
+        ("maximal_pair", (_P,), None, 1, DomainError, "need at least two marginals"),
+        ("races", (_P,), None, 1, DomainError, "need at least two marginals"),
+        ("shared_uniform", (_P,), None, 1, DomainError, "need at least two marginals"),
+        ("shared_uniform", (_THREE_ATOMS, _P), None, 1, DegenerateMarginal, "atoms 0 and 1"),
+        ("races", (_P, _Q), exponential_races([_P, _Q]), 1, DomainError, "no base"),
+        ("maximal_pair", (_P, _Q), None, 2, DomainError, "no base"),
+        ("product_lift", (_P, _Q), None, 2, DomainError, "needs a base"),
+        ("product_lift", (_P, _Q), product_lift(maximal_pair(_P, _Q), 2), 2, DomainError,
+         "nested product lifts are not supported"),
+        ("product_lift", (_P, _Q), maximal_pair(_P, _Q), 0, DomainError, "n must be >= 1"),
+        ("product_lift", (_Q, _P), maximal_pair(_P, _Q), 2, DomainError, "its base's marginals"),
+        ("product_lift", (_P, _Q, _P), exponential_races([_P, _Q]), 2, DomainError, "its base's marginals"),
+    ],
+    ids=["unknown_kind", "pair_of_three", "pair_of_one", "races_of_one", "shared_of_one", "shared_three_atoms",
+         "plain_with_base", "plain_with_n", "lift_without_base", "nested_lift", "lift_of_zero",
+         "lift_on_other_laws", "lift_on_more_marginals"],
+)
+def test_a_sampler_is_checked_when_it_is_built(kind, marginals, base, n, error, message):
+    with pytest.raises(error, match=message):
+        couplings.CouplingSampler(kind, marginals, base=base, n=n)
+
+
+def test_a_direct_sampler_draws_as_its_constructor_does():
+    # Equal laws on other objects, and a zero-weight atom beyond {0, 1}, pass.
+    padded = DiscreteDistribution((0, 1, 2), np.array([0.7, 0.3, 0.0]))
+    shared = couplings.CouplingSampler("shared_uniform", (padded, DiscreteDistribution.bernoulli(0.5)))
+    assert np.array_equal(shared.sample(500, 3), shared_uniform_bernoulli([0.3, 0.5]).sample(500, 3))
+    base = exponential_races([_P, _Q])
+    lift = couplings.CouplingSampler("product_lift", (DiscreteDistribution.bernoulli(0.3), _Q), base=base, n=3)
+    assert np.array_equal(lift.sample(500, 4), product_lift(base, 3).sample(500, 4))
+
+
+def test_constructor_errors_keep_their_messages():
+    with pytest.raises(DomainError, match="need at least two marginals"):
+        shared_uniform_bernoulli([0.5])
+    with pytest.raises(DomainError, match="need at least two marginals"):
+        exponential_races([_P])
+    # The range check runs before the sampler's own checks.
+    with pytest.raises(DegenerateMarginal, match=r"Bernoulli parameters must lie in \[0, 1\]"):
+        shared_uniform_bernoulli([1.5])
 
 
 # ---------------------------------------------------------------- sampling

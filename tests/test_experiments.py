@@ -290,6 +290,9 @@ def test_uniform_regime_errors():
         run_uniform([1], [PrivacyConstraint.none()], trials=200, seed=0)
     with pytest.raises(RegimeError):
         run_uniform([10], [PrivacyConstraint.approx(1.0, 0.1)], trials=200, seed=0)
+    # n sqrt(rho) = 1 exactly: the zCDP constant needs it above 1.
+    with pytest.raises(RegimeError, match="zCDP constant"):
+        run_uniform([10], [PrivacyConstraint.zcdp(0.01)], trials=200, seed=0)
 
 
 # ------------------------------------------------------------------ run_dpsgml

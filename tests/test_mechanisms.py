@@ -108,6 +108,11 @@ def test_box_rejects_nan_bounds(lo, hi, name):
     assert np.array_equal(box.project([5.0, -2.0]), [5.0, 0.0])
 
 
+def test_dim_is_the_number_of_coordinates():
+    assert Ball(center=(1.0, 2.0, 3.0), radius=1.0).dim == 3
+    assert Box(lo=(0.0, -1.0), hi=(1.0, 1.0)).dim == 2
+
+
 def test_inradius_is_the_largest_inscribed_ball():
     assert Ball(center=(1.0, 2.0), radius=3.5).inradius == 3.5
     assert Box(lo=(0.0, -1.0, -5.0), hi=(1.0, 1.0, 5.0)).inradius == 0.5
@@ -785,6 +790,18 @@ def test_mle_pga_projects_exterior_optimum():
     expected = model.space.project(data.mean(axis=0))
     assert np.allclose(mle, expected, atol=1e-6)
     assert float(np.linalg.norm(mle)) <= 0.3 + 1e-9
+
+
+def test_one_dimensional_data_is_read_as_one_column():
+    model = gaussian_mean_model(1, sigma=1.0, radius=0.5)
+    column = model.sample(np.array([0.2]), 30, derived_rng(51))
+    flat = column[:, 0].copy()
+    cfg = DPSGMLConfig(sigma2_noise=0.05, K=9, eta=0.4, m=4, rho=1.0, clip=1.0)
+    assert np.array_equal(dp_sgml(flat, model, cfg, derived_rng(52)), dp_sgml(column, model, cfg, derived_rng(52)))
+    theta_ml = mle_pga(column, model)
+    assert np.array_equal(mle_pga(flat, model), theta_ml)
+    for m in (None, 3):
+        assert estimate_xi2(flat, model, theta_ml, m) == estimate_xi2(column, model, theta_ml, m)
 
 
 def test_estimate_xi2_full_batch_is_small_but_positive():
